@@ -4,24 +4,29 @@ For a combination x = (x_1, ..., x_L), one outcome per test, three bounds on
 the mixed success probability sum_l r_l p_l(x_l | channel) are computed:
 
 * ``trivial_bound``  t(x) = sum_l r_l max_channel p_l(x_l), each inner maximum
-  certified by the channel optimizer;
+  certified by the channel optimizer (tests of weight zero are skipped);
 * ``upper_bound``    d_in * ||sum_l r_l T_l(x_l)||, a closed-form cap that
   needs no optimization;
 * ``exact_bound``    the certified maximum of the weighted probability itself.
 
 A combination exhibits an unavoidable trade-off when the exact bound sits
 strictly below the trivial one.
+
+``scenario_report`` is the one pipeline behind every report: it solves each
+per-test maximum once per outcome, takes the norm cap and its tightness from one
+eigendecomposition per combination, and records a failed solve as ``error``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channel_opt import ChannelOptResult, maximize_over_channels
+from .channel_opt import ChannelOptResult, SolverError, check_tol, maximize_over_channels
 from .linalg import (
     DimensionError,
     HermitianOperator,
@@ -31,14 +36,10 @@ from .linalg import (
     operator_norm,
     partial_trace,
 )
-from .testers import Channel, Scenario, Tester, channel_to_json
+from .testers import Channel, Scenario, channel_to_json
 
 TIGHTNESS_ATOL = 1e-8
 TRADEOFF_MARGIN = 1e-8
-
-
-def _testers_for(scenario: Scenario, testers: Sequence[Tester] | None) -> list[Tester]:
-    return list(testers) if testers is not None else scenario.testers()
 
 
 def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[str, ...]:
@@ -51,19 +52,53 @@ def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[
     return combination
 
 
-def objective_operator(scenario: Scenario, combination: Sequence[str],
-                       testers: Sequence[Tester] | None = None) -> HermitianOperator:
-    """Weighted tester-element sum sum_l r_l T_l(x_l) for one combination."""
-    combination = _check_combination(scenario, combination)
-    testers = _testers_for(scenario, testers)
+def _weighted_elements(scenario: Scenario,
+                       subsets: Sequence[Sequence[str]]) -> HermitianOperator:
+    """sum_l r_l sum_{x in X_l} T_l(x), one outcome set X_l per test."""
     total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
-    for weight, tester, label in zip(scenario.weights, testers, combination):
-        total += weight * tester.element(label).mat
+    for weight, tester, subset in zip(scenario.weights, scenario.testers(), subsets):
+        for label in subset:
+            total += weight * tester.element(label).mat
     return HermitianOperator(total, (scenario.d_in, scenario.d_out))
 
 
-def trivial_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1e-6,
-                  testers: Sequence[Tester] | None = None) -> float:
+def objective_operator(scenario: Scenario, combination: Sequence[str]) -> HermitianOperator:
+    """Weighted tester-element sum sum_l r_l T_l(x_l) for one combination."""
+    return _weighted_elements(scenario, [[x] for x in _check_combination(scenario, combination)])
+
+
+def _per_test_maxima(scenario: Scenario, tol: float,
+                     labels: Sequence[str] | None = None) -> dict[str, float | str]:
+    """Dual value of max_channel p(x) (an upper estimate within ``tol``) for each
+    outcome x of each test of nonzero weight, restricted to ``labels`` if given;
+    a failed solve is kept as its error message."""
+    maxima: dict[str, float | str] = {}
+    for weight, tester in zip(scenario.weights, scenario.testers()):
+        if weight == 0.0:
+            continue
+        for label, element in tester.elements:
+            if labels is not None and label not in labels:
+                continue
+            try:
+                maxima[label] = maximize_over_channels(element, tol=tol).dual_value
+            except SolverError as exc:
+                maxima[label] = f"per-test maximum for {label!r} failed: {exc}"
+    return maxima
+
+
+def _weighted_maxima(scenario: Scenario, combination: tuple[str, ...],
+                     maxima: dict[str, float | str]) -> float:
+    """The trivial bound of one combination; a failed maximum raises SolverError."""
+    total = 0.0
+    for weight, label in zip(scenario.weights, combination):
+        if weight != 0.0:
+            if isinstance(maxima[label], str):
+                raise SolverError(maxima[label])
+            total += weight * maxima[label]
+    return total
+
+
+def trivial_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1e-6) -> float:
     """Weighted sum of certified per-test maxima.
 
     Each inner maximum is reported through its dual certificate, so the
@@ -71,50 +106,39 @@ def trivial_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1
     off by at most ``tol``.
     """
     combination = _check_combination(scenario, combination)
-    testers = _testers_for(scenario, testers)
-    total = 0.0
-    for weight, tester, label in zip(scenario.weights, testers, combination):
-        if weight == 0.0:
-            continue
-        result = maximize_over_channels(tester.element(label), tol=tol)
-        total += weight * result.dual_value
-    return total
+    return _weighted_maxima(scenario, combination,
+                            _per_test_maxima(scenario, tol, combination))
 
 
-def upper_bound(scenario: Scenario, combination: Sequence[str],
-                testers: Sequence[Tester] | None = None) -> float:
+def upper_bound(scenario: Scenario, combination: Sequence[str]) -> float:
     """d_in times the operator norm of the weighted tester-element sum."""
-    objective = objective_operator(scenario, combination, testers)
+    objective = objective_operator(scenario, combination)
     return scenario.d_in * operator_norm(objective, require_psd=True)
 
 
-def exact_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1e-6,
-                testers: Sequence[Tester] | None = None) -> ChannelOptResult:
+def exact_bound(scenario: Scenario, combination: Sequence[str],
+                tol: float = 1e-6) -> ChannelOptResult:
     """Certified maximum of the weighted combination probability over channels."""
-    objective = objective_operator(scenario, combination, testers)
+    objective = objective_operator(scenario, combination)
     return maximize_over_channels(objective, tol=tol)
 
 
-def subset_bound(scenario: Scenario, subsets: Sequence[Sequence[str]], tol: float = 1e-6,
-                 testers: Sequence[Tester] | None = None) -> ChannelOptResult:
+def subset_bound(scenario: Scenario, subsets: Sequence[Sequence[str]],
+                 tol: float = 1e-6) -> ChannelOptResult:
     """Certified maximum of sum_l r_l sum_{x in X_l} p_l(x), one set per test.
 
     Singleton subsets reproduce ``exact_bound``; full outcome sets give 1.
     """
     if len(subsets) != len(scenario.tests):
         raise ValidationError("one outcome subset per test required")
-    testers = _testers_for(scenario, testers)
-    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
-    for weight, tester, test, subset in zip(scenario.weights, testers, scenario.tests, subsets):
-        labels = [str(s) for s in subset]
+    subsets = [[str(s) for s in subset] for subset in subsets]
+    for test, labels in zip(scenario.tests, subsets):
         if len(set(labels)) != len(labels):
             raise ValidationError("subset labels must be unique")
         for label in labels:
             if label not in test.labels:
                 raise ValidationError(f"label {label!r} not an outcome of its test")
-            total += weight * tester.element(label).mat
-    objective = HermitianOperator(total, (scenario.d_in, scenario.d_out))
-    return maximize_over_channels(objective, tol=tol)
+    return maximize_over_channels(_weighted_elements(scenario, subsets), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -122,22 +146,22 @@ class TightnessResult:
     tight: bool
     degenerate: bool
     marginal_residual: float
+    upper: float  # the norm cap d_in * ||objective|| whose attainment is checked
 
     def __bool__(self) -> bool:
         return self.tight
 
 
 def tightness_check(scenario: Scenario, combination: Sequence[str],
-                    testers: Sequence[Tester] | None = None,
                     atol: float = TIGHTNESS_ATOL) -> TightnessResult:
     """Check whether the operator-norm bound is provably attained.
 
     True when some checked top eigenvector of the objective has a maximally
     mixed marginal on the channel input; with a degenerate top eigenvalue all
     eigenvectors of the top eigenspace basis are checked and the degeneracy is
-    reported.
+    reported.  The norm cap itself comes from the same eigendecomposition.
     """
-    objective = objective_operator(scenario, combination, testers)
+    objective = objective_operator(scenario, combination)
     vals, kets = eig_hermitian(objective)
     top = vals[-1]
     members = [k for v, k in zip(vals, kets) if v >= top - atol]
@@ -148,7 +172,8 @@ def tightness_check(scenario: Scenario, combination: Sequence[str],
         resid = operator_norm(HermitianOperator(marginal.mat - np.eye(d_in) / d_in, (d_in,)))
         best = min(best, resid)
     return TightnessResult(tight=best <= atol, degenerate=len(members) > 1,
-                           marginal_residual=float(best))
+                           marginal_residual=float(best),
+                           upper=d_in * float(np.max(np.abs(vals))))
 
 
 def unitary_from_max_entangled(ket: Ket, atol: float = 1e-9) -> np.ndarray:
@@ -229,99 +254,119 @@ def mub_state_bound(d: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bounds for one outcome combination, with certification metadata."""
+    """All bounds for one outcome combination, with certification metadata.
+
+    A bound that was skipped, or whose solve failed, is None; ``error`` then
+    says which solve failed.  ``tradeoff`` needs both ``trivial`` and ``exact``.
+    """
 
     combination: tuple[str, ...]
-    trivial: float
+    trivial: float | None
     upper: float
-    exact: float
-    gap: float
-    tradeoff: bool
+    exact: float | None
+    gap: float | None
+    tradeoff: bool | None
     tight: bool
     tight_degenerate: bool
-    optimizer: Channel
+    optimizer: Channel | None
     tol: float = 1e-6
+    error: str | None = None
 
     def __post_init__(self):
-        if self.exact > self.upper + 1e-8:
+        if self.exact is not None and self.exact > self.upper + 1e-8:
             raise ValidationError(f"exact {self.exact!r} exceeds upper {self.upper!r}")
-        if self.exact > self.trivial + 1e-8:
+        if None not in (self.exact, self.trivial) and self.exact > self.trivial + 1e-8:
             raise ValidationError(f"exact {self.exact!r} exceeds trivial {self.trivial!r}")
         # certified trivial bounds may exceed their true value by up to tol
         hi = max(1.0, self.upper) + max(self.tol, 1e-9)
         for name in ("trivial", "upper", "exact"):
             v = getattr(self, name)
-            if not -1e-9 <= v <= hi:
+            if v is not None and not -1e-9 <= v <= hi:
                 raise ValidationError(f"{name} bound {v!r} outside [0, {hi!r}]")
 
 
-def bound_report(scenario: Scenario, combination: Sequence[str], tol: float = 1e-6,
-                 testers: Sequence[Tester] | None = None,
-                 trivial: float | None = None) -> BoundReport:
-    """Compute every bound for one combination; the three are computed
-    independently so their mutual inequalities are genuine cross-checks."""
-    combination = _check_combination(scenario, combination)
-    testers = _testers_for(scenario, testers)
-    if trivial is None:
-        trivial = trivial_bound(scenario, combination, tol=tol, testers=testers)
-    upper = upper_bound(scenario, combination, testers=testers)
-    exact = exact_bound(scenario, combination, tol=tol, testers=testers)
-    tight = tightness_check(scenario, combination, testers=testers)
-    if tight.tight and abs(exact.value - upper) > max(1e-6, 10 * exact.gap):
+def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
+            maxima: dict[str, float | str] | None, skip_exact: bool) -> BoundReport:
+    """Every requested bound for one combination (``maxima`` None skips the trivial
+    one); they are computed independently, so their inequalities are cross-checks."""
+    spectral = tightness_check(scenario, combination)
+    trivial = exact = None
+    errors = []
+    if maxima is not None:
+        try:
+            trivial = _weighted_maxima(scenario, combination, maxima)
+        except SolverError as exc:
+            errors.append(str(exc))
+    if not skip_exact:
+        try:
+            exact = exact_bound(scenario, combination, tol=tol)
+        except SolverError as exc:
+            errors.append(f"exact bound failed: {exc}")
+    if exact is not None and spectral.tight \
+            and abs(exact.value - spectral.upper) > max(1e-6, 10 * exact.gap):
         raise ValidationError(
-            f"tightness certified but exact {exact.value!r} != upper {upper!r}")
-    tradeoff = exact.dual_value < trivial - max(tol, TRADEOFF_MARGIN)
+            f"tightness certified but exact {exact.value!r} != upper {spectral.upper!r}")
+    tradeoff = None if exact is None or trivial is None else \
+        bool(exact.dual_value < trivial - max(tol, TRADEOFF_MARGIN))
     return BoundReport(
         combination=combination,
-        trivial=float(trivial),
-        upper=float(upper),
-        exact=float(exact.value),
-        gap=float(exact.gap),
-        tradeoff=bool(tradeoff),
-        tight=tight.tight,
-        tight_degenerate=tight.degenerate,
-        optimizer=exact.optimizer,
+        trivial=trivial,
+        upper=spectral.upper,
+        exact=None if exact is None else float(exact.value),
+        gap=None if exact is None else float(exact.gap),
+        tradeoff=tradeoff,
+        tight=spectral.tight,
+        tight_degenerate=spectral.degenerate,
+        optimizer=None if exact is None else exact.optimizer,
         tol=float(tol),
+        error="; ".join(errors) or None,
     )
 
 
-def all_combinations(scenario: Scenario) -> list[tuple[str, ...]]:
-    """Every outcome combination, ordered lexicographically by label tuple."""
+def bound_report(scenario: Scenario, combination: Sequence[str],
+                 tol: float = 1e-6) -> BoundReport:
+    """Every bound for one combination; a failed solve is recorded as ``error``."""
+    combination = _check_combination(scenario, combination)
+    return _report(scenario, combination, tol,
+                   _per_test_maxima(scenario, tol, combination), skip_exact=False)
+
+
+def all_combinations(scenario: Scenario, cap: int | None = None) -> list[tuple[str, ...]]:
+    """Every outcome combination, ordered lexicographically by label tuple.
+
+    Raises ``ValidationError`` when there are more than ``cap`` of them.
+    """
+    count = math.prod(len(labels) for labels in scenario.outcome_sets())
+    if cap is not None and count > cap:
+        raise ValidationError(f"{count} combinations exceed the cap {cap}")
     return sorted(itertools.product(*scenario.outcome_sets()))
 
 
 def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 4096,
+                    skip_exact: bool = False, skip_trivial: bool = False,
                     ) -> list[BoundReport]:
     """Bound reports for every combination (lexicographic order).
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
     per-test maxima feeding the trivial bound are solved once per outcome.
+    ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
+    None.  A failed solve is the ``error`` of every report that needed it.
     """
-    combos = all_combinations(scenario)
-    if cap is not None and len(combos) > cap:
-        raise ValidationError(f"{len(combos)} combinations exceed the cap {cap}")
-    testers = scenario.testers()
-    maxima: dict[str, float] = {}
-    for tester in testers:
-        for label, element in tester.elements:
-            maxima[label] = maximize_over_channels(element, tol=tol).dual_value
-    reports = []
-    for combo in combos:
-        trivial = sum(w * maxima[label] for w, label in zip(scenario.weights, combo))
-        reports.append(bound_report(scenario, combo, tol=tol, testers=testers,
-                                    trivial=trivial))
-    return reports
+    check_tol(tol)
+    combos = all_combinations(scenario, cap)
+    maxima = None if skip_trivial else _per_test_maxima(scenario, tol)
+    return [_report(scenario, combo, tol, maxima, skip_exact) for combo in combos]
+
+
+_JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_degenerate",
+                "optimizer", "error")
 
 
 def report_to_json(report: BoundReport) -> dict:
-    return {
-        "combination": list(report.combination),
-        "trivial": report.trivial,
-        "upper": report.upper,
-        "exact": report.exact,
-        "gap": report.gap,
-        "tradeoff": report.tradeoff,
-        "tight": report.tight,
-        "tight_degenerate": report.tight_degenerate,
-        "optimizer": channel_to_json(report.optimizer),
-    }
+    """One report entry; skipped bounds (None fields) are omitted."""
+    obj: dict = {"combination": list(report.combination)}
+    for name in _JSON_FIELDS:
+        value = getattr(report, name)
+        if value is not None:
+            obj[name] = channel_to_json(value) if name == "optimizer" else value
+    return obj

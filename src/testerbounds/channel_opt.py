@@ -149,6 +149,12 @@ def _repair_dual(a: np.ndarray, y: np.ndarray, d_out: int) -> tuple[float, np.nd
     return float(np.trace(y).real), y, lo
 
 
+def check_tol(tol: float) -> None:
+    """Reject a gap tolerance that is not positive and finite (NaN included)."""
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER) -> ChannelOptResult:
     """Maximize tr[M J] over channels, certified to the requested duality gap.
@@ -159,8 +165,7 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tol(tol)
     d_in, d_out = m.dims
     a = m.mat
     eye_in = np.eye(d_in)

@@ -149,13 +149,12 @@ def check_exact_below_norm_cap(rng: np.random.Generator, trials: int,
     for _ in range(trials):
         scenario = random_scenario(rng)
         combo = tuple(t.labels[int(rng.integers(0, len(t.labels)))] for t in scenario.tests)
-        testers = scenario.testers()
-        ub = upper_bound(scenario, combo, testers=testers)
-        ex = exact_bound(scenario, combo, tol=tol, testers=testers)
+        ub = upper_bound(scenario, combo)
+        ex = exact_bound(scenario, combo, tol=tol)
         worst = max(worst, ex.value - ub)
         if ex.value > ub + 1e-8:
             ok = False
-        tight = tightness_check(scenario, combo, testers=testers)
+        tight = tightness_check(scenario, combo)
         if tight.tight and abs(ex.value - ub) > max(1e-6, 10 * ex.gap):
             ok = False
     return CheckResult("exact_below_norm_cap", ok, worst,
@@ -194,10 +193,9 @@ def check_meb_pair_norm_formula(rng: np.random.Generator, trials: int) -> CheckR
         d = int(rng.integers(2, 4))
         meb1, meb2 = _random_meb(d, rng), _random_meb(d, rng)
         scenario = meb_scenario(meb1, meb2)
-        testers = scenario.testers()
         i, j = int(rng.integers(0, d * d)), int(rng.integers(0, d * d))
         combo = (scenario.tests[0].labels[i], scenario.tests[1].labels[j])
-        ub = upper_bound(scenario, combo, testers=testers)
+        ub = upper_bound(scenario, combo)
         expected = 0.5 * (1 + abs(meb1.kets[i].overlap(meb2.kets[j])))
         worst = max(worst, abs(ub - expected))
     return CheckResult("meb_pair_norm_formula", worst <= 1e-9, worst,

@@ -22,15 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    all_combinations,
-    bound_report,
-    exact_bound,
-    report_to_json,
-    tightness_check,
-    upper_bound,
-)
-from .channel_opt import SolverError, maximize_over_channels
+from .bounds import all_combinations, report_to_json, scenario_report, upper_bound
+from .channel_opt import SolverError
+# not called here: bench/tracing.py looks these two names up in this module
+from .bounds import tightness_check  # noqa: F401
+from .channel_opt import maximize_over_channels  # noqa: F401
 from .checks import run_all
 from .linalg import ValidationError, dumps_canonical
 from .scenarios import (
@@ -99,74 +95,36 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
+def _load(path: str, what: str, from_json):
+    """The JSON object in ``path`` and the value built from it."""
     try:
-        scenario_obj = json.loads(Path(args.scenario).read_text())
-        scenario = scenario_from_json(scenario_obj)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _err(f"cannot load scenario: {exc}")
-        return 2
+        obj = json.loads(Path(path).read_text())
+        return obj, from_json(obj)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot load {what}: {exc}") from exc
+
+
+def _cap(args) -> int | None:
     if args.cap < 1:
-        _err("--cap must be at least 1")
-        return 2
-    combos = all_combinations(scenario)
-    cap = None if args.no_cap else args.cap
-    if cap is not None and len(combos) > cap:
-        _err(f"{len(combos)} combinations exceed the cap {cap}; "
-             f"raise --cap or pass --no-cap")
-        return 2
+        raise ValidationError("--cap must be at least 1")
+    return None if args.no_cap else args.cap
 
-    testers = scenario.testers()
-    failures = 0
-    maxima: dict[str, float | None] = {}
-    if not args.skip_trivial:
-        for tester in testers:
-            for label, element in tester.elements:
-                try:
-                    maxima[label] = maximize_over_channels(element, tol=args.tol).dual_value
-                except SolverError as exc:
-                    _err(f"per-test maximum for {label!r} failed: {exc}")
-                    maxima[label] = None
-                    failures += 1
 
-    entries = []
-    for combo in combos:
-        entry: dict = {"combination": list(combo)}
-        try:
-            if args.skip_trivial or args.skip_exact:
-                entry["upper"] = upper_bound(scenario, combo, testers=testers)
-                tight = tightness_check(scenario, combo, testers=testers)
-                entry["tight"] = tight.tight
-                entry["tight_degenerate"] = tight.degenerate
-                if not args.skip_trivial:
-                    parts = [maxima[label] for label in combo]
-                    if None not in parts:
-                        entry["trivial"] = float(sum(
-                            w * v for w, v in zip(scenario.weights, parts)))
-                if not args.skip_exact:
-                    ex = exact_bound(scenario, combo, tol=args.tol, testers=testers)
-                    entry["exact"] = ex.value
-                    entry["gap"] = ex.gap
-            else:
-                parts = [maxima[label] for label in combo]
-                if None in parts:
-                    raise SolverError("trivial bound unavailable for this combination")
-                trivial = float(sum(w * v for w, v in zip(scenario.weights, parts)))
-                report = bound_report(scenario, combo, tol=args.tol, testers=testers,
-                                      trivial=trivial)
-                entry = report_to_json(report)
-        except SolverError as exc:
-            entry["error"] = str(exc)
-            failures += 1
-        entries.append(entry)
-
+def cmd_bound(args) -> int:
+    scenario_obj, scenario = _load(args.scenario, "scenario", scenario_from_json)
+    reports = scenario_report(scenario, tol=args.tol, cap=_cap(args),
+                              skip_exact=args.skip_exact, skip_trivial=args.skip_trivial)
     payload = {
         "scenario_digest": _scenario_digest(scenario_obj),
         "tol": args.tol,
-        "reports": entries,
+        "reports": [report_to_json(r) for r in reports],
     }
     _emit(dumps_canonical(payload), args.out)
-    return 3 if failures else 0
+    failed = sum(r.error is not None for r in reports)
+    if failed:
+        _err(f"{failed} of {len(reports)} combinations carry a solver error")
+        return 3
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -194,31 +152,19 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         _err("--n must be at least 1")
         return 2
-    try:
-        scenario = scenario_from_json(json.loads(Path(args.scenario).read_text()))
-        channel = channel_from_json(json.loads(Path(args.channel).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        _err(f"cannot load inputs: {exc}")
-        return 2
+    scenario = _load(args.scenario, "scenario", scenario_from_json)[1]
+    channel = _load(args.channel, "channel", channel_from_json)[1]
     if (channel.d_in, channel.d_out) != (scenario.d_in, scenario.d_out):
         _err("channel dimensions do not match the scenario")
         return 2
-    if args.cap < 1:
-        _err("--cap must be at least 1")
-        return 2
-    combos = all_combinations(scenario)
-    cap = None if args.no_cap else args.cap
-    if cap is not None and len(combos) > cap:
-        _err(f"{len(combos)} combinations exceed the cap {cap}")
-        return 2
+    combos = all_combinations(scenario, _cap(args))
 
     histogram = sample_run(scenario, channel, args.n, args.seed)
-    testers = scenario.testers()
     checks = []
     violations = 0
     for combo in combos:
         empirical = sum(histogram[label] for label in combo) / args.n
-        bound = upper_bound(scenario, combo, testers=testers)
+        bound = upper_bound(scenario, combo)
         sigma = float(np.sqrt(max(empirical * (1 - empirical), 1.0 / args.n) / args.n))
         violated = empirical > bound + 5 * sigma
         violations += int(violated)

@@ -9,6 +9,7 @@ from the generalized Born rule tr[T(x) J] against the channel's Choi matrix J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -209,17 +210,17 @@ class Scenario:
     def d_out(self) -> int:
         return self.tests[0].d_out
 
+    @cached_property
+    def _testers(self) -> tuple[Tester, ...]:
+        # cached_property writes the instance dict directly, past the frozen setattr
+        return tuple(tester_from_test(t) for t in self.tests)
+
     def testers(self) -> list[Tester]:
-        return [tester_from_test(t) for t in self.tests]
+        """The tester of each test, built on first use; a fresh list per call."""
+        return list(self._testers)
 
     def outcome_sets(self) -> list[tuple[str, ...]]:
         return [t.labels for t in self.tests]
-
-
-def _kraus_from_ket(psi: np.ndarray, d_anc: int, d_in: int) -> np.ndarray:
-    """Matrix K with K[a, i] = <a,i|psi>, so |psi><psi| = (K . K^dag-conjugation) of
-    the unnormalized maximally entangled state."""
-    return psi.reshape(d_anc, d_in)
 
 
 def state_decomposition(rho: HermitianOperator, cutoff: float = 1e-14) -> list[tuple[float, np.ndarray]]:
@@ -231,40 +232,40 @@ def state_decomposition(rho: HermitianOperator, cutoff: float = 1e-14) -> list[t
 def upsilon_dual_apply(rho: HermitianOperator, b: HermitianOperator,
                        decomposition: Sequence[tuple[float, np.ndarray]] | None = None,
                        ) -> HermitianOperator:
-    """Dual of the ancilla map of ``rho`` applied to an operator on the ancilla.
+    """Dual of the ancilla map of ``rho`` applied to an operator on anc(x)rest.
 
     For rho = sum_n w_n |Psi_n><Psi_n| on anc(x)in this is
-    sum_n w_n K_n^dag b K_n with K_n = reshape(Psi_n, (d_anc, d_in)).  The
-    result does not depend on which convex pure-state decomposition is used;
-    by default the eigendecomposition is taken.  An explicit ``decomposition``
-    of (weight, vector) pairs may be supplied instead.
+    sum_n w_n (K_n (x) I)^dag b (K_n (x) I) with K_n = reshape(Psi_n, (d_anc, d_in)),
+    so ``b`` with dims (d_anc, *rest) maps to dims (d_in, *rest) and the rest
+    factors are left untouched.  The result does not depend on which convex
+    pure-state decomposition is used; by default the eigendecomposition is
+    taken.  An explicit ``decomposition`` of (weight, vector) pairs may be
+    supplied instead.
     """
     if len(rho.dims) != 2:
         raise DimensionError("state must carry dims (d_anc, d_in)")
     d_anc, d_in = rho.dims
-    if b.dims != (d_anc,):
-        raise DimensionError(f"operator dims {b.dims} != ({d_anc},)")
+    if b.dims[0] != d_anc:
+        raise DimensionError(f"operator dims {b.dims} do not start with d_anc = {d_anc}")
     if decomposition is None:
         decomposition = state_decomposition(rho)
-    out = np.zeros((d_in, d_in), dtype=complex)
-    for weight, psi in decomposition:
-        k = _kraus_from_ket(np.asarray(psi, dtype=complex).reshape(-1), d_anc, d_in)
-        out += weight * (k.conj().T @ b.mat @ k)
-    return HermitianOperator(out, (d_in,))
+    weights = np.array([w for w, _ in decomposition], dtype=float)
+    kraus = np.stack([np.asarray(psi, dtype=complex).reshape(d_anc, d_in)
+                      for _, psi in decomposition])[:, None, None]
+    r = b.size // d_anc
+    # block (x, y) of (K (x) I)^dag b (K (x) I) is K^dag b_xy K, where b_xy is the
+    # d_anc x d_anc block of b between output indices x and y
+    blocks = b.mat.reshape(d_anc, r, d_anc, r).transpose(1, 3, 0, 2)
+    per_ket = kraus.conj().swapaxes(-1, -2) @ blocks @ kraus
+    out = np.tensordot(weights, per_ket, axes=1).transpose(2, 0, 3, 1)
+    return HermitianOperator(out.reshape(d_in * r, d_in * r), (d_in, *b.dims[1:]))
 
 
 def tester_from_test(test: Test) -> Tester:
     """Build the tester {T(x)} on in(x)out induced by a physical test."""
     decomposition = state_decomposition(test.input_state)
-    eye_out = np.eye(test.d_out)
-    kraus_ext = [(w, np.kron(_kraus_from_ket(psi, test.d_anc, test.d_in), eye_out))
-                 for w, psi in decomposition]
-    elements = []
-    for label, eff in test.povm:
-        t = np.zeros((test.d_in * test.d_out,) * 2, dtype=complex)
-        for w, k in kraus_ext:
-            t += w * (k.conj().T @ eff.mat @ k)
-        elements.append((label, HermitianOperator(t, (test.d_in, test.d_out))))
+    elements = [(label, upsilon_dual_apply(test.input_state, eff, decomposition))
+                for label, eff in test.povm]
     marginal = basis_transpose(partial_trace(test.input_state, keep=[1]))
     return Tester(elements, marginal)
 

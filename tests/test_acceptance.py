@@ -104,12 +104,11 @@ def test_criterion_3_state_measurement_reduction():
             bases = mub_bases(d, 2)
             scenario = state_measurement_scenario(bases, (0.5, 0.5))
             expected = 0.5 * (1.0 + 1.0 / np.sqrt(d))
-            testers = scenario.testers()
             for i in range(d):
                 for j in range(d):
                     combo = (f"x1_{i}", f"x2_{j}")
-                    ub = upper_bound(scenario, combo, testers=testers)
-                    ex = exact_bound(scenario, combo, tol=1e-8, testers=testers)
+                    ub = upper_bound(scenario, combo)
+                    ex = exact_bound(scenario, combo, tol=1e-8)
                     assert abs(ub - expected) <= 1e-6
                     assert abs(ex.value - expected) <= 1e-6
 
@@ -134,11 +133,10 @@ def test_criterion_4_norm_cap_ordering():
             scenario = random_scenario(rng)
             combo = tuple(t.labels[int(rng.integers(0, len(t.labels)))]
                           for t in scenario.tests)
-            testers = scenario.testers()
-            ub = upper_bound(scenario, combo, testers=testers)
-            ex = exact_bound(scenario, combo, tol=1e-7, testers=testers)
+            ub = upper_bound(scenario, combo)
+            ex = exact_bound(scenario, combo, tol=1e-7)
             assert ex.value <= ub + 1e-8
-            tight = tightness_check(scenario, combo, testers=testers)
+            tight = tightness_check(scenario, combo)
             if tight.tight:
                 fired += 1
                 assert abs(ex.value - ub) <= 1e-6
@@ -190,7 +188,7 @@ def test_criterion_6_entangled_product_setting():
             for _ in range(5):
                 combo = tuple(t.labels[int(rng.integers(0, len(t.labels)))]
                               for t in scenario.tests)
-                t = trivial_bound(scenario, combo, tol=1e-9, testers=testers)
+                t = trivial_bound(scenario, combo, tol=1e-9)
                 assert abs(t - 1.0 / d) <= 1e-8
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from testerbounds import bounds
 from testerbounds.bounds import (
     BoundReport,
     all_combinations,
@@ -383,6 +384,38 @@ class TestReports:
             sw = Scenario(s.tests, (w, 1.0 - w))
             values[w] = exact_bound(sw, combo, tol=1e-9).value
         assert values[0.5] <= (values[0.2] + values[0.8]) / 2 + 1e-6
+
+    def test_zero_weight_test_gets_no_solves(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        s = random_scenario(rng, n_tests=2, d_in=2, d_out=2, n_outcomes=2)
+        s0 = Scenario(s.tests, (1.0, 0.0))
+        ignored = [op.mat for _, op in s0.testers()[1].elements]
+        solve = bounds.maximize_over_channels
+        solved = []
+
+        def recording(m, tol):
+            solved.append(m.mat)
+            return solve(m, tol=tol)
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", recording)
+        reports = scenario_report(s0, tol=1e-7, skip_exact=True)
+        assert len(solved) == len(s0.tests[0].labels)
+        assert not any(np.array_equal(m, e) for m in solved for e in ignored)
+        for r in reports:
+            assert r.exact is None and r.tradeoff is None and r.error is None
+            assert r.trivial == trivial_bound(s0, r.combination, tol=1e-7)
+
+    def test_skip_exact_leaves_none(self, mub_meb_scenario):
+        for r in scenario_report(mub_meb_scenario, tol=1e-6, skip_exact=True):
+            assert r.exact is None and r.gap is None and r.optimizer is None
+            assert r.tradeoff is None and r.error is None
+            assert r.trivial == pytest.approx(1.0, abs=1e-5)
+            assert r.upper == pytest.approx(0.75, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_bad_tol_rejected(self, mub_meb_scenario, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            scenario_report(mub_meb_scenario, tol=tol, skip_exact=True, skip_trivial=True)
 
     def test_report_cap(self, mub_meb_scenario):
         with pytest.raises(ValidationError):

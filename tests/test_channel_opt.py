@@ -147,8 +147,9 @@ class TestCertificates:
     def test_rejects_bad_inputs(self):
         with pytest.raises(Exception):
             maximize_over_channels(HermitianOperator(np.eye(2), (2,)))
-        with pytest.raises(ValueError):
-            maximize_over_channels(HermitianOperator(np.eye(4), (2, 2)), tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                maximize_over_channels(HermitianOperator(np.eye(4), (2, 2)), tol=tol)
 
 
 class TestDualBound:

@@ -5,10 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from testerbounds import bounds
+from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
 from testerbounds.linalg import dumps_canonical
 from testerbounds.sampling import haar_unitary
-from testerbounds.testers import channel_from_unitary, channel_to_json
+from testerbounds.testers import channel_from_unitary, channel_to_json, scenario_from_json
+
+FULL_KEYS = ["combination", "trivial", "upper", "exact", "gap", "tradeoff", "tight",
+             "tight_degenerate", "optimizer"]
+BAD_SCENARIOS = ['{"tests": 5, "weights": [1.0]}', '{"tests": [], "weights": null}']
 
 
 def run_cli(capsys, *args):
@@ -98,6 +104,66 @@ class TestBound:
         assert entry["upper"] == pytest.approx(0.75, abs=1e-9)
         assert entry["trivial"] == pytest.approx(1.0, abs=1e-5)
 
+    def test_skip_trivial(self, capsys, mub_meb_file):
+        code, out, _ = run_cli(capsys, "bound", str(mub_meb_file), "--skip-trivial")
+        assert code == 0
+        for entry in json.loads(out)["reports"]:
+            assert list(entry) == [k for k in FULL_KEYS if k not in ("trivial", "tradeoff")]
+            assert entry["exact"] == pytest.approx(0.75, abs=1e-6)
+            assert 0.0 <= entry["gap"] <= 1e-6
+            assert entry["optimizer"]["kind"] == "choi"
+
+    def test_key_order(self, capsys, mub_meb_file):
+        _, full, _ = run_cli(capsys, "bound", str(mub_meb_file))
+        _, neither, _ = run_cli(capsys, "bound", str(mub_meb_file),
+                                "--skip-exact", "--skip-trivial")
+        assert list(json.loads(full)["reports"][0]) == FULL_KEYS
+        assert list(json.loads(neither)["reports"][0]) == [
+            "combination", "upper", "tight", "tight_degenerate"]
+
+    def test_failed_solve_recorded_per_entry(self, capsys, mub_meb_file, monkeypatch):
+        scenario = scenario_from_json(json.loads(mub_meb_file.read_text()))
+        failing = scenario.testers()[0].element("x1_2").mat
+        solve = bounds.maximize_over_channels
+
+        def flaky(m, tol):
+            if np.array_equal(m.mat, failing):
+                raise SolverError("injected failure")
+            return solve(m, tol=tol)
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", flaky)
+        code, out, err = run_cli(capsys, "bound", str(mub_meb_file))
+        assert code == 3
+        assert "4 of 16" in err
+        entries = json.loads(out)["reports"]
+        assert len(entries) == 16
+        for entry in entries:
+            if entry["combination"][0] == "x1_2":
+                assert "injected failure" in entry["error"]
+                assert "trivial" not in entry and "tradeoff" not in entry
+                assert entry["exact"] == pytest.approx(0.75, abs=1e-6)
+            else:
+                assert list(entry) == FULL_KEYS
+        library = bounds.scenario_report(scenario, tol=1e-6)
+        assert [bounds.report_to_json(r) for r in library] == entries
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+    @pytest.mark.parametrize("skips", [[], ["--skip-exact", "--skip-trivial"]],
+                             ids=["full", "skip-both"])
+    def test_bad_tol_rejected(self, capsys, mub_meb_file, tol, skips):
+        code, out, err = run_cli(capsys, "bound", str(mub_meb_file), f"--tol={tol}", *skips)
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive and finite" in err
+
+    @pytest.mark.parametrize("text", BAD_SCENARIOS)
+    def test_malformed_scenario(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "bound", str(path))
+        assert code == 2
+        assert "cannot load scenario" in err
+
     def test_state_mub_values(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         assert main(["gen", "state-mub", "--d", "2", "--out", str(path)]) == 0
@@ -173,6 +239,20 @@ class TestSimulate:
         path.write_text(dumps_canonical(channel_to_json(ch)))
         code, _, err = run_cli(capsys, "simulate", str(mub_meb_file), str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("text", BAD_SCENARIOS)
+    def test_malformed_scenario(self, capsys, tmp_path, unitary_channel_file, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", str(path), str(unitary_channel_file))
+        assert code == 2
+        assert "cannot load scenario" in err
+
+    def test_cap_enforced(self, capsys, mub_meb_file, unitary_channel_file):
+        code, _, err = run_cli(capsys, "simulate", str(mub_meb_file),
+                               str(unitary_channel_file), "--cap", "4")
+        assert code == 2
+        assert "exceed the cap 4" in err
 
     def test_bad_n(self, capsys, mub_meb_file, unitary_channel_file):
         code, _, _ = run_cli(capsys, "simulate", str(mub_meb_file),

@@ -47,6 +47,17 @@ from testerbounds.testers import (
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 
 
+def kron_dual_reference(rho, b):
+    """sum_n w_n (K_n (x) I)^dag b (K_n (x) I), spelled out with kron."""
+    d_anc, d_in = rho.dims
+    eye = np.eye(b.size // d_anc)
+    out = np.zeros((d_in * eye.shape[0],) * 2, dtype=complex)
+    for w, psi in state_decomposition(rho):
+        k = np.kron(psi.reshape(d_anc, d_in), eye)
+        out += w * (k.conj().T @ b.mat @ k)
+    return out
+
+
 class TestUpsilonDual:
     def test_identity_gives_transposed_marginal(self):
         rng = np.random.default_rng(0)
@@ -93,6 +104,51 @@ class TestUpsilonDual:
                 mixed.append((norm**2, phi / norm))
         alt = upsilon_dual_apply(rho, b, decomposition=mixed)
         assert np.max(np.abs(default.mat - alt.mat)) < 1e-10
+
+    @pytest.mark.parametrize("state", ["mixed", "max_entangled", "product"])
+    def test_matches_kron_form(self, state):
+        rng = np.random.default_rng(5)
+        if state == "mixed":
+            rho = ginibre_state(6, rng, dims=(2, 3))
+        elif state == "max_entangled":
+            rho = maximally_entangled_state(2)
+        else:
+            rho = HermitianOperator(kron(random_ket(3, rng).projector(),
+                                         random_ket(2, rng).projector()).mat, (3, 2))
+        d_anc, d_in = rho.dims
+        b = HermitianOperator(ginibre_state(d_anc * 3, rng).mat, (d_anc, 3))
+        out = upsilon_dual_apply(rho, b)
+        assert out.dims == (d_in, 3)
+        assert np.max(np.abs(out.mat - kron_dual_reference(rho, b))) < 1e-12
+
+    def test_product_operator_factorizes(self):
+        rng = np.random.default_rng(6)
+        rho = ginibre_state(6, rng, dims=(2, 3))
+        b_anc, c = ginibre_state(2, rng), ginibre_state(2, rng)
+        out = upsilon_dual_apply(rho, HermitianOperator(np.kron(b_anc.mat, c.mat), (2, 2)))
+        expected = np.kron(upsilon_dual_apply(rho, b_anc).mat, c.mat)
+        assert np.max(np.abs(out.mat - expected)) < 1e-12
+
+    def test_ancilla_dimension_checked(self):
+        rho = maximally_entangled_state(2)
+        with pytest.raises(ValidationError):
+            upsilon_dual_apply(rho, HermitianOperator(np.eye(6), (3, 2)))
+
+
+class TestScenarioTesters:
+    def test_built_once_fresh_list(self, monkeypatch):
+        import testerbounds.testers as testers_module
+        s = random_scenario(np.random.default_rng(7), n_tests=2, d_in=2, d_out=2)
+        calls = []
+        build = testers_module.tester_from_test
+        monkeypatch.setattr(testers_module, "tester_from_test",
+                            lambda t: calls.append(t) or build(t))
+        first, second = s.testers(), s.testers()
+        assert len(calls) == 2
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert len(s.testers()) == 2
 
 
 def state_measurement_test(povm_effects):
