@@ -10,15 +10,20 @@ The implementation follows the dual central path: for a decreasing barrier
 parameter mu it Newton-minimizes  tr Y - mu log det(Y (x) I - M), recovers the
 primal candidate J = mu (Y (x) I - M)^-1 (whose input marginal is the identity
 exactly on the central path), and repairs both iterates to exact feasibility
-before measuring the gap.  Problem sizes here are tiny (matrices up to ~16x16),
-so dense Newton steps are cheap and converge quadratically.
+before measuring the gap.
+
+Each Newton step works on complex d_in x d_in matrices.  With R = S^-1 for the
+slack S = Y (x) I - M, it solves  H vec(D) = -vec(G)  for a Hermitian D, where
+G = I - mu tr_out R and, in row-major vec form,
+H[(i,l),(j,k)] = mu sum_{o,p} R[i,o,j,p] R[k,p,l,o]: one matmul of reshaped
+views of R, O(d_in^4 d_out^2).  The decrement is sqrt(-<G, D>).  Y (x) I is
+never formed; Y is scattered onto the output-diagonal blocks of -M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import ceil
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 
@@ -82,70 +87,65 @@ class DualBound:
     min_eig: float
 
 
-@lru_cache(maxsize=None)
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (trace inner product) real basis of d x d Hermitian matrices."""
-    mats = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2)
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1j / np.sqrt(2)
-            m[j, i] = -1j / np.sqrt(2)
-            mats.append(m)
-    out = np.stack(mats)
-    out.setflags(write=False)
-    return out
+def _lift_index(d_in: int, d_out: int) -> np.ndarray:
+    """Flat positions of Y[i, j] in Y (x) I_out, shaped (d_in, d_out, d_in)."""
+    n = d_in * d_out
+    return (np.arange(d_in)[:, None, None] * (d_out * n) + np.arange(d_out)[:, None] * (n + 1)
+            + np.arange(d_in) * d_out)
 
 
-def _tr_out(mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    return np.einsum("iojo->ij", mat.reshape(d_in, d_out, d_in, d_out))
+def _slack(y: np.ndarray, a: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """Y (x) I_out - A: Y scattered onto the output-diagonal blocks of -A."""
+    s = -a
+    s.reshape(-1)[lift] += y[:, None, :]
+    return s
 
 
-def _is_pd(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _slack_min_eig(y: np.ndarray, a: np.ndarray, lift: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(_slack(y, a, lift))[0])
+
+
+def _newton_system(sinv: np.ndarray, mu: float, d_in: int, d_out: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and vec-form complex Hessian of tr Y - mu log det S at S^-1."""
+    r = sinv.reshape(d_in, d_out, d_in, d_out)
+    grad = np.eye(d_in) - mu * np.einsum("iojo->ij", r)
+    left = r.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
+    right = r.transpose(3, 1, 2, 0).reshape(d_out * d_out, d_in * d_in)
+    hess = (left @ right).reshape(d_in, d_in, d_in, d_in).transpose(0, 2, 1, 3)
+    return grad, mu * hess.reshape(d_in * d_in, d_in * d_in)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
+    out = mat + mat.conj().T
+    out *= 0.5
+    return out
 
 
 def _repair_primal(a: np.ndarray, j_cand: np.ndarray, d_in: int, d_out: int,
                    ) -> tuple[float, np.ndarray]:
     """Project a candidate onto the exact Choi constraints; return (value, J)."""
-    jh = _hermitize(j_cand)
-    w, v = np.linalg.eigh(jh)
-    w = np.clip(w, 0.0, None)
-    jp = (v * w) @ v.conj().T
-    rho = _hermitize(_tr_out(jp, d_in, d_out))
+    w, v = np.linalg.eigh(_hermitize(j_cand))
+    jp = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    rho = _hermitize(np.einsum("iojo->ij", jp.reshape(d_in, d_out, d_in, d_out)))
     rw, rv = np.linalg.eigh(rho)
     if rw[0] <= 0:
         raise SolverError("primal candidate has singular input marginal")
     half = (rv / np.sqrt(rw)) @ rv.conj().T
-    lift = np.kron(half, np.eye(d_out))
-    jfix = _hermitize(lift @ jp @ lift)
-    value = float(np.trace(a @ jfix).real)
-    return value, jfix
+    # (half (x) I) J (half (x) I) = (half (x) I) [(half (x) I) J]^dag, both
+    # factors applied to the input index of the rows by a reshape
+    left = (half @ jp.reshape(d_in, -1)).reshape(jp.shape)
+    jfix = _hermitize((half @ left.conj().T.reshape(d_in, -1)).reshape(jp.shape))
+    return float(np.trace(a @ jfix).real), jfix
 
 
-def _repair_dual(a: np.ndarray, y: np.ndarray, d_out: int) -> tuple[float, np.ndarray, float]:
+def _repair_dual(a: np.ndarray, y: np.ndarray, lift: np.ndarray,
+                 ) -> tuple[float, np.ndarray, float]:
     """Shift Y just enough to make Y (x) I - M exactly feasible; return (tr Y, Y, min eig)."""
-    s = _hermitize(np.kron(y, np.eye(d_out)) - a)
-    lo = float(np.linalg.eigvalsh(s)[0])
+    lo = _slack_min_eig(y, a, lift)
     if lo < 0:
         y = y + (-lo + 1e-14 * max(1.0, float(np.abs(y).max()))) * np.eye(y.shape[0])
-        s = _hermitize(np.kron(y, np.eye(d_out)) - a)
-        lo = float(np.linalg.eigvalsh(s)[0])
+        lo = _slack_min_eig(y, a, lift)
     return float(np.trace(y).real), y, lo
 
 
@@ -168,15 +168,13 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     check_tol(tol)
     d_in, d_out = m.dims
     a = m.mat
-    eye_in = np.eye(d_in)
-    eye_out = np.eye(d_out)
-    basis = hermitian_basis(d_in)
     n_total = d_in * d_out
+    lift = _lift_index(d_in, d_out)
 
     evals_a = np.linalg.eigvalsh(a)
     lam_max, lam_min = float(evals_a[-1]), float(evals_a[0])
     spread = max(lam_max - lam_min, 1.0, abs(lam_max))
-    y = (lam_max + 0.1 * spread) * eye_in
+    y = (lam_max + 0.1 * spread) * np.eye(d_in)
     mu = (0.1 * spread + 0.5 * (lam_max - lam_min)) / d_out
     mu = max(mu, tol / (16 * n_total))
 
@@ -184,6 +182,8 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     history: list[tuple[float, float]] = []
     best_primal: tuple[float, np.ndarray] | None = None
     best_dual: tuple[float, np.ndarray, float] | None = None
+    # Y moves along exactly Hermitian directions, so S needs no re-symmetrizing
+    s = _slack(y, a, lift)
 
     for _stage in range(_MAX_STAGES):
         # center: Newton on tr Y - mu log det(Y (x) I - M)
@@ -192,41 +192,39 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
             iterations += 1
             if iterations > max_iter:
                 _raise_budget(best_primal, best_dual, m)
-            s = _hermitize(np.kron(y, eye_out) - a)
             sinv = _hermitize(np.linalg.inv(s))
-            grad = eye_in - mu * _tr_out(sinv, d_in, d_out)
-            gvec = np.einsum("bij,ji->b", basis, grad).real
-            r = sinv.reshape(d_in, d_out, d_in, d_out)
-            w_all = np.einsum("iojp,bjk->biokp", r, basis)
-            w_flat = w_all.reshape(basis.shape[0], n_total, n_total)
-            hess = mu * np.einsum("aok,bko->ab", w_flat, w_flat).real
+            grad, hess = _newton_system(sinv, mu, d_in, d_out)
             try:
-                coef = np.linalg.solve(hess, -gvec)
+                dvec = np.linalg.solve(hess, -grad.reshape(-1))
             except np.linalg.LinAlgError:
-                coef = np.linalg.lstsq(hess, -gvec, rcond=None)[0]
-            decrement = float(np.sqrt(max(coef @ hess @ coef, 0.0)))
-            if not np.isfinite(decrement):
-                break
-            if decrement <= _NEWTON_TOL:
+                dvec = np.linalg.lstsq(hess, -grad.reshape(-1), rcond=None)[0]
+            delta = _hermitize(dvec.reshape(d_in, d_in))
+            decrement = sqrt(max(-np.vdot(grad, delta).real, 0.0))
+            if not isfinite(decrement) or decrement <= _NEWTON_TOL:
                 break
             if decrement < 1e-3 and decrement >= 0.5 * prev_decrement:
                 break  # quadratic phase hit the floating-point floor
             prev_decrement = decrement
             step = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-            delta = np.einsum("b,bij->ij", coef, basis)
-            while step > 1e-12 and not _is_pd(np.kron(y + step * delta, eye_out) - a):
-                step /= 2
+            while step > 1e-12:
+                y_next = y + step * delta
+                s_next = _slack(y_next, a, lift)
+                try:
+                    np.linalg.cholesky(s_next)  # backtrack until S stays positive definite
+                    break
+                except np.linalg.LinAlgError:
+                    step /= 2
             if step <= 1e-12:
                 break
-            y = _hermitize(y + step * delta)
+            y, s = y_next, s_next
+        else:
+            sinv = _hermitize(np.linalg.inv(s))  # the cap ended the loop after a step
 
         # certify the current stage: both repaired iterates are exactly
         # feasible, so (value, dual_value) brackets the optimum even when the
         # two sides come from different stages
-        s = _hermitize(np.kron(y, eye_out) - a)
-        sinv = _hermitize(np.linalg.inv(s))
         value, jfix = _repair_primal(a, mu * sinv, d_in, d_out)
-        dual_value, y_feas, dual_min = _repair_dual(a, y, d_out)
+        dual_value, y_feas, dual_min = _repair_dual(a, y, lift)
         history.append((value, dual_value))
         if best_primal is None or value > best_primal[0]:
             best_primal = (value, jfix)
@@ -273,8 +271,7 @@ def dual_bound(m: HermitianOperator, y: HermitianOperator) -> DualBound:
     d_in, d_out = m.dims
     if y.dims != (d_in,):
         raise DimensionError(f"dual variable dims {y.dims} != ({d_in},)")
-    s = _hermitize(np.kron(y.mat, np.eye(d_out)) - m.mat)
-    lo = float(np.linalg.eigvalsh(s)[0])
+    lo = _slack_min_eig(y.mat, m.mat, _lift_index(d_in, d_out))
     if lo < -DUAL_FEAS_ATOL:
         return DualBound(False, None, lo)
     return DualBound(True, float(np.trace(y.mat).real), lo)

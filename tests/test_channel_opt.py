@@ -5,6 +5,9 @@ import pytest
 
 from testerbounds.channel_opt import (
     SolverError,
+    _lift_index,
+    _newton_system,
+    _slack,
     dual_bound,
     maximize_over_channels,
     random_channel_lower_bound,
@@ -150,6 +153,71 @@ class TestCertificates:
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 maximize_over_channels(HermitianOperator(np.eye(4), (2, 2)), tol=tol)
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
+    def test_hessian_matches_gradient_difference(self, d_in, d_out):
+        # hess @ vec(D) is the directional derivative of the gradient along D
+        rng = np.random.default_rng(20 + 10 * d_in + d_out)
+        a = random_hermitian(rng, d_in, d_out).mat
+        lift = _lift_index(d_in, d_out)
+        e = random_hermitian(rng, d_in, 1).mat
+        y = (np.linalg.norm(a, 2) + np.linalg.norm(e, 2) + 0.5) * np.eye(d_in) + e
+        mu = 0.3
+
+        def system(y):
+            return _newton_system(np.linalg.inv(_slack(y, a, lift)), mu, d_in, d_out)
+
+        grad, hess = system(y)
+        assert np.allclose(grad, grad.conj().T, atol=1e-12)
+        for _ in range(3):
+            delta = random_hermitian(rng, d_in, 1).mat
+            h = 1e-5
+            diff = (system(y + h * delta)[0] - system(y - h * delta)[0]) / (2 * h)
+            predicted = (hess @ delta.reshape(-1)).reshape(d_in, d_in)
+            assert np.max(np.abs(predicted - diff)) <= 1e-7 * np.max(np.abs(diff))
+
+    def test_slack_matches_kron(self):
+        rng = np.random.default_rng(21)
+        for d_in, d_out in [(1, 3), (3, 1), (2, 3), (4, 2)]:
+            a = random_hermitian(rng, d_in, d_out).mat
+            y = random_hermitian(rng, d_in, 1).mat
+            expected = np.kron(y, np.eye(d_out)) - a
+            assert np.array_equal(_slack(y, a, _lift_index(d_in, d_out)), expected)
+
+
+ASYMMETRIC_SHAPES = [(3, 2), (2, 4), (4, 3), (3, 5)]
+
+
+class TestAsymmetricShapes:
+    @pytest.mark.parametrize("d_in,d_out", ASYMMETRIC_SHAPES)
+    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
+    def test_certified_bracket(self, d_in, d_out, kind):
+        tol = 1e-7
+        rng = np.random.default_rng(100 + 10 * d_in + d_out + (kind == "psd"))
+        m = (random_psd if kind == "psd" else random_hermitian)(rng, d_in, d_out)
+        res = maximize_over_channels(m, tol=tol)
+        assert 0.0 <= res.gap <= tol
+        assert dual_bound(m, res.dual_certificate).feasible
+        s = np.kron(res.dual_certificate.mat, np.eye(d_out)) - m.mat
+        assert abs(np.trace(s @ res.optimizer.choi.mat).real) <= 10 * tol
+        floor, _ = random_channel_lower_bound(m, 500, seed=d_in * d_out)
+        assert floor <= res.dual_value + 1e-8
+
+    @pytest.mark.parametrize("d_in,d_out", [(3, 2), (2, 3)])
+    def test_local_unitary_invariance(self, d_in, d_out):
+        # J -> (U (x) V) J (U (x) V)^dag maps channels onto channels, so the
+        # optimum of the rotated objective is the same
+        tol = 1e-7
+        rng = np.random.default_rng(200 + 10 * d_in + d_out)
+        for kind in (random_psd, random_hermitian):
+            m = kind(rng, d_in, d_out)
+            w = np.kron(haar_unitary(d_in, rng), haar_unitary(d_out, rng))
+            rotated = HermitianOperator(w @ m.mat @ w.conj().T, (d_in, d_out))
+            base = maximize_over_channels(m, tol=tol)
+            res = maximize_over_channels(rotated, tol=tol)
+            assert abs(res.value - base.value) <= 2 * tol
 
 
 class TestDualBound:
