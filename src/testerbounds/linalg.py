@@ -9,6 +9,7 @@ the left factor is the slow index, i.e. the composite basis index of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,7 +39,7 @@ def _as_complex_matrix(mat: np.ndarray | Sequence) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValidationError("matrix contains non-finite entries")
     return arr
 
@@ -47,7 +48,7 @@ def _check_dims(dims: Iterable[int], size: int) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != size:
+    if math.prod(dims) != size:
         raise DimensionError(f"product of dims {dims} does not match size {size}")
     return dims
 
@@ -104,7 +105,7 @@ class Ket:
 
     def __init__(self, amps: np.ndarray | Sequence, dims: Iterable[int], normalized: bool = True):
         arr = np.ascontiguousarray(np.asarray(amps, dtype=complex).reshape(-1))
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise ValidationError("amplitudes contain non-finite entries")
         if normalized and abs(np.linalg.norm(arr) - 1.0) > STATE_ATOL:
             raise ValidationError(f"ket is not normalized (norm {np.linalg.norm(arr):.12f})")

@@ -185,8 +185,8 @@ class Scenario:
             raise ValidationError("scenario needs at least one test")
         if len(tests) != len(weights):
             raise ValidationError("one weight per test required")
-        if any(w < 0 for w in weights):
-            raise ValidationError("weights must be nonnegative")
+        if not all(np.isfinite(w) and w >= 0 for w in weights):
+            raise ValidationError(f"weights must be finite and nonnegative, got {list(weights)}")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValidationError(f"weights sum to {sum(weights)!r}, expected 1")
         d_in, d_out = tests[0].d_in, tests[0].d_out

@@ -23,9 +23,13 @@ from testerbounds.bounds import (
 )
 from testerbounds.linalg import (
     DimensionError,
+    HermitianOperator,
     Ket,
     ValidationError,
+    eig_hermitian,
     maximally_entangled_ket,
+    operator_norm,
+    partial_trace,
 )
 from testerbounds.sampling import haar_unitary, random_ket, random_povm, random_scenario
 from testerbounds.scenarios import (
@@ -249,6 +253,76 @@ class TestTightness:
         s = state_measurement_scenario(povms, (0.5, 0.5))
         for combo in all_combinations(s)[:4]:
             assert tightness_check(s, combo).tight
+
+
+def tightness_reference(scenario, combination, atol=bounds.TIGHTNESS_ATOL):
+    """Per-ket form of ``tightness_check``: each top eigenvector as a validated
+    ``Ket``, its input marginal by ``partial_trace`` of its projector, and the
+    residual by ``operator_norm``."""
+    objective = bounds.objective_operator(scenario, combination)
+    vals, kets = eig_hermitian(objective)
+    members = [k for v, k in zip(vals, kets) if v >= vals[-1] - atol]
+    d_in = scenario.d_in
+    best = min(operator_norm(HermitianOperator(
+        partial_trace(k.projector(), keep=[0]).mat - np.eye(d_in) / d_in, (d_in,)))
+        for k in members)
+    return bounds.TightnessResult(tight=best <= atol, degenerate=len(members) > 1,
+                                  marginal_residual=best,
+                                  upper=d_in * float(np.max(np.abs(vals))))
+
+
+def assert_matches_reference(scenario, combos):
+    for combo in combos:
+        got, want = tightness_check(scenario, combo), tightness_reference(scenario, combo)
+        assert (got.tight, got.degenerate, got.upper) == (want.tight, want.degenerate, want.upper)
+        assert abs(got.marginal_residual - want.marginal_residual) <= 1e-14
+
+
+class TestTightnessOracle:
+    @pytest.mark.parametrize("d,degenerate", [(2, 8), (3, 0)])
+    def test_meb_all_combinations(self, d, degenerate):
+        # the scenario of `gen meb --d d`; at d = 2 half the top eigenvalues are twofold
+        meb1 = generalized_bell_basis(d)
+        fourier = np.stack([k.amps for k in mub_bases(d, 2)[1]], axis=1)
+        meb2 = MEB.from_generators([fourier @ g for g in meb1.generators])
+        s = meb_scenario(meb1, meb2)
+        combos = all_combinations(s)
+        assert sum(tightness_check(s, c).degenerate for c in combos) == degenerate
+        assert_matches_reference(s, combos)
+
+    def test_mub_meb_2qubit_all_combinations(self, mub_meb_scenario):
+        combos = all_combinations(mub_meb_scenario)
+        assert all(tightness_check(mub_meb_scenario, c).tight for c in combos)
+        assert_matches_reference(mub_meb_scenario, combos)
+
+    def test_state_mub_trivial_input(self):
+        s = state_measurement_scenario(mub_bases(5, 2), (0.5, 0.5))
+        assert s.d_in == 1
+        assert_matches_reference(s, all_combinations(s))
+
+    def test_trivial_output(self):
+        s = random_scenario(np.random.default_rng(31), n_tests=2, d_in=3, d_out=1)
+        assert s.d_out == 1
+        assert_matches_reference(s, all_combinations(s))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_scenarios(self, seed):
+        s = random_scenario(np.random.default_rng(400 + seed), n_tests=2)
+        assert_matches_reference(s, all_combinations(s))
+
+    def test_threefold_top_eigenvalue(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        s = random_scenario(rng, n_tests=1, d_in=2, d_out=3)
+        combo = (s.tests[0].labels[0],)
+        # a fourth eigenvalue 5e-8 below the top stays outside the top eigenspace
+        vals = np.array([1.0, 1.0 - 3e-9, 1.0 - 6e-9, 1.0 - 5e-8, 0.4, 0.1])
+        u = haar_unitary(6, rng)
+        objective = HermitianOperator(u @ np.diag(vals) @ u.conj().T, (2, 3))
+        monkeypatch.setattr(bounds, "objective_operator", lambda *_: objective)
+        result = tightness_check(s, combo)
+        assert result.degenerate
+        assert result.upper == pytest.approx(2.0, abs=1e-12)
+        assert_matches_reference(s, [combo])
 
 
 class TestQubitMebOptimizer:

@@ -164,6 +164,19 @@ class TestBound:
         assert code == 2
         assert "cannot load scenario" in err
 
+    def test_nan_weight_rejected(self, capsys, mub_meb_file, tmp_path):
+        obj = json.loads(mub_meb_file.read_text())
+        obj["weights"][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        assert '"weights": [NaN' in path.read_text()
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "bound", str(path), "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "weights must be finite" in err
+        assert not out_path.exists()
+
     def test_state_mub_values(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         assert main(["gen", "state-mub", "--d", "2", "--out", str(path)]) == 0

@@ -82,6 +82,21 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             HermitianOperator(np.array([[np.inf, 0], [0, 1.0]]), (2,))
 
+    @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(np.inf, 0.0)],
+                             ids=["nan-imag", "inf-real"])
+    def test_rejects_non_finite_in_one_part(self, entry):
+        mat = np.eye(2, dtype=complex)
+        mat[0, 0] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermitianOperator(mat, (2,))
+        with pytest.raises(ValidationError, match="non-finite"):
+            Ket([entry, 0.0], (2,), normalized=False)
+
+    def test_dims_product_does_not_overflow(self):
+        # 2**32 * 2**32 wraps to 0 in int64, which would match an empty matrix
+        with pytest.raises(DimensionError):
+            HermitianOperator(np.zeros((0, 0)), (2**32, 2**32))
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             HermitianOperator(np.zeros((2, 3)), (2,))

@@ -365,6 +365,13 @@ class TestScenarioAndSampling:
         with pytest.raises(ValidationError):
             Scenario([t1], [-1.0, 2.0])
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.nan)])
+    def test_nan_weight_rejected(self, weights):
+        rng = np.random.default_rng(16)
+        tests = [random_test(1, 2, 2, 2, rng, prefix=p) for p in ("x1", "x2")]
+        with pytest.raises(ValidationError, match=r"weights must be finite.*nan"):
+            Scenario(tests, weights)
+
     def test_sample_validation(self):
         rng = np.random.default_rng(17)
         scenario = self.make_scenario(rng)
