@@ -9,6 +9,10 @@ from .linalg import (
     PositivityError,
     ValidationError,
     basis_transpose,
+    check_close,
+    check_povm,
+    check_psd,
+    check_state,
     conjugate_ket,
     eig_hermitian,
     kron,
@@ -16,8 +20,6 @@ from .linalg import (
     maximally_entangled_state,
     operator_norm,
     partial_trace,
-    validate_povm,
-    validate_state,
 )
 from .testers import (
     Channel,

@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel_opt import ChannelOptResult, SolverError, check_tol, maximize_over_channels
-from .linalg import DimensionError, HermitianOperator, Ket, ValidationError, operator_norm
+from .linalg import (EQUALITY_ATOL, DimensionError, HermitianOperator, Ket, ValidationError,
+                     check_close, operator_norm)
 # not called here: bench/tracing.py looks this name up in this module
 from .linalg import eig_hermitian  # noqa: F401
 from .testers import Channel, Scenario, channel_to_json
@@ -167,15 +168,13 @@ def tightness_check(scenario: Scenario, combination: Sequence[str],
                            upper=d_in * float(np.max(np.abs(vals))))
 
 
-def unitary_from_max_entangled(ket: Ket, atol: float = 1e-9) -> np.ndarray:
+def unitary_from_max_entangled(ket: Ket, atol: float = EQUALITY_ATOL) -> np.ndarray:
     """Recover U with |psi> = (I (x) U)|Psi+> from a maximally entangled ket."""
     if len(ket.dims) != 2 or ket.dims[0] != ket.dims[1]:
         raise DimensionError("ket must live on two factors of equal dimension")
     d = ket.dims[0]
     u = np.sqrt(d) * ket.amps.reshape(d, d).T
-    resid = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if resid > atol:
-        raise ValidationError(f"ket is not maximally entangled (residual {resid:.3e})")
+    check_close(u.conj().T @ u, np.eye(d), atol, "ket is not maximally entangled")
     return u
 
 
@@ -197,9 +196,7 @@ def qubit_meb_optimizer(psi1: Ket, psi2: Ket) -> tuple[np.ndarray, float]:
         u = u1
     else:
         u = (u1 + (s.conjugate() / abs(s)) * u2) / np.sqrt(2 + abs(s))
-    uni_resid = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
-    if uni_resid > 1e-9:
-        raise ValidationError(f"combined operator not unitary (residual {uni_resid:.3e})")
+    check_close(u.conj().T @ u, np.eye(2), EQUALITY_ATOL, "combined operator not unitary")
 
     overlap = abs(psi1.overlap(psi2))
     expected = 0.5 * (1.0 + overlap)
@@ -208,16 +205,14 @@ def qubit_meb_optimizer(psi1: Ket, psi2: Ket) -> tuple[np.ndarray, float]:
     p1 = abs(np.vdot(psi1.amps, w)) ** 2
     p2 = abs(np.vdot(psi2.amps, w)) ** 2
     value = 0.5 * (p1 + p2)
-    if abs(value - expected) > 1e-9:
-        raise ValidationError(f"optimizer misses the closed form by {abs(value - expected):.3e}")
+    check_close(value, expected, EQUALITY_ATOL, "optimizer misses the closed form")
     if abs(s) >= 1e-12:
         phase = psi2.overlap(psi1) / overlap
         target = psi1.amps + phase * psi2.amps
         target = target / np.linalg.norm(target)
     else:
         target = psi1.amps
-    if float(np.max(np.abs(w - target))) > 1e-9:
-        raise ValidationError("channel ket does not match the top eigenvector form")
+    check_close(w, target, EQUALITY_ATOL, "channel ket does not match the top eigenvector form")
     return u, float(value)
 
 
@@ -228,9 +223,8 @@ def closed_form_state_bound(basis1: Sequence[Ket], basis2: Sequence[Ket],
         raise ValidationError("closed form is stated for equal weights (1/2, 1/2)")
     for basis in (basis1, basis2):
         mats = np.stack([k.amps for k in basis])
-        gram = mats @ mats.conj().T
-        if float(np.max(np.abs(gram - np.eye(len(basis))))) > 1e-9:
-            raise ValidationError("basis is not orthonormal")
+        check_close(mats @ mats.conj().T, np.eye(len(basis)), EQUALITY_ATOL,
+                    "basis is not orthonormal")
     table = np.empty((len(basis1), len(basis2)))
     for i, e in enumerate(basis1):
         for j, f in enumerate(basis2):

@@ -28,10 +28,10 @@ from math import ceil, isfinite, sqrt
 import numpy as np
 
 from .linalg import DimensionError, HermitianOperator
+from .sampling import haar_isometries
 from .testers import Channel, channel_from_choi, channel_from_kraus
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 100_000
 DUAL_FEAS_ATOL = 1e-8
 
 # Deep centering: near the optimal face the local-norm decrement can look
@@ -155,13 +155,12 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
-                           max_iter: int = DEFAULT_MAX_ITER) -> ChannelOptResult:
+def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> ChannelOptResult:
     """Maximize tr[M J] over channels, certified to the requested duality gap.
 
     ``m`` must be Hermitian on in(x)out (positivity is not required).  Raises
     SolverError, carrying the best bracket found, if the gap cannot be driven
-    below ``tol`` within the iteration budget.
+    below ``tol`` within ``_MAX_STAGES`` stages of at most ``_NEWTON_CAP`` steps.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
@@ -190,8 +189,6 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
         prev_decrement = np.inf
         for _ in range(_NEWTON_CAP):
             iterations += 1
-            if iterations > max_iter:
-                _raise_budget(best_primal, best_dual, m)
             sinv = _hermitize(np.linalg.inv(s))
             grad, hess = _newton_system(sinv, mu, d_in, d_out)
             try:
@@ -249,17 +246,11 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
             )
         mu = max(mu / _MU_SHRINK, tol / (64 * n_total))
 
-    _raise_budget(best_primal, best_dual, m)
-
-
-def _raise_budget(best_primal, best_dual, m: HermitianOperator):
-    if best_primal is None or best_dual is None:
-        raise SolverError(f"no certified iterate produced for objective of dims {m.dims}")
+    # every stage certified a pair, so both are set here
     value, jfix = best_primal
-    dual_value = best_dual[0]
     raise SolverError(
-        f"gap {dual_value - value:.3e} not certified within the iteration budget",
-        value=value, dual_value=dual_value,
+        f"gap {best_dual[0] - value:.3e} not certified within the iteration budget",
+        value=value, dual_value=best_dual[0],
         optimizer=channel_from_choi(HermitianOperator(jfix, m.dims)),
     )
 
@@ -275,15 +266,6 @@ def dual_bound(m: HermitianOperator, y: HermitianOperator) -> DualBound:
     if lo < -DUAL_FEAS_ATOL:
         return DualBound(False, None, lo)
     return DualBound(True, float(np.trace(y.mat).real), lo)
-
-
-def _haar_isometries(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
-    """Stack of Haar-random isometries (rows x cols, rows >= cols) via Gaussian QR."""
-    g = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
-    q, r = np.linalg.qr(g)
-    diag = np.einsum("sii->si", r)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    return q
 
 
 def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
@@ -313,7 +295,7 @@ def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
     best_rank = k_min
     for k in np.unique(ranks):
         count = int(np.sum(ranks == k))
-        q = _haar_isometries(rng, count, d_out * int(k), d_in)
+        q = haar_isometries(rng, count, d_out * int(k), d_in)
         # v[s, m, (i, o)] = K_m[o, i]: amplitudes of the Choi kets per Kraus term
         v = q.reshape(count, int(k), d_out, d_in).transpose(0, 1, 3, 2).reshape(count, int(k), -1)
         vals = np.einsum("skn,nm,skm->s", v.conj(), m.mat, v).real

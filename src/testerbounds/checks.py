@@ -21,6 +21,7 @@ from .bounds import (
 from .linalg import HermitianOperator, basis_transpose, partial_trace
 from .sampling import (
     ginibre_state,
+    haar_isometries,
     haar_unitary,
     random_channel,
     random_mixed_marginal_test,
@@ -90,9 +91,7 @@ def check_decomposition_independence(rng: np.random.Generator, trials: int) -> C
         keep = [(v, vecs[:, i]) for i, v in enumerate(vals) if v > 1e-14]
         n = len(keep)
         k = n + 2
-        g = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        q = haar_isometries(rng, 1, k, n)[0]
         mixed = []
         for row in range(k):
             phi = sum(q[row, m] * np.sqrt(keep[m][0]) * keep[m][1] for m in range(n))

@@ -44,8 +44,15 @@ def _as_complex_matrix(mat: np.ndarray | Sequence) -> np.ndarray:
     return arr
 
 
+def as_dim(d) -> int:
+    """A dimension given as an int or numpy integer; a bool, float or str raises."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise DimensionError(f"dimension must be an integer, got {d!r}")
+    return int(d)
+
+
 def _check_dims(dims: Iterable[int], size: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_dim(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
     if math.prod(dims) != size:
@@ -87,9 +94,6 @@ class HermitianOperator:
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
-
-    def is_psd(self, atol: float = PSD_ATOL) -> bool:
-        return self.min_eigenvalue() >= -atol
 
 
 @dataclass(frozen=True)
@@ -205,57 +209,36 @@ def maximally_entangled_state(d: int, normalized: bool = True) -> HermitianOpera
     return HermitianOperator(mat, (d, d))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-    residual: float
+def check_close(actual, expected, atol: float, what: str) -> None:
+    """Raise ``ValidationError`` when max |actual - expected| exceeds ``atol`` or is NaN."""
+    resid = float(np.max(np.abs(actual - expected)))
+    if not resid <= atol:
+        raise ValidationError(f"{what} (residual {resid:.3e})")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple[Violation, ...]
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-    def summary(self) -> str:
-        if self.valid:
-            return "valid"
-        return "; ".join(f"{v.kind}: {v.detail} (residual {v.residual:.3e})" for v in self.violations)
+def check_psd(op: HermitianOperator, what: str, atol: float = PSD_ATOL) -> None:
+    """Raise ``PositivityError`` when the smallest eigenvalue is below ``-atol``."""
+    lo = op.min_eigenvalue()
+    if lo < -atol:
+        raise PositivityError(f"{what} is not positive semidefinite (min eigenvalue {lo:.3e})")
 
 
-def validate_povm(effects: Sequence[HermitianOperator]) -> ValidationReport:
-    """Check positivity of each effect and completeness of the family."""
-    violations: list[Violation] = []
+def check_state(rho: HermitianOperator, what: str) -> None:
+    """Positivity and unit trace of a density operator, both within ``STATE_ATOL``."""
+    check_psd(rho, what, STATE_ATOL)
+    check_close(rho.trace(), 1.0, STATE_ATOL, f"{what} does not have unit trace")
+
+
+def check_povm(effects: Sequence[HermitianOperator]) -> None:
+    """Positivity of each effect and completeness (sum = identity) of the family."""
     if not effects:
-        return ValidationReport(False, (Violation("empty", "no effects given", np.inf),))
-    dims = effects[0].dims
+        raise ValidationError("POVM has no effects")
     for i, eff in enumerate(effects):
-        if eff.dims != dims:
-            violations.append(Violation("dims", f"effect {i} dims {eff.dims} != {dims}", np.inf))
-            continue
-        lo = eff.min_eigenvalue()
-        if lo < -PSD_ATOL:
-            violations.append(Violation("positivity", f"effect {i} min eigenvalue {lo:.3e}", -lo))
-    total = sum(eff.mat for eff in effects if eff.dims == dims)
-    resid = float(np.max(np.abs(total - np.eye(effects[0].size))))
-    if resid > EQUALITY_ATOL:
-        violations.append(Violation("completeness", "effects do not sum to identity", resid))
-    return ValidationReport(not violations, tuple(violations))
-
-
-def validate_state(rho: HermitianOperator) -> ValidationReport:
-    """Check positivity and unit trace of a density operator."""
-    violations: list[Violation] = []
-    lo = rho.min_eigenvalue()
-    if lo < -STATE_ATOL:
-        violations.append(Violation("positivity", f"min eigenvalue {lo:.3e}", -lo))
-    tr = rho.trace()
-    if abs(tr - 1.0) > STATE_ATOL:
-        violations.append(Violation("trace", f"trace {tr:.12f} != 1", abs(tr - 1.0)))
-    return ValidationReport(not violations, tuple(violations))
+        if eff.dims != effects[0].dims:
+            raise DimensionError(f"POVM effect {i} dims {eff.dims} != {effects[0].dims}")
+        check_psd(eff, f"POVM effect {i}")
+    check_close(sum(eff.mat for eff in effects), np.eye(effects[0].size), EQUALITY_ATOL,
+                "POVM effects do not sum to the identity (completeness)")
 
 
 # JSON encoding shared by every module: matrices are

@@ -8,12 +8,18 @@ from .linalg import HermitianOperator, Ket, maximally_entangled_ket
 from .testers import Channel, Scenario, Test, channel_from_kraus, channel_from_unitary
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian with phase fixing."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def haar_isometries(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
+    """Stack of Haar-random isometries (rows x cols, rows >= cols) via Gaussian QR
+    with R's diagonal phases moved into Q; draws all real parts, then all imaginary."""
+    g = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.einsum("sii->si", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random d x d unitary."""
+    return haar_isometries(rng, 1, d, d)[0]
 
 
 def random_ket(d: int, rng: np.random.Generator, dims: tuple[int, ...] | None = None) -> Ket:
@@ -58,9 +64,7 @@ def random_channel(d_in: int, d_out: int, rng: np.random.Generator,
         raise ValueError("kraus_rank too small for an isometry")
     if d_out * kraus_rank == d_in == d_out:
         return channel_from_unitary(haar_unitary(d_in, rng))
-    g = rng.standard_normal((d_out * kraus_rank, d_in)) + 1j * rng.standard_normal((d_out * kraus_rank, d_in))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    q = haar_isometries(rng, 1, d_out * kraus_rank, d_in)[0]
     return channel_from_kraus([q[i * d_out:(i + 1) * d_out, :] for i in range(kraus_rank)])
 
 
@@ -101,9 +105,7 @@ def random_mixed_marginal_test(d_anc: int, d_in: int, d_out: int, n_outcomes: in
     rho = np.zeros((d_anc * d_in,) * 2, dtype=complex)
     psi_plus = maximally_entangled_ket(d_in).amps
     for w in weights:
-        g = rng.standard_normal((d_anc, d_in)) + 1j * rng.standard_normal((d_anc, d_in))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        q = haar_isometries(rng, 1, d_anc, d_in)[0]
         vec = (np.kron(q, np.eye(d_in)) @ psi_plus)
         rho += w * np.outer(vec, vec.conj())
     state = HermitianOperator(rho, (d_anc, d_in))

@@ -17,10 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    EQUALITY_ATOL,
     DimensionError,
     HermitianOperator,
     Ket,
     ValidationError,
+    check_close,
     dumps_canonical,
     ket_from_json,
     ket_to_json,
@@ -57,20 +59,16 @@ class MEB:
         if d * d != d2 or len(kets) != d2 or len(generators) != d2:
             raise DimensionError("need d^2 kets and d^2 generators on two d-dimensional factors")
         mats = np.stack([k.amps for k in kets])
-        gram = mats @ mats.conj().T
-        if float(np.max(np.abs(gram - np.eye(d2)))) > 1e-9:
-            raise ValidationError("kets are not orthonormal")
+        check_close(mats @ mats.conj().T, np.eye(d2), EQUALITY_ATOL, "kets are not orthonormal")
         psi_plus = maximally_entangled_ket(d).amps
         for i, (ket, u) in enumerate(zip(kets, generators)):
             if ket.dims != (d, d):
                 raise DimensionError(f"ket {i} dims {ket.dims} != {(d, d)}")
             for keep in (0, 1):
-                marg = partial_trace(ket.projector(), keep=[keep])
-                if float(np.max(np.abs(marg.mat - np.eye(d) / d))) > 1e-9:
-                    raise ValidationError(f"ket {i} is not maximally entangled")
-            rebuilt = np.kron(np.eye(d), u) @ psi_plus
-            if float(np.max(np.abs(rebuilt - ket.amps))) > 1e-10:
-                raise ValidationError(f"generator {i} does not reproduce its ket")
+                check_close(partial_trace(ket.projector(), keep=[keep]).mat, np.eye(d) / d,
+                            EQUALITY_ATOL, f"ket {i} is not maximally entangled")
+            check_close(np.kron(np.eye(d), u) @ psi_plus, ket.amps, 1e-10,
+                        f"generator {i} does not reproduce its ket")
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "generators", generators)
 

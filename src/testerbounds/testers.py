@@ -16,18 +16,20 @@ import numpy as np
 
 from .linalg import (
     EQUALITY_ATOL,
-    PSD_ATOL,
     DimensionError,
     HermitianOperator,
     ValidationError,
     _entries_from_json,
     _entries_to_json,
+    as_dim,
     basis_transpose,
+    check_close,
+    check_povm,
+    check_psd,
+    check_state,
     operator_from_json,
     operator_to_json,
     partial_trace,
-    validate_povm,
-    validate_state,
 )
 
 PROB_CLAMP_ATOL = 1e-9
@@ -48,7 +50,7 @@ class Test:
     def __init__(self, input_state: HermitianOperator,
                  povm: Sequence[tuple[str, HermitianOperator]],
                  d_anc: int, d_in: int, d_out: int):
-        d_anc, d_in, d_out = int(d_anc), int(d_in), int(d_out)
+        d_anc, d_in, d_out = as_dim(d_anc), as_dim(d_in), as_dim(d_out)
         if input_state.dims != (d_anc, d_in):
             raise DimensionError(
                 f"input state dims {input_state.dims} != (d_anc, d_in) = {(d_anc, d_in)}")
@@ -60,12 +62,8 @@ class Test:
             if eff.dims != (d_anc, d_out):
                 raise DimensionError(
                     f"effect {label!r} dims {eff.dims} != (d_anc, d_out) = {(d_anc, d_out)}")
-        report = validate_state(input_state)
-        if not report:
-            raise ValidationError(f"input state invalid: {report.summary()}")
-        report = validate_povm([eff for _, eff in povm])
-        if not report:
-            raise ValidationError(f"POVM invalid: {report.summary()}")
+        check_state(input_state, "input state")
+        check_povm([eff for _, eff in povm])
         object.__setattr__(self, "input_state", input_state)
         object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "d_anc", d_anc)
@@ -98,18 +96,11 @@ class Tester:
             if len(op.dims) != 2 or op.dims[0] != d_in:
                 raise DimensionError(f"element {label!r} dims {op.dims} incompatible "
                                      f"with input dimension {d_in}")
-            if op.min_eigenvalue() < -PSD_ATOL:
-                raise ValidationError(f"element {label!r} is not positive semidefinite")
-        d_out = elements[0][1].dims[1]
-        total = sum(op.mat for _, op in elements)
-        expected = np.kron(marginal.mat, np.eye(d_out))
-        resid = float(np.max(np.abs(total - expected)))
-        if resid > EQUALITY_ATOL:
-            raise ValidationError(f"elements do not sum to marginal (x) identity "
-                                  f"(residual {resid:.3e})")
-        report = validate_state(basis_transpose(marginal))
-        if not report:
-            raise ValidationError(f"marginal is not the transpose of a state: {report.summary()}")
+            check_psd(op, f"element {label!r}")
+        check_close(sum(op.mat for _, op in elements),
+                    np.kron(marginal.mat, np.eye(elements[0][1].dims[1])), EQUALITY_ATOL,
+                    "elements do not sum to marginal (x) identity")
+        check_state(basis_transpose(marginal), "transposed marginal")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "marginal", marginal)
 
@@ -144,12 +135,9 @@ class Channel:
     def __init__(self, choi: HermitianOperator, kind: str = "choi", data: Any = None):
         if len(choi.dims) != 2:
             raise DimensionError("Choi matrix must carry dims (d_in, d_out)")
-        if choi.min_eigenvalue() < -PSD_ATOL:
-            raise ValidationError("Choi matrix is not positive semidefinite")
-        marg = partial_trace(choi, keep=[0])
-        resid = float(np.max(np.abs(marg.mat - np.eye(choi.dims[0]))))
-        if resid > EQUALITY_ATOL:
-            raise ValidationError(f"channel is not trace preserving (residual {resid:.3e})")
+        check_psd(choi, "Choi matrix")
+        check_close(partial_trace(choi, keep=[0]).mat, np.eye(choi.dims[0]), EQUALITY_ATOL,
+                    "channel is not trace preserving")
         object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "kind", str(kind))
         object.__setattr__(self, "data", data)
@@ -276,9 +264,7 @@ def channel_from_unitary(u: np.ndarray) -> Channel:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"unitary must be square, got shape {u.shape}")
     d = u.shape[0]
-    resid = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if resid > EQUALITY_ATOL:
-        raise ValidationError(f"matrix is not unitary (residual {resid:.3e})")
+    check_close(u.conj().T @ u, np.eye(d), EQUALITY_ATOL, "matrix is not unitary")
     v = u.T.reshape(-1)  # amplitudes of sum_i |i> (x) U|i>
     choi = HermitianOperator(np.outer(v, v.conj()), (d, d))
     return Channel(choi, kind="unitary", data=u.copy())
@@ -292,10 +278,8 @@ def channel_from_kraus(kraus: Sequence[np.ndarray]) -> Channel:
     d_out, d_in = ks[0].shape
     if any(k.shape != (d_out, d_in) for k in ks):
         raise DimensionError("all Kraus operators must share one shape")
-    total = sum(k.conj().T @ k for k in ks)
-    resid = float(np.max(np.abs(total - np.eye(d_in))))
-    if resid > EQUALITY_ATOL:
-        raise ValidationError(f"Kraus operators are not trace preserving (residual {resid:.3e})")
+    check_close(sum(k.conj().T @ k for k in ks), np.eye(d_in), EQUALITY_ATOL,
+                "Kraus operators are not trace preserving")
     choi = np.zeros((d_in * d_out,) * 2, dtype=complex)
     for k in ks:
         v = k.T.reshape(-1)
@@ -306,12 +290,11 @@ def channel_from_kraus(kraus: Sequence[np.ndarray]) -> Channel:
 
 def channel_constant(sigma: HermitianOperator, d_in: int) -> Channel:
     """Channel mapping every input state to the fixed output state sigma."""
-    report = validate_state(sigma)
-    if not report:
-        raise ValidationError(f"target state invalid: {report.summary()}")
+    check_state(sigma, "target state")
     if len(sigma.dims) != 1:
         raise DimensionError("target state must carry a single subsystem dimension")
-    choi = HermitianOperator(np.kron(np.eye(int(d_in)), sigma.mat), (int(d_in), sigma.dims[0]))
+    d_in = as_dim(d_in)
+    choi = HermitianOperator(np.kron(np.eye(d_in), sigma.mat), (d_in, sigma.dims[0]))
     return Channel(choi, kind="constant", data=sigma)
 
 
@@ -434,15 +417,20 @@ def channel_to_json(ch: Channel) -> dict:
 
 
 def channel_from_json(obj: dict) -> Channel:
-    kind = obj["kind"]
+    """The channel a file describes; it must act between the declared d_in and d_out."""
+    kind, data = obj["kind"], obj["data"]
+    dims = (as_dim(obj["d_in"]), as_dim(obj["d_out"]))
     if kind == "unitary":
-        return channel_from_unitary(_entries_from_json(obj["data"], 2))
-    if kind == "kraus":
-        return channel_from_kraus([_entries_from_json(k, 2) for k in obj["data"]])
-    if kind == "constant":
-        sigma = _entries_from_json(obj["data"], 2)
-        return channel_constant(HermitianOperator(sigma, (sigma.shape[0],)), obj["d_in"])
-    if kind == "choi":
-        mat = _entries_from_json(obj["data"], 2)
-        return channel_from_choi(HermitianOperator(mat, (obj["d_in"], obj["d_out"])))
-    raise ValidationError(f"unknown channel kind {kind!r}")
+        ch = channel_from_unitary(_entries_from_json(data, 2))
+    elif kind == "kraus":
+        ch = channel_from_kraus([_entries_from_json(k, 2) for k in data])
+    elif kind == "constant":
+        sigma = _entries_from_json(data, 2)
+        ch = channel_constant(HermitianOperator(sigma, (sigma.shape[0],)), dims[0])
+    elif kind == "choi":
+        ch = channel_from_choi(HermitianOperator(_entries_from_json(data, 2), dims))
+    else:
+        raise ValidationError(f"unknown channel kind {kind!r}")
+    if ch.choi.dims != dims:
+        raise DimensionError(f"{kind} channel acts on dims {ch.choi.dims}, file declares {dims}")
+    return ch

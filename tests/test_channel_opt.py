@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from testerbounds import channel_opt
 from testerbounds.channel_opt import (
     SolverError,
     _lift_index,
@@ -138,14 +139,16 @@ class TestCertificates:
         res = maximize_over_channels(m, tol=1e-7)
         assert res.gap <= 1e-7
 
-    def test_iteration_budget_error_carries_best_pair(self):
+    def test_iteration_budget_error_carries_best_pair(self, monkeypatch):
         rng = np.random.default_rng(8)
         m = random_psd(rng, 2, 2)
-        with pytest.raises(SolverError) as exc_info:
-            maximize_over_channels(m, tol=1e-13, max_iter=3)
+        monkeypatch.setattr(channel_opt, "_MAX_STAGES", 1)
+        with pytest.raises(SolverError, match="iteration budget") as exc_info:
+            maximize_over_channels(m, tol=1e-13)
         err = exc_info.value
-        if err.value is not None:
-            assert err.value <= err.dual_value + 1e-10
+        assert err.value <= err.dual_value + 1e-10
+        assert err.optimizer.choi.dims == (2, 2)
+        assert np.trace(m.mat @ err.optimizer.choi.mat).real == pytest.approx(err.value)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(Exception):

@@ -1,10 +1,16 @@
 """Tests for the command-line interface (in-process, via main)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import testerbounds
 from testerbounds import bounds
 from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
@@ -195,6 +201,24 @@ class TestBound:
         for entry in json.loads(out)["reports"]:
             assert entry["trivial"] == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("field,value", [("d_anc", 2.7), ("dims", [2.9, 2]),
+                                             ("d_anc", 2.0), ("d_in", True)])
+    def test_non_integer_dimension_rejected(self, capsys, mub_meb_file, tmp_path,
+                                            field, value):
+        obj = json.loads(mub_meb_file.read_text())
+        test = obj["tests"][0]
+        if field == "dims":
+            test["input_state"]["dims"] = value
+        else:
+            test[field] = value
+        path = tmp_path / "bad-dims.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot load scenario" in err
+        assert "must be an integer" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", str(tmp_path / "nope.json"))
         assert code == 2
@@ -253,6 +277,19 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", str(mub_meb_file), str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("d_in,d_out", [(3, 5), (2, 5), (3, 2)])
+    def test_declared_channel_dims_enforced(self, capsys, mub_meb_file,
+                                            unitary_channel_file, tmp_path, d_in, d_out):
+        # a 2x2 unitary declared as a d_in -> d_out channel must not load as 2 -> 2
+        obj = json.loads(unitary_channel_file.read_text())
+        obj["d_in"], obj["d_out"] = d_in, d_out
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", str(mub_meb_file), str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot load channel" in err
+
     @pytest.mark.parametrize("text", BAD_SCENARIOS)
     def test_malformed_scenario(self, capsys, tmp_path, unitary_channel_file, text):
         path = tmp_path / "bad.json"
@@ -276,6 +313,30 @@ class TestSimulate:
 class TestTopLevel:
     def test_no_command_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_runtime_imports_numpy_only(self, tmp_path):
+        # gen and bound in a fresh interpreter may import only the standard
+        # library, numpy and the package itself, though scipy and friends
+        # may be installed; modules that site loaded before the run are exempt
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            before = set(sys.modules)
+            from testerbounds.cli import main
+            path = sys.argv[1]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "mub-meb-2qubit", "--out", path]) == 0
+                assert main(["bound", path]) == 0
+            tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+            allowed = set(sys.stdlib_module_names) | {"numpy", "testerbounds"}
+            print(" ".join(sorted(tops - allowed)))
+        """)
+        src = str(Path(testerbounds.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.json")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -12,6 +12,8 @@ from testerbounds.linalg import (
     PositivityError,
     ValidationError,
     basis_transpose,
+    check_povm,
+    check_state,
     conjugate_ket,
     eig_hermitian,
     ket_from_json,
@@ -23,8 +25,6 @@ from testerbounds.linalg import (
     operator_to_json,
     operator_norm,
     partial_trace,
-    validate_povm,
-    validate_state,
 )
 
 
@@ -91,6 +91,23 @@ class TestConstruction:
             HermitianOperator(mat, (2,))
         with pytest.raises(ValidationError, match="non-finite"):
             Ket([entry, 0.0], (2,), normalized=False)
+
+    @pytest.mark.parametrize("dims", [(True, 4), (2.0, 2), (2, 2.5), ("2", 2), (None, 4)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DimensionError, match="must be an integer"):
+            HermitianOperator(np.eye(4), dims)
+        with pytest.raises(DimensionError, match="must be an integer"):
+            Ket(np.eye(4)[0], dims)
+
+    def test_rejects_truncatable_dims(self):
+        # int(4.5) == 4 and int(True) == 1 used to make these dims (1, 4)
+        with pytest.raises(DimensionError):
+            HermitianOperator(np.eye(4), (True, 4.5))
+
+    def test_accepts_numpy_integer_dims(self):
+        op = HermitianOperator(np.eye(4), (np.int64(2), np.int32(2)))
+        assert op.dims == (2, 2)
+        assert all(type(d) is int for d in op.dims)
 
     def test_dims_product_does_not_overflow(self):
         # 2**32 * 2**32 wraps to 0 in int64, which would match an empty matrix
@@ -289,13 +306,12 @@ class TestValidators:
     def test_projective_pair_valid(self):
         effects = [HermitianOperator(np.diag([1.0, 0.0]), (2,)),
                    HermitianOperator(np.diag([0.0, 1.0]), (2,))]
-        assert validate_povm(effects).valid
+        check_povm(effects)
 
     def test_completeness_violation(self):
-        report = validate_povm([HermitianOperator(np.eye(2) / 2, (2,)),
-                                HermitianOperator(np.eye(2) / 3, (2,))])
-        assert not report.valid
-        assert any(v.kind == "completeness" for v in report.violations)
+        with pytest.raises(ValidationError, match="completeness"):
+            check_povm([HermitianOperator(np.eye(2) / 2, (2,)),
+                        HermitianOperator(np.eye(2) / 3, (2,))])
 
     def test_random_pvm_valid(self):
         rng = np.random.default_rng(10)
@@ -303,17 +319,24 @@ class TestValidators:
         q, _ = np.linalg.qr(g)
         effects = [HermitianOperator(np.outer(q[:, i], q[:, i].conj()), (4,))
                    for i in range(4)]
-        assert validate_povm(effects).valid
+        check_povm(effects)
 
     def test_negative_effect_reported(self):
-        report = validate_povm([HermitianOperator(np.diag([1.5, 0.0]), (2,)),
-                                HermitianOperator(np.diag([-0.5, 1.0]), (2,))])
-        assert not report.valid
-        assert any(v.kind == "positivity" for v in report.violations)
+        with pytest.raises(PositivityError, match="effect 1 is not positive semidefinite"):
+            check_povm([HermitianOperator(np.diag([1.5, 0.0]), (2,)),
+                        HermitianOperator(np.diag([-0.5, 1.0]), (2,))])
+
+    def test_empty_or_mixed_dims_rejected(self):
+        with pytest.raises(ValidationError, match="no effects"):
+            check_povm([])
+        with pytest.raises(DimensionError):
+            check_povm([HermitianOperator(np.eye(4), (4,)),
+                        HermitianOperator(np.zeros((4, 4)), (2, 2))])
 
     def test_state_valid_and_invalid(self):
-        assert validate_state(HermitianOperator(np.eye(2) / 2, (2,))).valid
-        assert not validate_state(HermitianOperator(np.eye(2), (2,))).valid
+        check_state(HermitianOperator(np.eye(2) / 2, (2,)), "state")
+        with pytest.raises(ValidationError, match="unit trace"):
+            check_state(HermitianOperator(np.eye(2), (2,)), "state")
 
 
 class TestJson:

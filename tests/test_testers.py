@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from testerbounds.linalg import (
+    DimensionError,
     HermitianOperator,
     Ket,
+    PositivityError,
     ValidationError,
     basis_transpose,
     kron,
@@ -240,6 +242,44 @@ class TestTesterConstruction:
             Tester([("a", eye)], marginal)
 
 
+def _op(diag, dims):
+    return HermitianOperator(np.diag(np.asarray(diag, dtype=float)), dims)
+
+
+# each constructor call breaks one invariant; a positivity failure must raise
+# PositivityError, anything else a plain ValidationError
+INVALID_INPUTS = {
+    "test-state-trace": (ValidationError, "unit trace", lambda: Test(
+        _op([2.0], (1, 1)), [("a", _op([1, 1], (1, 2)))], d_anc=1, d_in=1, d_out=2)),
+    "test-state-negative": (PositivityError, "input state", lambda: Test(
+        _op([1.5, -0.5], (1, 2)), [("a", _op([1, 1], (1, 2)))], d_anc=1, d_in=2, d_out=2)),
+    "test-effect-negative": (PositivityError, "POVM effect 1", lambda: Test(
+        _op([1.0], (1, 1)), [("a", _op([1.5, 0], (1, 2))), ("b", _op([-0.5, 1], (1, 2)))],
+        d_anc=1, d_in=1, d_out=2)),
+    "test-povm-incomplete": (ValidationError, "completeness", lambda: Test(
+        _op([1.0], (1, 1)), [("a", _op([0.5, 0.5], (1, 2)))], d_anc=1, d_in=1, d_out=2)),
+    "tester-element-negative": (PositivityError, "element 'b'", lambda: Tester(
+        [("a", _op([1.5, 0.5], (1, 2))), ("b", _op([-0.5, 0.5], (1, 2)))], _op([1.0], (1,)))),
+    "tester-marginal-trace": (ValidationError, "transposed marginal", lambda: Tester(
+        [("a", _op([2, 2], (1, 2)))], _op([2.0], (1,)))),
+    "choi-negative": (PositivityError, "Choi matrix", lambda: channel_from_choi(
+        _op([1.5, -0.5, 0.5, 0.5], (2, 2)))),  # tr_out J = I, but J is not positive
+    "constant-trace": (ValidationError, "target state", lambda: channel_constant(
+        _op([1.0, 1.0], (2,)), d_in=2)),
+    "constant-negative": (PositivityError, "target state", lambda: channel_constant(
+        _op([1.5, -0.5], (2,)), d_in=2)),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_INPUTS))
+def test_invalid_input_raises_its_class(case):
+    cls, words, build = INVALID_INPUTS[case]
+    with pytest.raises(cls, match=words) as exc_info:
+        build()
+    if cls is ValidationError:
+        assert not isinstance(exc_info.value, PositivityError)
+
+
 class TestChannels:
     def test_identity_unitary(self):
         ch = channel_from_unitary(np.eye(2))
@@ -272,6 +312,10 @@ class TestChannels:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             channel_from_unitary(np.diag([1.0, 0.5]))
+
+    def test_nan_unitary_rejected_by_its_own_check(self):
+        with pytest.raises(ValidationError, match="not unitary"):
+            channel_from_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_non_trace_preserving_kraus_rejected(self):
         with pytest.raises(ValidationError):
@@ -424,6 +468,32 @@ class TestJsonInterfaces:
         for t1, t2 in zip(back.tests, scenario.tests):
             assert t1.labels == t2.labels
             assert np.array_equal(t1.input_state.mat, t2.input_state.mat)
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "choi"])
+    @pytest.mark.parametrize("declared", [(3, 5), (2, 3), (3, 2)])
+    def test_channel_declared_dims_enforced(self, kind, declared):
+        # every kind below acts 2 -> 2 and a file declaring other dims is rejected,
+        # except that a constant channel takes its d_in from the file
+        rng = np.random.default_rng(22)
+        ch = {"unitary": lambda: channel_from_unitary(haar_unitary(2, rng)),
+              "kraus": lambda: random_channel(2, 2, rng, kraus_rank=2),
+              "constant": lambda: channel_constant(ginibre_state(2, rng), d_in=2),
+              "choi": lambda: channel_from_choi(random_channel(2, 2, rng).choi)}[kind]()
+        obj = channel_to_json(ch)
+        assert channel_from_json(obj).choi.dims == (2, 2)
+        obj["d_in"], obj["d_out"] = declared
+        if kind == "constant" and declared[1] == 2:
+            assert channel_from_json(obj).choi.dims == declared
+            return
+        with pytest.raises(DimensionError):
+            channel_from_json(obj)
+
+    @pytest.mark.parametrize("d_in", [2.0, True, "2"])
+    def test_channel_declared_dims_must_be_integers(self, d_in):
+        obj = channel_to_json(channel_from_unitary(np.eye(2)))
+        obj["d_in"] = d_in
+        with pytest.raises(DimensionError):
+            channel_from_json(obj)
 
     @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "choi"])
     def test_channel_round_trip(self, kind):
