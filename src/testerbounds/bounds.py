@@ -27,14 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .channel_opt import ChannelOptResult, SolverError, check_tol, maximize_over_channels
-from .linalg import (EQUALITY_ATOL, DimensionError, HermitianOperator, Ket, ValidationError,
-                     check_close, operator_norm)
+from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, DimensionError, HermitianOperator, Ket,
+                     ValidationError, check_close, operator_norm)
 # not called here: bench/tracing.py looks this name up in this module
 from .linalg import eig_hermitian  # noqa: F401
 from .testers import Channel, Scenario, channel_to_json
 
 TIGHTNESS_ATOL = 1e-8
 TRADEOFF_MARGIN = 1e-8
+AGREEMENT_FLOOR = 1e-6
 
 
 def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[str, ...]:
@@ -143,9 +144,6 @@ class TightnessResult:
     marginal_residual: float
     upper: float  # the norm cap d_in * ||objective|| whose attainment is checked
 
-    def __bool__(self) -> bool:
-        return self.tight
-
 
 def tightness_check(scenario: Scenario, combination: Sequence[str],
                     atol: float = TIGHTNESS_ATOL) -> TightnessResult:
@@ -166,6 +164,11 @@ def tightness_check(scenario: Scenario, combination: Sequence[str],
     return TightnessResult(tight=best <= atol, degenerate=len(top) > 1,
                            marginal_residual=best,
                            upper=d_in * float(np.max(np.abs(vals))))
+
+
+def agrees(result: ChannelOptResult, value: float) -> bool:
+    """Whether a certified optimum is within max(AGREEMENT_FLOOR, 10 gaps) of ``value``."""
+    return abs(result.value - value) <= max(AGREEMENT_FLOOR, 10 * result.gap)
 
 
 def unitary_from_max_entangled(ket: Ket, atol: float = EQUALITY_ATOL) -> np.ndarray:
@@ -192,7 +195,8 @@ def qubit_meb_optimizer(psi1: Ket, psi2: Ket) -> tuple[np.ndarray, float]:
     u1 = unitary_from_max_entangled(psi1)
     u2 = unitary_from_max_entangled(psi2)
     s = complex(np.trace(u1.conj().T @ u2))
-    if abs(s) < 1e-12:
+    orthogonal = abs(s) < ROUNDING_ATOL
+    if orthogonal:
         u = u1
     else:
         u = (u1 + (s.conjugate() / abs(s)) * u2) / np.sqrt(2 + abs(s))
@@ -206,12 +210,12 @@ def qubit_meb_optimizer(psi1: Ket, psi2: Ket) -> tuple[np.ndarray, float]:
     p2 = abs(np.vdot(psi2.amps, w)) ** 2
     value = 0.5 * (p1 + p2)
     check_close(value, expected, EQUALITY_ATOL, "optimizer misses the closed form")
-    if abs(s) >= 1e-12:
+    if orthogonal:
+        target = psi1.amps
+    else:
         phase = psi2.overlap(psi1) / overlap
         target = psi1.amps + phase * psi2.amps
         target = target / np.linalg.norm(target)
-    else:
-        target = psi1.amps
     check_close(w, target, EQUALITY_ATOL, "channel ket does not match the top eigenvector form")
     return u, float(value)
 
@@ -219,7 +223,7 @@ def qubit_meb_optimizer(psi1: Ket, psi2: Ket) -> tuple[np.ndarray, float]:
 def closed_form_state_bound(basis1: Sequence[Ket], basis2: Sequence[Ket],
                             weights: tuple[float, float] = (0.5, 0.5)) -> np.ndarray:
     """Table b[i, j] = (1/2)(1 + |<e_i|f_j>|) for two orthonormal bases."""
-    if abs(weights[0] - 0.5) > 1e-12 or abs(weights[1] - 0.5) > 1e-12:
+    if abs(weights[0] - 0.5) > ROUNDING_ATOL or abs(weights[1] - 0.5) > ROUNDING_ATOL:
         raise ValidationError("closed form is stated for equal weights (1/2, 1/2)")
     for basis in (basis1, basis2):
         mats = np.stack([k.amps for k in basis])
@@ -287,8 +291,7 @@ def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
             exact = exact_bound(scenario, combination, tol=tol)
         except SolverError as exc:
             errors.append(f"exact bound failed: {exc}")
-    if exact is not None and spectral.tight \
-            and abs(exact.value - spectral.upper) > max(1e-6, 10 * exact.gap):
+    if exact is not None and spectral.tight and not agrees(exact, spectral.upper):
         raise ValidationError(
             f"tightness certified but exact {exact.value!r} != upper {spectral.upper!r}")
     tradeoff = None if exact is None or trivial is None else \

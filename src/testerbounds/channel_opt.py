@@ -16,8 +16,13 @@ Each Newton step works on complex d_in x d_in matrices.  With R = S^-1 for the
 slack S = Y (x) I - M, it solves  H vec(D) = -vec(G)  for a Hermitian D, where
 G = I - mu tr_out R and, in row-major vec form,
 H[(i,l),(j,k)] = mu sum_{o,p} R[i,o,j,p] R[k,p,l,o]: one matmul of reshaped
-views of R, O(d_in^4 d_out^2).  The decrement is sqrt(-<G, D>).  Y (x) I is
-never formed; Y is scattered onto the output-diagonal blocks of -M.
+views of R, O(d_in^4 d_out^2).  The decrement is lam = sqrt(-<G, D>).  Y (x) I
+is never formed; Y is scattered onto the output-diagonal blocks of -M.
+
+The step is the damped Newton step Y += D / (1 + r) with r = lam / sqrt(mu).
+The centering objective is mu times a self-concordant function, so r is the
+length of D in that function's local norm, and a step t D with t r < 1 stays
+inside its Dikin ellipsoid: S remains positive definite without a line search.
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def _repair_primal(a: np.ndarray, j_cand: np.ndarray, d_in: int, d_out: int,
     rho = _hermitize(np.einsum("iojo->ij", jp.reshape(d_in, d_out, d_in, d_out)))
     rw, rv = np.linalg.eigh(rho)
     if rw[0] <= 0:
-        raise SolverError("primal candidate has singular input marginal")
+        raise np.linalg.LinAlgError("primal candidate has singular input marginal")
     half = (rv / np.sqrt(rw)) @ rv.conj().T
     # (half (x) I) J (half (x) I) = (half (x) I) [(half (x) I) J]^dag, both
     # factors applied to the input index of the rows by a reshape
@@ -159,8 +164,9 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> Ch
     """Maximize tr[M J] over channels, certified to the requested duality gap.
 
     ``m`` must be Hermitian on in(x)out (positivity is not required).  Raises
-    SolverError, carrying the best bracket found, if the gap cannot be driven
-    below ``tol`` within ``_MAX_STAGES`` stages of at most ``_NEWTON_CAP`` steps.
+    SolverError, carrying the best bracket found, if the linear algebra fails or
+    the gap cannot be driven below ``tol`` within ``_MAX_STAGES`` stages of at
+    most ``_NEWTON_CAP`` steps.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
@@ -181,78 +187,68 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> Ch
     history: list[tuple[float, float]] = []
     best_primal: tuple[float, np.ndarray] | None = None
     best_dual: tuple[float, np.ndarray, float] | None = None
-    # Y moves along exactly Hermitian directions, so S needs no re-symmetrizing
-    s = _slack(y, a, lift)
 
-    for _stage in range(_MAX_STAGES):
-        # center: Newton on tr Y - mu log det(Y (x) I - M)
-        prev_decrement = np.inf
-        for _ in range(_NEWTON_CAP):
-            iterations += 1
-            sinv = _hermitize(np.linalg.inv(s))
-            grad, hess = _newton_system(sinv, mu, d_in, d_out)
-            try:
-                dvec = np.linalg.solve(hess, -grad.reshape(-1))
-            except np.linalg.LinAlgError:
-                dvec = np.linalg.lstsq(hess, -grad.reshape(-1), rcond=None)[0]
-            delta = _hermitize(dvec.reshape(d_in, d_in))
-            decrement = sqrt(max(-np.vdot(grad, delta).real, 0.0))
-            if not isfinite(decrement) or decrement <= _NEWTON_TOL:
-                break
-            if decrement < 1e-3 and decrement >= 0.5 * prev_decrement:
-                break  # quadratic phase hit the floating-point floor
-            prev_decrement = decrement
-            step = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-            while step > 1e-12:
-                y_next = y + step * delta
-                s_next = _slack(y_next, a, lift)
+    def failure(message: str) -> SolverError:
+        """SolverError carrying the best certified pair, none before the first stage."""
+        if best_primal is None or best_dual is None:
+            return SolverError(message)
+        return SolverError(message, best_primal[0], best_dual[0],
+                           channel_from_choi(HermitianOperator(best_primal[1], m.dims)))
+
+    try:
+        # Y moves along exactly Hermitian directions, so S needs no re-symmetrizing
+        sinv = _hermitize(np.linalg.inv(_slack(y, a, lift)))
+        for _stage in range(_MAX_STAGES):
+            # center: damped Newton on tr Y - mu log det(Y (x) I - M)
+            prev_decrement = np.inf
+            for _ in range(_NEWTON_CAP):
+                iterations += 1
+                grad, hess = _newton_system(sinv, mu, d_in, d_out)
                 try:
-                    np.linalg.cholesky(s_next)  # backtrack until S stays positive definite
-                    break
+                    dvec = np.linalg.solve(hess, -grad.reshape(-1))
                 except np.linalg.LinAlgError:
-                    step /= 2
-            if step <= 1e-12:
-                break
-            y, s = y_next, s_next
-        else:
-            sinv = _hermitize(np.linalg.inv(s))  # the cap ended the loop after a step
+                    dvec = np.linalg.lstsq(hess, -grad.reshape(-1), rcond=None)[0]
+                delta = _hermitize(dvec.reshape(d_in, d_in))
+                decrement = sqrt(max(-np.vdot(grad, delta).real, 0.0))
+                if not isfinite(decrement) or decrement <= _NEWTON_TOL:
+                    break
+                if decrement < 1e-3 and decrement >= 0.5 * prev_decrement:
+                    break  # quadratic phase hit the floating-point floor
+                prev_decrement = decrement
+                y = y + delta / (1.0 + decrement / sqrt(mu))
+                sinv = _hermitize(np.linalg.inv(_slack(y, a, lift)))
 
-        # certify the current stage: both repaired iterates are exactly
-        # feasible, so (value, dual_value) brackets the optimum even when the
-        # two sides come from different stages
-        value, jfix = _repair_primal(a, mu * sinv, d_in, d_out)
-        dual_value, y_feas, dual_min = _repair_dual(a, y, lift)
-        history.append((value, dual_value))
-        if best_primal is None or value > best_primal[0]:
-            best_primal = (value, jfix)
-        if best_dual is None or dual_value < best_dual[0]:
-            best_dual = (dual_value, y_feas, dual_min)
-        gap = best_dual[0] - best_primal[0]
-        scale = max(1.0, abs(best_primal[0]), abs(best_dual[0]))
-        if gap < -1e-10 * scale:
-            raise SolverError(f"certificates crossed (gap {gap:.3e}); numerical failure",
-                              best_primal[0], best_dual[0])
-        if gap <= tol:
-            return ChannelOptResult(
-                value=best_primal[0],
-                optimizer=channel_from_choi(HermitianOperator(best_primal[1], (d_in, d_out))),
-                dual_value=best_dual[0],
-                dual_certificate=HermitianOperator(best_dual[1], (d_in,)),
-                gap=max(gap, 0.0),
-                tol=tol,
-                dual_min_eig=best_dual[2],
-                iterations=iterations,
-                history=tuple(history),
-            )
-        mu = max(mu / _MU_SHRINK, tol / (64 * n_total))
-
-    # every stage certified a pair, so both are set here
-    value, jfix = best_primal
-    raise SolverError(
-        f"gap {best_dual[0] - value:.3e} not certified within the iteration budget",
-        value=value, dual_value=best_dual[0],
-        optimizer=channel_from_choi(HermitianOperator(jfix, m.dims)),
-    )
+            # certify the current stage: both repaired iterates are exactly
+            # feasible, so (value, dual_value) brackets the optimum even when
+            # the two sides come from different stages
+            value, jfix = _repair_primal(a, mu * sinv, d_in, d_out)
+            dual_value, y_feas, dual_min = _repair_dual(a, y, lift)
+            history.append((value, dual_value))
+            if best_primal is None or value > best_primal[0]:
+                best_primal = (value, jfix)
+            if best_dual is None or dual_value < best_dual[0]:
+                best_dual = (dual_value, y_feas, dual_min)
+            gap = best_dual[0] - best_primal[0]
+            scale = max(1.0, abs(best_primal[0]), abs(best_dual[0]))
+            if gap < -1e-10 * scale:
+                raise failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
+            if gap <= tol:
+                return ChannelOptResult(
+                    value=best_primal[0],
+                    optimizer=channel_from_choi(HermitianOperator(best_primal[1], m.dims)),
+                    dual_value=best_dual[0],
+                    dual_certificate=HermitianOperator(best_dual[1], (d_in,)),
+                    gap=max(gap, 0.0),
+                    tol=tol,
+                    dual_min_eig=best_dual[2],
+                    iterations=iterations,
+                    history=tuple(history),
+                )
+            mu = max(mu / _MU_SHRINK, tol / (64 * n_total))
+    except np.linalg.LinAlgError as exc:
+        raise failure(f"numerical failure: {exc}") from exc
+    raise failure(f"gap {best_dual[0] - best_primal[0]:.3e} not certified within the "
+                  "iteration budget")
 
 
 def dual_bound(m: HermitianOperator, y: HermitianOperator) -> DualBound:

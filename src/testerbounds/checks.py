@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    agrees,
     exact_bound,
     qubit_meb_optimizer,
     tightness_check,
     upper_bound,
 )
-from .linalg import HermitianOperator, basis_transpose, partial_trace
+from .linalg import EQUALITY_ATOL, STATE_ATOL, HermitianOperator, basis_transpose, partial_trace
 from .sampling import (
     ginibre_state,
     haar_isometries,
@@ -61,7 +62,7 @@ def check_born_rule(rng: np.random.Generator, trials: int) -> CheckResult:
             worst = max(worst, abs(p - q))
             total += p
         worst = max(worst, abs(total - 1.0))
-    return CheckResult("born_rule_equivalence", worst <= 1e-9,
+    return CheckResult("born_rule_equivalence", worst <= EQUALITY_ATOL,
                        worst, f"{trials} random (test, channel) pairs")
 
 
@@ -75,7 +76,7 @@ def check_tester_normalization(rng: np.random.Generator, trials: int) -> CheckRe
         total = sum(op.mat for _, op in tester.elements)
         marg = basis_transpose(partial_trace(test.input_state, keep=[1]))
         worst = max(worst, float(np.max(np.abs(total - np.kron(marg.mat, np.eye(d_out))))))
-    return CheckResult("tester_normalization", worst <= 1e-9, worst,
+    return CheckResult("tester_normalization", worst <= EQUALITY_ATOL, worst,
                        f"{trials} random tests")
 
 
@@ -101,7 +102,7 @@ def check_decomposition_independence(rng: np.random.Generator, trials: int) -> C
         u1 = upsilon_dual_apply(rho, b)
         u2 = upsilon_dual_apply(rho, b, decomposition=mixed)
         worst = max(worst, float(np.max(np.abs(u1.mat - u2.mat))))
-    return CheckResult("decomposition_independence", worst <= 1e-10, worst,
+    return CheckResult("decomposition_independence", worst <= STATE_ATOL, worst,
                        f"{trials} randomized redecompositions")
 
 
@@ -123,7 +124,7 @@ def check_povm_marginal_criterion(rng: np.random.Generator, trials: int,
         total = sum(op.mat for _, op in tester.elements) * d_in
         resid = float(np.max(np.abs(total - np.eye(d_in * d_out))))
         worst = max(worst, resid)
-        if resid > 1e-9:
+        if resid > EQUALITY_ATOL:
             ok = False
 
         violating = random_test(d_anc, d_in, d_out, 3, rng)
@@ -134,7 +135,7 @@ def check_povm_marginal_criterion(rng: np.random.Generator, trials: int,
         completeness_resid = float(np.max(np.abs(total - np.eye(d_in * d_out))))
         # converse direction: a visibly non-uniform marginal must show up as
         # a completeness violation
-        if marg_resid > 1e-6 and completeness_resid <= 1e-9:
+        if marg_resid > 1e-6 and completeness_resid <= EQUALITY_ATOL:
             ok = False
     return CheckResult("povm_marginal_criterion", ok, worst,
                        f"{trials} conforming/violating fixture pairs")
@@ -154,7 +155,7 @@ def check_exact_below_norm_cap(rng: np.random.Generator, trials: int,
         if ex.value > ub + 1e-8:
             ok = False
         tight = tightness_check(scenario, combo)
-        if tight.tight and abs(ex.value - ub) > max(1e-6, 10 * ex.gap):
+        if tight.tight and not agrees(ex, ub):
             ok = False
     return CheckResult("exact_below_norm_cap", ok, worst,
                        f"{trials} random scenarios, residual = max(exact - upper)")
@@ -175,7 +176,7 @@ def check_uniform_marginal_unit_cap(rng: np.random.Generator, trials: int) -> Ch
         scenario = Scenario(tests, w / w.sum())
         combo = tuple(t.labels[int(rng.integers(0, len(t.labels)))] for t in scenario.tests)
         worst = max(worst, upper_bound(scenario, combo) - 1.0)
-    return CheckResult("uniform_marginal_unit_cap", worst <= 1e-9, worst,
+    return CheckResult("uniform_marginal_unit_cap", worst <= EQUALITY_ATOL, worst,
                        f"{trials} uniform-marginal scenarios, residual = max(upper - 1)")
 
 
@@ -197,7 +198,7 @@ def check_meb_pair_norm_formula(rng: np.random.Generator, trials: int) -> CheckR
         ub = upper_bound(scenario, combo)
         expected = 0.5 * (1 + abs(meb1.kets[i].overlap(meb2.kets[j])))
         worst = max(worst, abs(ub - expected))
-    return CheckResult("meb_pair_norm_formula", worst <= 1e-9, worst,
+    return CheckResult("meb_pair_norm_formula", worst <= EQUALITY_ATOL, worst,
                        f"{trials} random MEB pairs (d = 2, 3)")
 
 
@@ -215,13 +216,12 @@ def check_qubit_meb_optimal(rng: np.random.Generator, trials: int,
         scenario = meb_scenario(meb1, meb2)
         combo = (scenario.tests[0].labels[i], scenario.tests[1].labels[j])
         ex = exact_bound(scenario, combo, tol=tol)
-        resid = abs(ex.value - expected)
-        worst = max(worst, resid)
-        if resid > max(1e-6, 10 * ex.gap):
+        worst = max(worst, abs(ex.value - expected))
+        if not agrees(ex, expected):
             ok = False
         _u, value = qubit_meb_optimizer(psi1, psi2)
         worst = max(worst, abs(value - expected))
-        if abs(value - expected) > 1e-9:
+        if abs(value - expected) > EQUALITY_ATOL:
             ok = False
     return CheckResult("qubit_meb_optimal_channel", ok, worst,
                        f"{trials} random qubit MEB pairs")

@@ -21,6 +21,8 @@ HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-9
 EQUALITY_ATOL = 1e-9
 STATE_ATOL = 1e-10
+# scalars equal in exact arithmetic and computed by a few flops (weights, a zero overlap)
+ROUNDING_ATOL = 1e-12
 
 
 class ValidationError(ValueError):

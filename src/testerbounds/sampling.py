@@ -49,11 +49,6 @@ def random_povm(d: int, n_outcomes: int, rng: np.random.Generator,
     return [HermitianOperator(inv_sqrt @ p @ inv_sqrt, dims or (d,)) for p in pieces]
 
 
-def random_basis(d: int, rng: np.random.Generator) -> list[Ket]:
-    u = haar_unitary(d, rng)
-    return [Ket(u[:, i], (d,)) for i in range(d)]
-
-
 def random_channel(d_in: int, d_out: int, rng: np.random.Generator,
                    kraus_rank: int | None = None) -> Channel:
     """Random channel via a Haar Stinespring isometry of the given Kraus rank."""

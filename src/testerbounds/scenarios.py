@@ -18,6 +18,7 @@ import numpy as np
 
 from .linalg import (
     EQUALITY_ATOL,
+    STATE_ATOL,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -67,7 +68,7 @@ class MEB:
             for keep in (0, 1):
                 check_close(partial_trace(ket.projector(), keep=[keep]).mat, np.eye(d) / d,
                             EQUALITY_ATOL, f"ket {i} is not maximally entangled")
-            check_close(np.kron(np.eye(d), u) @ psi_plus, ket.amps, 1e-10,
+            check_close(np.kron(np.eye(d), u) @ psi_plus, ket.amps, STATE_ATOL,
                         f"generator {i} does not reproduce its ket")
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "generators", generators)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     EQUALITY_ATOL,
+    ROUNDING_ATOL,
     DimensionError,
     HermitianOperator,
     ValidationError,
@@ -175,7 +176,7 @@ class Scenario:
             raise ValidationError("one weight per test required")
         if not all(np.isfinite(w) and w >= 0 for w in weights):
             raise ValidationError(f"weights must be finite and nonnegative, got {list(weights)}")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if abs(sum(weights) - 1.0) > ROUNDING_ATOL:
             raise ValidationError(f"weights sum to {sum(weights)!r}, expected 1")
         d_in, d_out = tests[0].d_in, tests[0].d_out
         for t in tests:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from testerbounds import channel_opt
+from testerbounds import bounds, channel_opt
 from testerbounds.channel_opt import (
     SolverError,
     _lift_index,
@@ -21,6 +21,7 @@ from testerbounds.linalg import (
     partial_trace,
 )
 from testerbounds.sampling import haar_unitary
+from testerbounds.scenarios import meb_scenario, mub_meb_pair_2qubit
 
 
 def random_psd(rng, d_in, d_out, scale=1.0):
@@ -156,6 +157,94 @@ class TestCertificates:
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 maximize_over_channels(HermitianOperator(np.eye(4), (2, 2)), tol=tol)
+
+
+class TestDampedStep:
+    """The damped Newton step keeps every iterate strictly inside the cone."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
+    def test_every_slack_is_positive_definite(self, d_in, d_out, monkeypatch):
+        slack = channel_opt._slack
+        indefinite = []
+
+        def checked(y, a, lift):
+            s = slack(y, a, lift)
+            try:
+                np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                indefinite.append(s)
+            return s
+
+        monkeypatch.setattr(channel_opt, "_slack", checked)
+        cases = [(HermitianOperator(np.zeros((d_in * d_out,) * 2), (d_in, d_out)), 1e-6)]
+        for kind in (random_psd, random_hermitian):
+            for tol in (1e-6, 1e-9):
+                cases += [(kind(np.random.default_rng(seed), d_in, d_out), tol)
+                          for seed in range(3)]
+        for m, tol in cases:
+            res = maximize_over_channels(m, tol=tol)
+            assert 0.0 <= res.gap <= tol
+        assert not indefinite
+
+    @pytest.mark.parametrize("d_in,d_out", [(3, 3), (2, 3)])
+    def test_tiny_objectives_at_tight_tolerance(self, d_in, d_out):
+        for seed in range(12):
+            m = random_psd(np.random.default_rng(seed), d_in, d_out, scale=1e-6)
+            res = maximize_over_channels(m, tol=1e-12)
+            assert 0.0 <= res.gap <= 1e-12
+
+    def test_step_budget_on_paper_scenario(self, monkeypatch):
+        solve = bounds.maximize_over_channels
+        steps = []
+
+        def recording(m, tol):
+            res = solve(m, tol=tol)
+            steps.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", recording)
+        bounds.scenario_report(meb_scenario(*mub_meb_pair_2qubit()), tol=1e-6)
+        assert len(steps) == 24
+        assert sum(steps) <= 600
+
+
+class TestNumericalFailure:
+    """A linear-algebra failure inside the solver surfaces as SolverError."""
+
+    @pytest.mark.parametrize("seed,shape,scale", [(5, (4, 4), 1e6), (20, (3, 3), 1e8),
+                                                  (31, (3, 2), 1e8)])
+    def test_huge_objectives_raise_no_linalg_error(self, seed, shape, scale):
+        m = random_hermitian(np.random.default_rng(seed), *shape)
+        try:
+            res = maximize_over_channels(HermitianOperator(scale * m.mat, shape), tol=1e-6)
+        except SolverError as err:
+            if err.value is not None:
+                assert err.value <= err.dual_value
+        else:
+            assert 0.0 <= res.gap <= 1e-6
+
+    # the solve makes 19 inversions and certifies its first stage after the 5th
+    @pytest.mark.parametrize("fail_at,certified", [(1, False), (12, True)])
+    def test_failed_inverse_carries_best_pair(self, fail_at, certified, monkeypatch):
+        m = random_psd(np.random.default_rng(15), 2, 3)
+        inv = np.linalg.inv
+        calls = []
+
+        def failing(mat):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(mat)
+
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        with pytest.raises(SolverError, match="Singular matrix") as exc_info:
+            maximize_over_channels(m, tol=1e-9)
+        err = exc_info.value
+        if not certified:
+            assert err.value is None and err.dual_value is None and err.optimizer is None
+        else:
+            assert err.value <= err.dual_value
+            assert np.trace(m.mat @ err.optimizer.choi.mat).real == pytest.approx(err.value)
 
 
 class TestNewtonSystem:
