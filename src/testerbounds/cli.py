@@ -60,10 +60,6 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _scenario_digest(scenario_obj: dict) -> str:
-    return hashlib.sha256(dumps_canonical(scenario_obj).encode()).hexdigest()
-
-
 def _build_scenario(kind: str, d: int):
     if kind == "state-mub":
         return state_measurement_scenario(mub_bases(d, 2), (0.5, 0.5))
@@ -95,12 +91,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load(path: str, what: str, from_json):
-    """The JSON object in ``path`` and the value built from it."""
+def _load(data: bytes, what: str, from_json):
+    """The value ``from_json`` builds from the JSON text ``data``."""
     try:
-        obj = json.loads(Path(path).read_text())
-        return obj, from_json(obj)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return from_json(json.loads(data))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot load {what}: {exc}") from exc
 
 
@@ -111,11 +106,13 @@ def _cap(args) -> int | None:
 
 
 def cmd_bound(args) -> int:
-    scenario_obj, scenario = _load(args.scenario, "scenario", scenario_from_json)
+    # the digest is the SHA-256 of the file's bytes, the same bytes that are parsed
+    data = Path(args.scenario).read_bytes()
+    scenario = _load(data, "scenario", scenario_from_json)
     reports = scenario_report(scenario, tol=args.tol, cap=_cap(args),
                               skip_exact=args.skip_exact, skip_trivial=args.skip_trivial)
     payload = {
-        "scenario_digest": _scenario_digest(scenario_obj),
+        "scenario_digest": hashlib.sha256(data).hexdigest(),
         "tol": args.tol,
         "reports": [report_to_json(r) for r in reports],
     }
@@ -152,8 +149,8 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         _err("--n must be at least 1")
         return 2
-    scenario = _load(args.scenario, "scenario", scenario_from_json)[1]
-    channel = _load(args.channel, "channel", channel_from_json)[1]
+    scenario = _load(Path(args.scenario).read_bytes(), "scenario", scenario_from_json)
+    channel = _load(Path(args.channel).read_bytes(), "channel", channel_from_json)
     if (channel.d_in, channel.d_out) != (scenario.d_in, scenario.d_out):
         _err("channel dimensions do not match the scenario")
         return 2

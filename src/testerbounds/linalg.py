@@ -270,14 +270,6 @@ def operator_from_json(obj: dict) -> HermitianOperator:
     return HermitianOperator(_entries_from_json(obj["data"], 2), obj["dims"])
 
 
-def ket_to_json(v: Ket) -> dict:
-    return {"dims": list(v.dims), "amps": _entries_to_json(v.amps)}
-
-
-def ket_from_json(obj: dict) -> Ket:
-    return Ket(_entries_from_json(obj["amps"], 1), obj["dims"])
-
-
 def dumps_canonical(obj: dict) -> str:
-    """Deterministic JSON text used for files and digests."""
+    """Deterministic JSON text used for files and reports."""
     return json.dumps(obj, indent=2, sort_keys=False)

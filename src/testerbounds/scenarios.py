@@ -25,8 +25,6 @@ from .linalg import (
     ValidationError,
     check_close,
     dumps_canonical,
-    ket_from_json,
-    ket_to_json,
     kron,
     maximally_entangled_ket,
     maximally_entangled_state,
@@ -271,11 +269,3 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_json(json.loads(Path(path).read_text()))
-
-
-def basis_to_json(basis: Sequence[Ket]) -> dict:
-    return {"d": basis[0].size, "kets": [ket_to_json(k) for k in basis]}
-
-
-def basis_from_json(obj: dict) -> list[Ket]:
-    return [ket_from_json(k) for k in obj["kets"]]

@@ -20,7 +20,7 @@ from testerbounds.linalg import (
     operator_norm,
     partial_trace,
 )
-from testerbounds.sampling import haar_unitary
+from testerbounds.sampling import haar_unitary, random_scenario
 from testerbounds.scenarios import meb_scenario, mub_meb_pair_2qubit
 
 
@@ -141,15 +141,25 @@ class TestCertificates:
         assert res.gap <= 1e-7
 
     def test_iteration_budget_error_carries_best_pair(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        m = random_psd(rng, 2, 2)
-        monkeypatch.setattr(channel_opt, "_MAX_STAGES", 1)
-        with pytest.raises(SolverError, match="iteration budget") as exc_info:
+        # 1e-13 is below what floating point can certify for this objective,
+        # so the stage at the smallest barrier parameter fails, after a few
+        # stage certifications counted at the dual repair
+        m =random_psd(np.random.default_rng(8), 2, 2)
+        repair = channel_opt._repair_dual
+        stages = []
+
+        def counting(*args):
+            stages.append(1)
+            return repair(*args)
+
+        monkeypatch.setattr(channel_opt, "_repair_dual", counting)
+        with pytest.raises(SolverError, match="smallest barrier parameter") as exc_info:
             maximize_over_channels(m, tol=1e-13)
         err = exc_info.value
         assert err.value <= err.dual_value + 1e-10
         assert err.optimizer.choi.dims == (2, 2)
         assert np.trace(m.mat @ err.optimizer.choi.mat).real == pytest.approx(err.value)
+        assert len(stages) <= 20
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(Exception):
@@ -193,7 +203,13 @@ class TestDampedStep:
             res = maximize_over_channels(m, tol=1e-12)
             assert 0.0 <= res.gap <= 1e-12
 
-    def test_step_budget_on_paper_scenario(self, monkeypatch):
+    # step counts do not depend on the machine, so the budgets are exact guards
+    @pytest.mark.parametrize("scenario,solves,budget", [
+        (lambda: meb_scenario(*mub_meb_pair_2qubit()), 24, 420),
+        (lambda: random_scenario(np.random.default_rng(0), n_tests=2, d_anc=3, d_in=3,
+                                 d_out=3, n_outcomes=3), 15, 650),
+    ], ids=["mub-meb-2qubit", "random-3x3"])
+    def test_step_budget_on_paper_scenario(self, scenario, solves, budget, monkeypatch):
         solve = bounds.maximize_over_channels
         steps = []
 
@@ -203,9 +219,9 @@ class TestDampedStep:
             return res
 
         monkeypatch.setattr(bounds, "maximize_over_channels", recording)
-        bounds.scenario_report(meb_scenario(*mub_meb_pair_2qubit()), tol=1e-6)
-        assert len(steps) == 24
-        assert sum(steps) <= 600
+        bounds.scenario_report(scenario(), tol=1e-6)
+        assert len(steps) == solves
+        assert sum(steps) <= budget
 
 
 class TestNumericalFailure:
@@ -223,7 +239,7 @@ class TestNumericalFailure:
         else:
             assert 0.0 <= res.gap <= 1e-6
 
-    # the solve makes 19 inversions and certifies its first stage after the 5th
+    # the solve makes 13 inversions and certifies its first stage after the 3rd
     @pytest.mark.parametrize("fail_at,certified", [(1, False), (12, True)])
     def test_failed_inverse_carries_best_pair(self, fail_at, certified, monkeypatch):
         m = random_psd(np.random.default_rng(15), 2, 3)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process, via main)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,14 @@ class TestBound:
             assert entry["exact"] == pytest.approx(0.75, abs=1e-6)
             assert entry["trivial"] == pytest.approx(1.0, abs=1e-5)
             assert entry["tradeoff"] is True
+
+    def test_digest_is_sha256_of_file_bytes(self, capsys, tmp_path):
+        # reproducible with sha256sum on the scenario file
+        path = tmp_path / "s.json"
+        assert main(["gen", "state-mub", "--d", "2", "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "bound", str(path), "--skip-exact")
+        assert code == 0
+        assert json.loads(out)["scenario_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_deterministic_bytes(self, capsys, mub_meb_file, tmp_path):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -16,8 +16,6 @@ from testerbounds.linalg import (
     check_state,
     conjugate_ket,
     eig_hermitian,
-    ket_from_json,
-    ket_to_json,
     kron,
     maximally_entangled_ket,
     maximally_entangled_state,
@@ -346,12 +344,6 @@ class TestJson:
         back = operator_from_json(operator_to_json(op))
         assert back.dims == op.dims
         assert np.array_equal(back.mat, op.mat)
-
-    def test_ket_round_trip(self):
-        v = Ket(np.array([1, 1j, 0, 0]) / np.sqrt(2), (2, 2))
-        back = ket_from_json(ket_to_json(v))
-        assert back.dims == v.dims
-        assert np.array_equal(back.amps, v.amps)
 
     def test_malformed_entries(self):
         with pytest.raises(ValidationError):

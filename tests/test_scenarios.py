@@ -17,8 +17,6 @@ from testerbounds.sampling import random_povm
 from testerbounds.scenarios import (
     MEB,
     ancilla_free_scenario,
-    basis_from_json,
-    basis_to_json,
     entangled_input_product_scenario,
     generalized_bell_basis,
     load_scenario,
@@ -231,12 +229,6 @@ class TestSerialization:
         save_scenario(s, p1)
         save_scenario(load_scenario(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_basis_json_round_trip(self):
-        basis = mub_bases(3, 2)[1]
-        back = basis_from_json(basis_to_json(basis))
-        for k1, k2 in zip(back, basis):
-            assert np.array_equal(k1.amps, k2.amps)
 
     def test_loaded_scenario_revalidates(self, tmp_path):
         meb1, meb2 = mub_meb_pair_2qubit()
