@@ -15,6 +15,13 @@ strictly below the trivial one.
 ``scenario_report`` is the one pipeline behind every report: it solves each
 per-test maximum once per outcome, takes the norm cap and its tightness from one
 eigendecomposition per combination, and records a failed solve as ``error``.
+It solves once per symmetry orbit: a W = U (x) V of shift-clock unitaries that
+permutes each tester's elements maps the objective M of an outcome or a
+combination to W M W^dag, that of its image, and a certified pair (J, Y) to
+(W J W^dag, U Y U^dag), so bounds within an orbit coincide and each image
+starts from the transported pair, certified before any Newton step.
+``exact_bound``, ``trivial_bound`` and ``bound_report`` take no start; they
+are the oracle.
 """
 
 from __future__ import annotations
@@ -22,13 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .channel_opt import ChannelOptResult, SolverError, check_tol, maximize_over_channels
 from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, DimensionError, HermitianOperator, Ket,
-                     ValidationError, check_close, operator_norm)
+                     ValidationError, check_close, operator_norm, shift_clock)
 # not called here: bench/tracing.py looks this name up in this module
 from .linalg import eig_hermitian  # noqa: F401
 from .testers import Channel, Scenario, channel_to_json
@@ -63,23 +70,83 @@ def objective_operator(scenario: Scenario, combination: Sequence[str]) -> Hermit
     return _weighted_elements(scenario, [[x] for x in _check_combination(scenario, combination)])
 
 
-def _per_test_maxima(scenario: Scenario, tol: float,
-                     labels: Sequence[str] | None = None) -> dict[str, float | str]:
+def _symmetries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray, dict[str, str]]]:
+    """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
+    maps the fingerprints <r|T|r> of each tester's elements one to one onto
+    its own (r is one fixed generic vector); perm[x] = y when W T(x) W^dag = T(y).
+    A false match needs no guard: its starts fail their certification."""
+    d_in, d_out = scenario.d_in, scenario.d_out
+    us, vs = shift_clock(d_in), shift_clock(d_out)
+    k = np.arange(1.0, d_in * d_out + 1)
+    r = (np.exp(1j * np.sqrt(2) * k * k) / np.sqrt(k)).reshape(d_in, d_out)
+    r /= np.linalg.norm(r)
+    # row 0 is the identity, so row 0 of each fingerprint table is the tester's own
+    moved = (us.conj().transpose(0, 2, 1)[:, None] @ r @ vs.conj()).reshape(-1, r.size)
+    keep = np.arange(len(moved)) > 0
+    orders = []
+    for tester in scenario.testers():
+        stack = np.stack([op.mat for _, op in tester.elements])
+        prints = np.einsum("xcm,cm->cx", moved.conj() @ stack, moved).real
+        order = np.argsort(prints, axis=1)
+        ranked = np.take_along_axis(prints, order, axis=1)
+        keep &= np.abs(ranked - ranked[0]).max(axis=1) <= EQUALITY_ATOL
+        orders.append((tester.elements, order))
+    found = []
+    for c in np.flatnonzero(keep):
+        u, v = us[c // len(vs)], vs[c % len(vs)]
+        perm = {elements[x][0]: elements[y][0]
+                for elements, order in orders for x, y in zip(order[c], order[0])}
+        found.append((np.kron(u, v), u, perm))
+    return found
+
+
+def _solve_orbits(keys: Iterable[tuple[str, ...]], solve: Callable,
+                  symmetries: Sequence) -> dict:
+    """The result of ``solve(key, start)``, or the SolverError it raised, for each
+    key (a tuple of labels) in order.  A result certified by Newton hands each
+    symmetry's image of its key, unless solved or started already, the
+    transported pair.  The symmetries form a group, so the images of a key
+    certified from a start are those of its source, all solved or started."""
+    results: dict = {}
+    starts: dict = {}
+    for key in keys:
+        try:
+            res = results[key] = solve(key, starts.pop(key, None))
+        except SolverError as exc:
+            results[key] = exc
+            continue
+        if res.iterations == 0:
+            continue
+        for w, u, perm in symmetries:
+            image = tuple(perm[x] for x in key)
+            if image not in results and image not in starts:
+                starts[image] = (w @ res.optimizer.choi.mat @ w.conj().T,
+                                 u @ res.dual_certificate.mat @ u.conj().T)
+    return results
+
+
+def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
+                     symmetries: Sequence = ()) -> dict[str, float | str]:
     """Dual value of max_channel p(x) (an upper estimate within ``tol``) for each
     outcome x of each test of nonzero weight, restricted to ``labels`` if given;
     a failed solve is kept as its error message."""
-    maxima: dict[str, float | str] = {}
-    for weight, tester in zip(scenario.weights, scenario.testers()):
-        if weight == 0.0:
-            continue
-        for label, element in tester.elements:
-            if labels is not None and label not in labels:
-                continue
-            try:
-                maxima[label] = maximize_over_channels(element, tol=tol).dual_value
-            except SolverError as exc:
-                maxima[label] = f"per-test maximum for {label!r} failed: {exc}"
-    return maxima
+    elements = {(label,): element
+                for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
+                for label, element in tester.elements if labels is None or label in labels}
+    results = _solve_orbits(
+        elements, lambda key, start: maximize_over_channels(elements[key], tol=tol, start=start),
+        symmetries)
+    return {label: res.dual_value if isinstance(res, ChannelOptResult)
+            else f"per-test maximum for {label!r} failed: {res}"
+            for (label,), res in results.items()}
+
+
+def _exact_bounds(scenario: Scenario, combos: Iterable[tuple[str, ...]], tol: float,
+                  symmetries: Sequence = ()) -> dict:
+    """``exact_bound`` of each combination, or the SolverError it raised."""
+    return _solve_orbits(
+        combos, lambda combo, start: exact_bound(scenario, combo, tol=tol, start=start),
+        symmetries)
 
 
 def _weighted_maxima(scenario: Scenario, combination: tuple[str, ...],
@@ -112,11 +179,12 @@ def upper_bound(scenario: Scenario, combination: Sequence[str]) -> float:
     return scenario.d_in * operator_norm(objective, require_psd=True)
 
 
-def exact_bound(scenario: Scenario, combination: Sequence[str],
-                tol: float = 1e-6) -> ChannelOptResult:
-    """Certified maximum of the weighted combination probability over channels."""
+def exact_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1e-6,
+                start: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelOptResult:
+    """Certified maximum of the weighted combination probability over channels;
+    ``start`` is a candidate pair handed to ``maximize_over_channels``."""
     objective = objective_operator(scenario, combination)
-    return maximize_over_channels(objective, tol=tol)
+    return maximize_over_channels(objective, tol=tol, start=start)
 
 
 def subset_bound(scenario: Scenario, subsets: Sequence[Sequence[str]],
@@ -247,6 +315,7 @@ class BoundReport:
 
     A bound that was skipped, or whose solve failed, is None; ``error`` then
     says which solve failed.  ``tradeoff`` needs both ``trivial`` and ``exact``.
+    ``iterations`` counts the Newton steps behind ``exact``, 0 for a certified start.
     """
 
     combination: tuple[str, ...]
@@ -260,6 +329,7 @@ class BoundReport:
     optimizer: Channel | None
     tol: float = 1e-6
     error: str | None = None
+    iterations: int | None = None
 
     def __post_init__(self):
         if self.exact is not None and self.exact > self.upper + 1e-8:
@@ -275,22 +345,22 @@ class BoundReport:
 
 
 def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
-            maxima: dict[str, float | str] | None, skip_exact: bool) -> BoundReport:
-    """Every requested bound for one combination (``maxima`` None skips the trivial
-    one); they are computed independently, so their inequalities are cross-checks."""
+            maxima: dict[str, float | str] | None,
+            exact: ChannelOptResult | SolverError | None) -> BoundReport:
+    """Every requested bound for one combination (``maxima`` or ``exact`` None skips
+    that bound); they are computed independently, so their inequalities are
+    cross-checks."""
     spectral = tightness_check(scenario, combination)
-    trivial = exact = None
+    trivial = None
     errors = []
     if maxima is not None:
         try:
             trivial = _weighted_maxima(scenario, combination, maxima)
         except SolverError as exc:
             errors.append(str(exc))
-    if not skip_exact:
-        try:
-            exact = exact_bound(scenario, combination, tol=tol)
-        except SolverError as exc:
-            errors.append(f"exact bound failed: {exc}")
+    if isinstance(exact, SolverError):
+        errors.append(f"exact bound failed: {exact}")
+        exact = None
     if exact is not None and spectral.tight and not agrees(exact, spectral.upper):
         raise ValidationError(
             f"tightness certified but exact {exact.value!r} != upper {spectral.upper!r}")
@@ -308,6 +378,7 @@ def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
         optimizer=None if exact is None else exact.optimizer,
         tol=float(tol),
         error="; ".join(errors) or None,
+        iterations=None if exact is None else exact.iterations,
     )
 
 
@@ -315,8 +386,8 @@ def bound_report(scenario: Scenario, combination: Sequence[str],
                  tol: float = 1e-6) -> BoundReport:
     """Every bound for one combination; a failed solve is recorded as ``error``."""
     combination = _check_combination(scenario, combination)
-    return _report(scenario, combination, tol,
-                   _per_test_maxima(scenario, tol, combination), skip_exact=False)
+    return _report(scenario, combination, tol, _per_test_maxima(scenario, tol, combination),
+                   _exact_bounds(scenario, [combination], tol)[combination])
 
 
 def all_combinations(scenario: Scenario, cap: int | None = None) -> list[tuple[str, ...]]:
@@ -336,14 +407,17 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     """Bound reports for every combination (lexicographic order).
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
-    per-test maxima feeding the trivial bound are solved once per outcome.
-    ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
-    None.  A failed solve is the ``error`` of every report that needed it.
+    per-test maxima feeding the trivial bound are solved once per outcome, and
+    symmetries are detected once unless both bounds are skipped.  ``skip_exact``
+    and ``skip_trivial`` leave those bounds (and ``tradeoff``) None.  A failed
+    solve is the ``error`` of every report that needed it.
     """
     check_tol(tol)
     combos = all_combinations(scenario, cap)
-    maxima = None if skip_trivial else _per_test_maxima(scenario, tol)
-    return [_report(scenario, combo, tol, maxima, skip_exact) for combo in combos]
+    symmetries = [] if skip_exact and skip_trivial else _symmetries(scenario)
+    maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
+    exact = {} if skip_exact else _exact_bounds(scenario, combos, tol, symmetries)
+    return [_report(scenario, combo, tol, maxima, exact.get(combo)) for combo in combos]
 
 
 _JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_degenerate",

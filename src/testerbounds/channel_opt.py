@@ -35,7 +35,7 @@ from math import ceil, isfinite, sqrt
 
 import numpy as np
 
-from .linalg import DimensionError, HermitianOperator
+from .linalg import DimensionError, HermitianOperator, ValidationError
 from .sampling import haar_isometries
 from .testers import Channel, channel_from_choi, channel_from_kraus
 
@@ -159,14 +159,28 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> ChannelOptResult:
+def _channel(jfix: np.ndarray, dims: tuple[int, ...]) -> Channel | None:
+    """A repaired primal as a channel, or None when rounding left it outside the set."""
+    try:
+        return channel_from_choi(HermitianOperator(jfix, dims))
+    except ValidationError:
+        return None
+
+
+def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
+                           start: tuple[np.ndarray, np.ndarray] | None = None,
+                           ) -> ChannelOptResult:
     """Maximize tr[M J] over channels, certified to the requested duality gap.
 
     ``m`` must be Hermitian on in(x)out (positivity is not required).  Raises
     SolverError, carrying the best bracket found, if the linear algebra fails or
     the stage at the smallest barrier parameter, tol / (64 d_in d_out), does
     not certify the gap: repeating it would restart centered and certify the
-    same pair.
+    same pair.  A repaired primal that is not a channel is never reported.
+
+    ``start``, a pair (J, Y), is checked like a stage: if it certifies, the
+    result has ``iterations == 0``; if not, it seeds the best pair of the usual
+    path; if its checks fail, it counts as no start.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
@@ -175,13 +189,6 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> Ch
     a = m.mat
     n_total = d_in * d_out
     lift = _lift_index(d_in, d_out)
-
-    evals_a = np.linalg.eigvalsh(a)
-    lam_max, lam_min = float(evals_a[-1]), float(evals_a[0])
-    spread = max(lam_max - lam_min, 1.0, abs(lam_max))
-    y = (lam_max + 0.1 * spread) * np.eye(d_in)
-    mu = (0.1 * spread + 0.5 * (lam_max - lam_min)) / d_out
-    mu_floor = tol / (64 * n_total)
 
     iterations = 0
     history: list[tuple[float, float]] = []
@@ -192,8 +199,61 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> Ch
         """SolverError carrying the best certified pair, none before the first stage."""
         if best_primal is None or best_dual is None:
             return SolverError(message)
-        return SolverError(message, best_primal[0], best_dual[0],
-                           channel_from_choi(HermitianOperator(best_primal[1], m.dims)))
+        optimizer = _channel(best_primal[1], m.dims)
+        return SolverError(message, None if optimizer is None else best_primal[0],
+                           best_dual[0], optimizer)
+
+    def certify(j_cand: np.ndarray, y_cand: np.ndarray) -> ChannelOptResult | None:
+        """Repair one stage's pair into the best pair; the result once it certifies.
+        Both repaired iterates are exactly feasible, so the best sides bracket
+        the optimum even when they come from different stages."""
+        nonlocal best_primal, best_dual
+        value, jfix = _repair_primal(a, j_cand, d_in, d_out)
+        dual_value, y_feas, dual_min = _repair_dual(a, y_cand, lift)
+        history.append((value, dual_value))
+        if best_primal is None or value > best_primal[0]:
+            best_primal = (value, jfix)
+        if best_dual is None or dual_value < best_dual[0]:
+            best_dual = (dual_value, y_feas, dual_min)
+        gap = best_dual[0] - best_primal[0]
+        scale = max(1.0, abs(best_primal[0]), abs(best_dual[0]))
+        if gap < -1e-10 * scale:
+            raise failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
+        if gap > tol:
+            return None
+        optimizer = _channel(best_primal[1], m.dims)
+        if optimizer is None:
+            raise failure("repaired primal is not a channel")
+        return ChannelOptResult(
+            value=best_primal[0],
+            optimizer=optimizer,
+            dual_value=best_dual[0],
+            dual_certificate=HermitianOperator(best_dual[1], (d_in,)),
+            gap=max(gap, 0.0),
+            tol=tol,
+            dual_min_eig=best_dual[2],
+            iterations=iterations,
+            history=tuple(history),
+        )
+
+    if start is not None:
+        try:
+            res = certify(*start)
+        except (np.linalg.LinAlgError, SolverError):
+            res = best_primal = None
+        if res is not None:
+            return res
+        if best_primal is None or _channel(best_primal[1], m.dims) is None:
+            # a start that fails its checks counts as no start
+            history.clear()
+            best_primal = best_dual = None
+
+    evals_a = np.linalg.eigvalsh(a)
+    lam_max, lam_min = float(evals_a[-1]), float(evals_a[0])
+    spread = max(lam_max - lam_min, 1.0, abs(lam_max))
+    y = (lam_max + 0.1 * spread) * np.eye(d_in)
+    mu = (0.1 * spread + 0.5 * (lam_max - lam_min)) / d_out
+    mu_floor = tol / (64 * n_total)
 
     try:
         # Y moves along exactly Hermitian directions, so S needs no re-symmetrizing
@@ -214,35 +274,12 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL) -> Ch
                 y = y + delta / (1.0 + r)
                 sinv = _hermitize(np.linalg.inv(_slack(y, a, lift)))
 
-            # certify the current stage: both repaired iterates are exactly
-            # feasible, so (value, dual_value) brackets the optimum even when
-            # the two sides come from different stages
-            value, jfix = _repair_primal(a, mu * sinv, d_in, d_out)
-            dual_value, y_feas, dual_min = _repair_dual(a, y, lift)
-            history.append((value, dual_value))
-            if best_primal is None or value > best_primal[0]:
-                best_primal = (value, jfix)
-            if best_dual is None or dual_value < best_dual[0]:
-                best_dual = (dual_value, y_feas, dual_min)
-            gap = best_dual[0] - best_primal[0]
-            scale = max(1.0, abs(best_primal[0]), abs(best_dual[0]))
-            if gap < -1e-10 * scale:
-                raise failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
-            if gap <= tol:
-                return ChannelOptResult(
-                    value=best_primal[0],
-                    optimizer=channel_from_choi(HermitianOperator(best_primal[1], m.dims)),
-                    dual_value=best_dual[0],
-                    dual_certificate=HermitianOperator(best_dual[1], (d_in,)),
-                    gap=max(gap, 0.0),
-                    tol=tol,
-                    dual_min_eig=best_dual[2],
-                    iterations=iterations,
-                    history=tuple(history),
-                )
+            res = certify(mu * sinv, y)
+            if res is not None:
+                return res
             if mu <= mu_floor:
-                raise failure(f"gap {gap:.3e} not certified at the smallest barrier "
-                              "parameter")
+                raise failure(f"gap {best_dual[0] - best_primal[0]:.3e} not certified at "
+                              "the smallest barrier parameter")
             mu = max(mu / _MU_SHRINK, mu_floor)
     except np.linalg.LinAlgError as exc:
         raise failure(f"numerical failure: {exc}") from exc

@@ -16,7 +16,9 @@ from .bounds import (
     agrees,
     exact_bound,
     qubit_meb_optimizer,
+    scenario_report,
     tightness_check,
+    trivial_bound,
     upper_bound,
 )
 from .linalg import EQUALITY_ATOL, STATE_ATOL, HermitianOperator, basis_transpose, partial_trace
@@ -227,6 +229,25 @@ def check_qubit_meb_optimal(rng: np.random.Generator, trials: int,
                        f"{trials} random qubit MEB pairs")
 
 
+def check_orbit_reuse(rng: np.random.Generator, trials: int,
+                      tol: float = 1e-6) -> CheckResult:
+    """Every entry of a report that reuses symmetry orbits is within ``tol`` of
+    the direct solves, and some entry came from a transported start."""
+    worst, starts = 0.0, 0
+    for _ in range(trials):
+        d, w = int(rng.integers(2, 4)), float(rng.uniform(0.1, 0.9))
+        scenario = meb_scenario(_random_meb(d, rng), _random_meb(d, rng), (w, 1.0 - w))
+        for r in scenario_report(scenario, tol=tol):
+            if r.error is not None:  # a failed entry has no bounds to compare
+                worst = np.inf
+                continue
+            worst = max(worst, abs(r.exact - exact_bound(scenario, r.combination, tol=tol).value),
+                        abs(r.trivial - trivial_bound(scenario, r.combination, tol=tol)))
+            starts += r.iterations == 0
+    return CheckResult("orbit_reuse_matches_direct_solve", worst <= tol and starts > 0, worst,
+                       f"{trials} random MEB scenarios (d = 2, 3), {starts} entries from a start")
+
+
 def run_all(seed: int, trials: int, tol: float = 1e-6,
             inject_fault: bool = False) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
@@ -239,4 +260,5 @@ def run_all(seed: int, trials: int, tol: float = 1e-6,
         check_uniform_marginal_unit_cap(rng, trials),
         check_meb_pair_norm_formula(rng, max(2, trials // 2)),
         check_qubit_meb_optimal(rng, max(2, trials // 2), tol=tol),
+        check_orbit_reuse(rng, max(2, trials // 8), tol=tol),
     ]

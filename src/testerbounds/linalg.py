@@ -192,6 +192,15 @@ def operator_norm(op: HermitianOperator, require_psd: bool = False) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def shift_clock(d: int) -> np.ndarray:
+    """The d^2 shift-clock unitaries X^p Z^q, X|j> = |j+1 mod d> and Z|j> = omega^j |j>,
+    ordered by (p, q) from the identity, as a (d^2, d, d) stack."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    return np.stack([np.linalg.matrix_power(shift, p) @ np.linalg.matrix_power(clock, q)
+                     for p in range(d) for q in range(d)])
+
+
 def maximally_entangled_ket(d: int) -> Ket:
     """The ket (1/sqrt(d)) * sum_i |i,i> on two d-dimensional factors."""
     if d < 1:

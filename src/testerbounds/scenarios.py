@@ -29,6 +29,7 @@ from .linalg import (
     maximally_entangled_ket,
     maximally_entangled_state,
     partial_trace,
+    shift_clock,
 )
 from .testers import Scenario, Test, scenario_from_json, scenario_to_json
 
@@ -94,20 +95,12 @@ def generalized_bell_basis(d: int) -> MEB:
     """Bell-type basis from shift-clock unitaries X^a Z^b, phase-normalized."""
     if d < 2:
         raise DimensionError("dimension must be >= 2")
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(omega ** np.arange(d))
     psi_plus = maximally_entangled_ket(d).amps
     kets, gens = [], []
-    for a in range(d):
-        for b in range(d):
-            u = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            amps = _fix_phase(np.kron(np.eye(d), u) @ psi_plus)
-            u_fixed = np.sqrt(d) * amps.reshape(d, d).T
-            kets.append(Ket(amps, (d, d)))
-            gens.append(u_fixed)
+    for u in shift_clock(d):
+        amps = _fix_phase(np.kron(np.eye(d), u) @ psi_plus)
+        kets.append(Ket(amps, (d, d)))
+        gens.append(np.sqrt(d) * amps.reshape(d, d).T)
     return MEB(kets, gens)
 
 

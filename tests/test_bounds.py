@@ -21,11 +21,13 @@ from testerbounds.bounds import (
     unitary_from_max_entangled,
     upper_bound,
 )
+from testerbounds.cli import GEN_KINDS, _build_scenario
 from testerbounds.linalg import (
     DimensionError,
     HermitianOperator,
     Ket,
     ValidationError,
+    dumps_canonical,
     eig_hermitian,
     maximally_entangled_ket,
     operator_norm,
@@ -467,9 +469,9 @@ class TestReports:
         solve = bounds.maximize_over_channels
         solved = []
 
-        def recording(m, tol):
+        def recording(m, tol, start=None):
             solved.append(m.mat)
-            return solve(m, tol=tol)
+            return solve(m, tol=tol, start=start)
 
         monkeypatch.setattr(bounds, "maximize_over_channels", recording)
         reports = scenario_report(s0, tol=1e-7, skip_exact=True)
@@ -521,3 +523,47 @@ class TestReports:
         res = exact_bound(s, combo, tol=1e-8)
         assert res.value <= ub + 1e-8
         print(f"d=3 entangled-basis pair: upper - exact = {ub - res.value:.3e}")
+
+
+class TestOrbitReuse:
+    """Reports solve once per symmetry orbit; the direct solves are the oracle."""
+
+    @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
+                                        if kind != "mub-meb-2qubit" or d == 2])
+    def test_newton_once_per_orbit(self, kind, d, monkeypatch):
+        s = _build_scenario(kind, d)
+        symmetries = bounds._symmetries(s)
+        assert symmetries
+
+        def orbit(key):
+            return frozenset([key, *(tuple(perm[x] for x in key) for _, _, perm in symmetries)])
+
+        labels = {id(op): label for tester in s.testers() for label, op in tester.elements}
+        solve = bounds.maximize_over_channels
+        newton = []
+
+        def recording(m, tol, start=None):
+            res = solve(m, tol=tol, start=start)
+            if id(m) in labels and res.iterations > 0:
+                newton.append(orbit((labels[id(m)],)))
+            return res
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", recording)
+        reports = scenario_report(s, tol=1e-6)
+        monkeypatch.undo()
+        newton += [orbit(r.combination) for r in reports if r.iterations > 0]
+        assert len(newton) == len(set(newton))
+        assert any(r.iterations == 0 for r in reports)
+        for r in reports:
+            assert r.error is None and 0.0 <= r.gap <= 1e-6
+            assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
+            assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
+
+    @pytest.mark.parametrize("seed,d_in,d_out", [(3, 3, 2), (4, 2, 2), (5, 3, 3)])
+    def test_random_scenario_has_no_symmetry(self, seed, d_in, d_out):
+        s = random_scenario(np.random.default_rng(seed), n_tests=2, d_anc=2, d_in=d_in,
+                            d_out=d_out, n_outcomes=3)
+        assert bounds._symmetries(s) == []
+        direct = [report_to_json(bound_report(s, c, tol=1e-6)) for c in all_combinations(s)]
+        reused = [report_to_json(r) for r in scenario_report(s, tol=1e-6)]
+        assert dumps_canonical({"reports": reused}) == dumps_canonical({"reports": direct})

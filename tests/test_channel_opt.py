@@ -19,6 +19,7 @@ from testerbounds.linalg import (
     maximally_entangled_ket,
     operator_norm,
     partial_trace,
+    shift_clock,
 )
 from testerbounds.sampling import haar_unitary, random_scenario
 from testerbounds.scenarios import meb_scenario, mub_meb_pair_2qubit
@@ -205,7 +206,7 @@ class TestDampedStep:
 
     # step counts do not depend on the machine, so the budgets are exact guards
     @pytest.mark.parametrize("scenario,solves,budget", [
-        (lambda: meb_scenario(*mub_meb_pair_2qubit()), 24, 420),
+        (lambda: meb_scenario(*mub_meb_pair_2qubit()), 24, 60),
         (lambda: random_scenario(np.random.default_rng(0), n_tests=2, d_anc=3, d_in=3,
                                  d_out=3, n_outcomes=3), 15, 650),
     ], ids=["mub-meb-2qubit", "random-3x3"])
@@ -213,8 +214,8 @@ class TestDampedStep:
         solve = bounds.maximize_over_channels
         steps = []
 
-        def recording(m, tol):
-            res = solve(m, tol=tol)
+        def recording(m, tol, start=None):
+            res = solve(m, tol=tol, start=start)
             steps.append(res.iterations)
             return res
 
@@ -224,8 +225,79 @@ class TestDampedStep:
         assert sum(steps) <= budget
 
 
+class TestStart:
+    """A start pair is certified before any Newton step and never trusted blindly."""
+
+    @staticmethod
+    def transported(res, u, v):
+        w = np.kron(u, v)
+        return (w @ res.optimizer.choi.mat @ w.conj().T,
+                u @ res.dual_certificate.mat @ u.conj().T)
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (1, 3), (3, 3)])
+    def test_transported_start_certifies(self, d_in, d_out):
+        m = random_psd(np.random.default_rng(4), d_in, d_out)
+        res = maximize_over_channels(m, tol=1e-6)
+        u, v = shift_clock(d_in)[-1], shift_clock(d_out)[1]
+        w = np.kron(u, v)
+        image = HermitianOperator(w @ m.mat @ w.conj().T, (d_in, d_out))
+        moved = maximize_over_channels(image, tol=1e-6, start=self.transported(res, u, v))
+        assert moved.iterations == 0 and len(moved.history) == 1
+        assert 0.0 <= moved.gap <= 1e-6
+        assert moved.value == pytest.approx(res.value, abs=1e-12)
+        assert np.trace(image.mat @ moved.optimizer.choi.mat).real == \
+            pytest.approx(moved.value, abs=1e-12)
+
+    def test_wrong_starts_fall_back(self):
+        m = random_psd(np.random.default_rng(6), 3, 2)
+        direct = maximize_over_channels(m, tol=1e-6)
+        other = maximize_over_channels(random_psd(np.random.default_rng(7), 3, 2), tol=1e-6)
+        u, v = shift_clock(3)[4], shift_clock(2)[3]
+        for start in (self.transported(other, u, v), (np.eye(6) / 2, np.zeros((3, 3)))):
+            res = maximize_over_channels(m, tol=1e-6, start=start)
+            assert res.iterations > 0 and len(res.history) > 1
+            assert 0.0 <= res.gap <= 1e-6
+            assert abs(res.value - direct.value) <= 1e-6
+
+    @staticmethod
+    def near_singular_choi():
+        """A Choi candidate whose input marginal has eigenvalues near 1 and 1e-13:
+        its repair is not a channel in floating point."""
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = np.kron(haar_unitary(2, rng) @ np.diag(np.sqrt([1.0, 1e-13])), np.eye(2)) @ g
+        j = b @ b.conj().T
+        assert channel_opt._channel(channel_opt._repair_primal(
+            np.zeros((4, 4)), j, 2, 2)[1], (2, 2)) is None
+        return j
+
+    @pytest.mark.parametrize("choi", [lambda: np.kron(np.diag([1.0, 0.0]), np.eye(2)),
+                                      near_singular_choi],
+                             ids=["singular-marginal", "repairs-to-non-channel"])
+    def test_unrepairable_start_is_no_start(self, choi):
+        m = random_psd(np.random.default_rng(2), 2, 2)
+        direct = maximize_over_channels(m, tol=1e-6)
+        res = maximize_over_channels(m, tol=1e-6, start=(choi(), direct.dual_certificate.mat))
+        assert (res.value, res.dual_value, res.iterations, res.history) == \
+            (direct.value, direct.dual_value, direct.iterations, direct.history)
+
+
 class TestNumericalFailure:
     """A linear-algebra failure inside the solver surfaces as SolverError."""
+
+    def test_non_channel_primal_is_never_reported(self):
+        # the iterates of this objective reach a nearly singular input marginal,
+        # and rounding leaves their repaired primal outside the channels
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = g @ g.conj().T
+        a = a / np.trace(a).real * 1e8
+        m = HermitianOperator((a + a.conj().T) / 2, (3, 2))
+        with pytest.raises(SolverError) as exc_info:
+            maximize_over_channels(m, tol=1e-6)
+        err = exc_info.value
+        assert err.dual_value is not None
+        assert (err.optimizer is None) == (err.value is None)
 
     @pytest.mark.parametrize("seed,shape,scale", [(5, (4, 4), 1e6), (20, (3, 3), 1e8),
                                                   (31, (3, 2), 1e8)])

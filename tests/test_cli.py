@@ -141,10 +141,10 @@ class TestBound:
         failing = scenario.testers()[0].element("x1_2").mat
         solve = bounds.maximize_over_channels
 
-        def flaky(m, tol):
+        def flaky(m, tol, start=None):
             if np.array_equal(m.mat, failing):
                 raise SolverError("injected failure")
-            return solve(m, tol=tol)
+            return solve(m, tol=tol, start=start)
 
         monkeypatch.setattr(bounds, "maximize_over_channels", flaky)
         code, out, err = run_cli(capsys, "bound", str(mub_meb_file))
