@@ -8,9 +8,10 @@ the left factor is the slow index, i.e. the composite basis index of
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -253,15 +254,11 @@ def check_povm(effects: Sequence[HermitianOperator]) -> None:
 
 
 # JSON encoding shared by every module: matrices are
-#   {"dims": [d1, d2, ...], "data": [[[re, im], ...], ...]}   (row-major)
-# and vectors are
-#   {"dims": [...], "amps": [[re, im], ...]}.
+#   {"dims": [d1, d2, ...], "data": [[[re, im], ...], ...]}   (row-major).
 
 def _entries_to_json(arr: np.ndarray) -> list:
     # + 0.0 canonicalizes negative zeros so files round-trip byte-identically
-    if arr.ndim == 1:
-        return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in arr]
-    return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row] for row in arr]
+    return (np.stack([arr.real, arr.imag], axis=-1) + 0.0).tolist()
 
 
 def _entries_from_json(data: list, ndim: int) -> np.ndarray:
@@ -279,6 +276,60 @@ def operator_from_json(obj: dict) -> HermitianOperator:
     return HermitianOperator(_entries_from_json(obj["data"], 2), obj["dims"])
 
 
-def dumps_canonical(obj: dict) -> str:
-    """Deterministic JSON text used for files and reports."""
-    return json.dumps(obj, indent=2, sort_keys=False)
+def dumps_canonical(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``: ASCII-escaped text, a 2-space indent, key
+    order as built.  That encoder is pure Python once an indent is set; this one joins one
+    list once and writes a list of finite ``[float, float]`` pairs (a matrix row) as one
+    join of ``float.__repr__`` texts and separators fixed by depth and length."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_json(x) -> str:
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if not isinstance(x, (int, float)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    text = (float.__repr__ if isinstance(x, float) else int.__repr__)(x)
+    return _FLOAT_NAMES.get(text, text)
+
+
+def _pairs_json(items: list, nl: str) -> str | None:
+    """A list of finite [float, float] pairs opened after newline-and-indent ``nl``, else None."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(items))
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None  # an overflowing sum of finite values only costs the generic path
+    row, pair = nl + "  ", nl + "    "
+    parts = [f"[{row}[{pair}"] * (2 * len(flat) + 1)
+    parts[2::2] = ([f",{pair}", f"{row}],{row}[{pair}"] * (len(items) - 1)
+                   + [f",{pair}", f"{row}]{nl}]"])
+    parts[1::2] = map(float.__repr__, flat)
+    return "".join(parts)
+
+
+def _write_json(obj, nl: str, out: list[str]) -> None:
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif not isinstance(obj, (list, tuple, dict)):
+        out.append(_scalar_json(obj))
+    elif isinstance(obj, dict):
+        out.append("{" + (inner := nl + "  "))
+        for key, value in obj.items():
+            out.append(_escape(key if isinstance(key, str) else _scalar_json(key)) + ": ")
+            _write_json(value, inner, out)
+            out.append("," + inner)
+        out[-1] = nl + "}" if obj else "{}"
+    elif (text := _pairs_json(obj, nl)) is not None:
+        out.append(text)
+    else:
+        out.append("[" + (inner := nl + "  "))
+        for item in obj:
+            _write_json(item, inner, out)
+            out.append("," + inner)
+        out[-1] = nl + "]" if obj else "[]"

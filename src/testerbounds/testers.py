@@ -403,18 +403,13 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def channel_to_json(ch: Channel) -> dict:
-    out: dict = {"kind": ch.kind, "d_in": ch.d_in, "d_out": ch.d_out}
-    if ch.kind == "unitary":
-        out["data"] = _entries_to_json(np.asarray(ch.data))
-    elif ch.kind == "kraus":
-        out["data"] = [_entries_to_json(np.asarray(k)) for k in ch.data]
-    elif ch.kind == "constant":
-        out["data"] = _entries_to_json(ch.data.mat)
-    elif ch.kind == "choi":
-        out["data"] = _entries_to_json(ch.choi.mat)
+    if ch.kind in ("unitary", "kraus"):
+        data = np.asarray(ch.data)
+    elif ch.kind in ("constant", "choi"):
+        data = (ch.data if ch.kind == "constant" else ch.choi).mat
     else:
         raise ValidationError(f"unknown channel kind {ch.kind!r}")
-    return out
+    return {"kind": ch.kind, "d_in": ch.d_in, "d_out": ch.d_out, "data": _entries_to_json(data)}
 
 
 def channel_from_json(obj: dict) -> Channel:

@@ -319,6 +319,40 @@ class TestSimulate:
         assert code == 2
 
 
+class TestOutputBytes:
+    """Every command writes exactly json.dumps(obj, indent=2), to stdout or --out."""
+
+    @staticmethod
+    def check(capsys, tmp_path, *args):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        path = tmp_path / "out.json"
+        assert main([*args, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == out.encode("ascii")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["state-mub", "example1", "example2", "meb", "mub-meb-2qubit"])
+    def test_gen(self, capsys, tmp_path, kind, d):
+        self.check(capsys, tmp_path, "gen", kind, "--d", str(d))
+
+    @pytest.mark.parametrize("skips", [[], ["--skip-exact"], ["--skip-trivial"],
+                                       ["--skip-exact", "--skip-trivial"]])
+    @pytest.mark.parametrize("kind,d", [("mub-meb-2qubit", 2), ("meb", 3)])
+    def test_bound(self, capsys, tmp_path, kind, d, skips):
+        path = tmp_path / "s.json"
+        assert main(["gen", kind, "--d", str(d), "--out", str(path)]) == 0
+        self.check(capsys, tmp_path, "bound", str(path), *skips)
+
+    def test_verify(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, "verify", "--trials", "2")
+
+    def test_simulate(self, capsys, tmp_path, mub_meb_file, unitary_channel_file):
+        self.check(capsys, tmp_path, "simulate", str(mub_meb_file), str(unitary_channel_file),
+                   "--n", "2000")
+
+
 class TestTopLevel:
     def test_no_command_usage_error(self, capsys):
         assert main([]) == 2

@@ -1,11 +1,16 @@
 """Tests for the dense multi-partite operator algebra."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from testerbounds.linalg import (
+    _entries_from_json,
+    _entries_to_json,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -15,6 +20,7 @@ from testerbounds.linalg import (
     check_povm,
     check_state,
     conjugate_ket,
+    dumps_canonical,
     eig_hermitian,
     kron,
     maximally_entangled_ket,
@@ -30,6 +36,41 @@ def random_hermitian(rng, dims):
     n = int(np.prod(dims))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return HermitianOperator((g + g.conj().T) / 2, dims)
+
+
+def entries_oracle(arr):
+    """The element-wise complex codec the vectorized one replaced."""
+    return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row] for row in arr]
+
+
+# JSON values for the writer's oracle: every scalar json.dumps accepts, text with
+# non-ASCII, control and quote characters, and lists of [re, im] pairs beside
+# near-misses that must take the generic path.
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2028", "\U0001f600", ""])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 40), 10 ** 40)
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | _TEXT)
+_PAIR = st.lists(_FINITE, min_size=2, max_size=2)
+_NEAR_PAIR = (st.tuples(_FINITE, st.integers()).map(list)
+              | st.tuples(st.booleans(), _FINITE).map(list)
+              | st.tuples(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf])).map(list)
+              | st.lists(_FINITE, min_size=3, max_size=3))
+_PAIR_LISTS = st.lists(_PAIR, min_size=1) | st.lists(_PAIR | _NEAR_PAIR | _FINITE, min_size=1)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    _SCALARS | _PAIR_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20)
+
+# explicit near-misses and depths; an indent off by one level fails each nested one
+JSON_CASES = [
+    [], {}, [[]], [{}], {"a": [], "b": {}}, [[1.0, 2.0]], [[1.0, -0.0], [1e-300, 1e300]],
+    {"data": [[[0.5, -0.25], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.25]]]},
+    {"k": [{"data": [[[1.0, 2.0]]]}]}, [[1, 2.0]], [[1.0, True]], [[math.nan, 1.0]],
+    [[1.0, math.inf]], [[1.0, 2.0, 3.0]], [[1.0, 2.0], 3.0], [[1.0, 2.0], [1.0]],
+    [(1.0, 2.0)], [[1e308, 1e308], [1e308, 1e308]], {1: None, 1.5: True, False: "\u00e9"},
+    ("a", 10 ** 40, -0.0, math.nan, -math.inf),
+]
 
 
 def random_unit(rng, n):
@@ -344,6 +385,46 @@ class TestJson:
         back = operator_from_json(operator_to_json(op))
         assert back.dims == op.dims
         assert np.array_equal(back.mat, op.mat)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 5), (6, 6)])
+    def test_entries_match_elementwise_codec(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        arr[0, 0] = complex(-0.0, -0.0)
+        arr[-1, 0] = complex(0.0, -0.0)
+        arr[0, -1] *= 1e-310  # subnormal parts
+        out = _entries_to_json(arr)
+        assert repr(out) == repr(entries_oracle(arr))  # repr tells -0.0 from 0.0
+        flat = np.ravel(out)
+        assert not np.signbit(flat[flat == 0]).any()
+        assert np.array_equal(_entries_from_json(out, 2), arr)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_entries_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 7, size=2)
+        arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        arr[rng.random((rows, cols)) < 0.3] = 0.0
+        out = _entries_to_json(arr)
+        assert repr(out) == repr(entries_oracle(arr))
+        assert np.array_equal(_entries_from_json(json.loads(dumps_canonical(out)), 2), arr)
+
+    @pytest.mark.parametrize("value", JSON_CASES, ids=repr)
+    def test_writer_cases_match_json(self, value):
+        assert dumps_canonical(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_writer_matches_json(self, value):
+        assert dumps_canonical(value) == json.dumps(value, indent=2)
+
+    def test_writer_rejects_what_json_rejects(self):
+        for value in ({(1, 2): 0}, {"x": {1, 2}}, [np.float32(1.0)], object()):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                dumps_canonical(value)
 
     def test_malformed_entries(self):
         with pytest.raises(ValidationError):
