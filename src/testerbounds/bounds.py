@@ -14,14 +14,15 @@ strictly below the trivial one.
 
 ``scenario_report`` is the one pipeline behind every report: it solves each
 per-test maximum once per outcome, takes the norm cap and its tightness from one
-eigendecomposition per combination, and records a failed solve as ``error``.
-It solves once per symmetry orbit: a W = U (x) V of shift-clock unitaries that
-permutes each tester's elements maps the objective M of an outcome or a
-combination to W M W^dag, that of its image, and a certified pair (J, Y) to
-(W J W^dag, U Y U^dag), so bounds within an orbit coincide and each image
-starts from the transported pair, certified before any Newton step.
-``exact_bound``, ``trivial_bound`` and ``bound_report`` take no start; they
-are the oracle.
+eigendecomposition, and records a failed solve as ``error``.  It works once
+per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes each
+tester's elements maps the objective M of an outcome or a combination to
+W M W^dag, that of its image, and a certified pair (J, Y) to
+(W J W^dag, U Y U^dag), so bounds within an orbit coincide.  Each image
+starts its solves from the transported pair, certified before any Newton
+step, and takes its source's norm cap and tightness once its own objective
+is checked to equal W M W^dag.  ``exact_bound``, ``trivial_bound``,
+``bound_report`` and ``tightness_check`` reuse nothing; they are the oracle.
 """
 
 from __future__ import annotations
@@ -70,59 +71,100 @@ def objective_operator(scenario: Scenario, combination: Sequence[str]) -> Hermit
     return _weighted_elements(scenario, [[x] for x in _check_combination(scenario, combination)])
 
 
-def _symmetries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray, dict[str, str]]]:
-    """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
+class _Relabelling:
+    """perm[x] = y when W T(x) W^dag = T(y), read off one row of label indices
+    shared with the other symmetries of a scenario."""
+
+    __slots__ = ("_index", "_labels", "_row")
+
+    def __init__(self, index: dict[str, int], labels: list[str], row: np.ndarray):
+        self._index, self._labels, self._row = index, labels, row
+
+    def __getitem__(self, label: str) -> str:
+        return self._labels[self._row[self._index[label]]]
+
+
+def _symmetries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray, _Relabelling]]:
+    """(U, V, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
     maps the fingerprints <r|T|r> of each tester's elements one to one onto
     its own (r is one fixed generic vector); perm[x] = y when W T(x) W^dag = T(y).
-    A false match needs no guard: its starts fail their certification."""
+    A false match is caught downstream: its starts fail their certification and
+    its spectral reuse fails the objective check."""
     d_in, d_out = scenario.d_in, scenario.d_out
     us, vs = shift_clock(d_in), shift_clock(d_out)
     k = np.arange(1.0, d_in * d_out + 1)
     r = (np.exp(1j * np.sqrt(2) * k * k) / np.sqrt(k)).reshape(d_in, d_out)
     r /= np.linalg.norm(r)
-    # row 0 is the identity, so row 0 of each fingerprint table is the tester's own
-    moved = (us.conj().transpose(0, 2, 1)[:, None] @ r @ vs.conj()).reshape(-1, r.size)
-    keep = np.arange(len(moved)) > 0
+    # W^dag r for every candidate, one chunk per U so that each fingerprint
+    # product stays small; row 0 is the identity, so row 0 of each fingerprint
+    # table is the tester's own
+    moved = (us.conj().transpose(0, 2, 1)[:, None] @ r @ vs.conj()).reshape(len(us), len(vs), -1)
+    keep = np.arange(len(us) * len(vs)) > 0
+    labels: list[str] = []
     orders = []
     for tester in scenario.testers():
         stack = np.stack([op.mat for _, op in tester.elements])
-        prints = np.einsum("xcm,cm->cx", moved.conj() @ stack, moved).real
+        prints = np.concatenate([np.einsum("xcm,cm->cx", chunk.conj() @ stack, chunk).real
+                                 for chunk in moved])
         order = np.argsort(prints, axis=1)
         ranked = np.take_along_axis(prints, order, axis=1)
         keep &= np.abs(ranked - ranked[0]).max(axis=1) <= EQUALITY_ATOL
-        orders.append((tester.elements, order))
-    found = []
-    for c in np.flatnonzero(keep):
-        u, v = us[c // len(vs)], vs[c % len(vs)]
-        perm = {elements[x][0]: elements[y][0]
-                for elements, order in orders for x, y in zip(order[c], order[0])}
-        found.append((np.kron(u, v), u, perm))
-    return found
+        orders.append(len(labels) + order)
+        labels += [label for label, _ in tester.elements]
+    order = np.concatenate(orders, axis=1)
+    # rows[c, order[c, i]] = order[0, i]: the element of rank i goes to the
+    # tester's own element of rank i
+    rows = np.empty_like(order[keep])
+    np.put_along_axis(rows, order[keep], order[0], axis=1)
+    index = {label: i for i, label in enumerate(labels)}
+    return [(us[c // len(vs)], vs[c % len(vs)], _Relabelling(index, labels, row))
+            for c, row in zip(np.flatnonzero(keep), rows)]
 
 
-def _solve_orbits(keys: Iterable[tuple[str, ...]], solve: Callable,
-                  symmetries: Sequence) -> dict:
+def _conjugated(m: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """W m W^dag for W = u (x) v, or W = u when v is None."""
+    w = u if v is None else (u[:, None, :, None] * v[None, :, None, :]).reshape(m.shape)
+    return w @ m @ w.conj().T
+
+
+def _solve_orbits(keys: Iterable[tuple[str, ...]], solve: Callable, symmetries: Sequence) -> dict:
     """The result of ``solve(key, start)``, or the SolverError it raised, for each
-    key (a tuple of labels) in order.  A result certified by Newton hands each
-    symmetry's image of its key, unless solved or started already, the
-    transported pair.  The symmetries form a group, so the images of a key
-    certified from a start are those of its source, all solved or started."""
+    key (a tuple of labels) in order.  ``solve`` also returns what the images of
+    its key may start from, or None, always None for a result accepted from
+    ``start``.  Each symmetry's image of the key, unless done or started
+    already, gets that as the start (handed, U, V), which ``solve`` moves by
+    W = U (x) V.  The symmetries form a group, so the images of a key accepted
+    from a start are those of its source, all done or started."""
     results: dict = {}
     starts: dict = {}
     for key in keys:
         try:
-            res = results[key] = solve(key, starts.pop(key, None))
+            results[key], handed = solve(key, starts.pop(key, None))
         except SolverError as exc:
             results[key] = exc
             continue
-        if res.iterations == 0:
+        if handed is None:
             continue
-        for w, u, perm in symmetries:
+        for u, v, perm in symmetries:
             image = tuple(perm[x] for x in key)
             if image not in results and image not in starts:
-                starts[image] = (w @ res.optimizer.choi.mat @ w.conj().T,
-                                 u @ res.dual_certificate.mat @ u.conj().T)
+                starts[image] = (handed, u, v)
     return results
+
+
+def _certified(res: ChannelOptResult) -> tuple[ChannelOptResult, tuple | None]:
+    """A solve's result, and its pair (J, Y) unless it was certified from a start."""
+    if res.iterations == 0:
+        return res, None
+    return res, (res.optimizer.choi.mat, res.dual_certificate.mat)
+
+
+def _moved_pair(start) -> tuple[np.ndarray, np.ndarray] | None:
+    """The solver start (W J W^dag, U Y U^dag) for a handed pair (J, Y)."""
+    if start is None:
+        return None
+    (j, y), u, v = start
+    return _conjugated(j, u, v), _conjugated(y, u)
 
 
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
@@ -134,7 +176,8 @@ def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | Non
                 for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
                 for label, element in tester.elements if labels is None or label in labels}
     results = _solve_orbits(
-        elements, lambda key, start: maximize_over_channels(elements[key], tol=tol, start=start),
+        elements, lambda key, start: _certified(
+            maximize_over_channels(elements[key], tol=tol, start=_moved_pair(start))),
         symmetries)
     return {label: res.dual_value if isinstance(res, ChannelOptResult)
             else f"per-test maximum for {label!r} failed: {res}"
@@ -145,8 +188,31 @@ def _exact_bounds(scenario: Scenario, combos: Iterable[tuple[str, ...]], tol: fl
                   symmetries: Sequence = ()) -> dict:
     """``exact_bound`` of each combination, or the SolverError it raised."""
     return _solve_orbits(
-        combos, lambda combo, start: exact_bound(scenario, combo, tol=tol, start=start),
+        combos, lambda combo, start: _certified(
+            exact_bound(scenario, combo, tol=tol, start=_moved_pair(start))),
         symmetries)
+
+
+def _spectral_steps(scenario: Scenario, combos: Iterable[tuple[str, ...]],
+                    symmetries: Sequence) -> dict[tuple[str, ...], TightnessResult]:
+    """``tightness_check`` of each combination, called once per orbit: an image
+    takes its source's result when its own objective equals W M W^dag entrywise
+    within ROUNDING_ATOL (M the source's), and is checked directly otherwise.  A
+    degenerate top eigenspace is checked on the basis ``eigh`` happens to return,
+    which W does not carry over, so such a result is handed to no image."""
+
+    def step(combo, start):
+        if start is not None:
+            (m, res), u, v = start
+            image = objective_operator(scenario, combo).mat
+            if np.abs(image - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
+                return res, None
+        res = tightness_check(scenario, combo)
+        if not symmetries or res.degenerate:
+            return res, None
+        return res, (objective_operator(scenario, combo).mat, res)
+
+    return _solve_orbits(combos, step, symmetries)
 
 
 def _weighted_maxima(scenario: Scenario, combination: tuple[str, ...],
@@ -345,12 +411,11 @@ class BoundReport:
 
 
 def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
-            maxima: dict[str, float | str] | None,
+            spectral: TightnessResult, maxima: dict[str, float | str] | None,
             exact: ChannelOptResult | SolverError | None) -> BoundReport:
     """Every requested bound for one combination (``maxima`` or ``exact`` None skips
     that bound); they are computed independently, so their inequalities are
     cross-checks."""
-    spectral = tightness_check(scenario, combination)
     trivial = None
     errors = []
     if maxima is not None:
@@ -386,7 +451,8 @@ def bound_report(scenario: Scenario, combination: Sequence[str],
                  tol: float = 1e-6) -> BoundReport:
     """Every bound for one combination; a failed solve is recorded as ``error``."""
     combination = _check_combination(scenario, combination)
-    return _report(scenario, combination, tol, _per_test_maxima(scenario, tol, combination),
+    return _report(scenario, combination, tol, tightness_check(scenario, combination),
+                   _per_test_maxima(scenario, tol, combination),
                    _exact_bounds(scenario, [combination], tol)[combination])
 
 
@@ -407,17 +473,22 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     """Bound reports for every combination (lexicographic order).
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
-    per-test maxima feeding the trivial bound are solved once per outcome, and
-    symmetries are detected once unless both bounds are skipped.  ``skip_exact``
-    and ``skip_trivial`` leave those bounds (and ``tradeoff``) None.  A failed
-    solve is the ``error`` of every report that needed it.
+    per-test maxima feeding the trivial bound are solved once per outcome.
+    Symmetries are detected once per report, and the norm cap, the tightness
+    and every solve run once per symmetry orbit: an image's ``upper``, ``tight``
+    and ``tight_degenerate`` are its source's, taken once its objective matches
+    the transported one, and its solves start from the transported pair.
+    ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
+    None.  A failed solve is the ``error`` of every report that needed it.
     """
     check_tol(tol)
     combos = all_combinations(scenario, cap)
-    symmetries = [] if skip_exact and skip_trivial else _symmetries(scenario)
+    symmetries = _symmetries(scenario)
+    spectral = _spectral_steps(scenario, combos, symmetries)
     maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
     exact = {} if skip_exact else _exact_bounds(scenario, combos, tol, symmetries)
-    return [_report(scenario, combo, tol, maxima, exact.get(combo)) for combo in combos]
+    return [_report(scenario, combo, tol, spectral[combo], maxima, exact.get(combo))
+            for combo in combos]
 
 
 _JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_degenerate",

@@ -21,7 +21,8 @@ from .bounds import (
     trivial_bound,
     upper_bound,
 )
-from .linalg import EQUALITY_ATOL, STATE_ATOL, HermitianOperator, basis_transpose, partial_trace
+from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, STATE_ATOL, HermitianOperator, basis_transpose,
+                     partial_trace)
 from .sampling import (
     ginibre_state,
     haar_isometries,
@@ -232,19 +233,26 @@ def check_qubit_meb_optimal(rng: np.random.Generator, trials: int,
 def check_orbit_reuse(rng: np.random.Generator, trials: int,
                       tol: float = 1e-6) -> CheckResult:
     """Every entry of a report that reuses symmetry orbits is within ``tol`` of
-    the direct solves, and some entry came from a transported start."""
-    worst, starts = 0.0, 0
+    the direct solves, its ``upper`` within rounding of ``tightness_check`` and
+    its ``tight`` and ``tight_degenerate`` equal to it, and some entry came
+    from a transported start."""
+    worst, starts, spectral_agrees = 0.0, 0, True
     for _ in range(trials):
         d, w = int(rng.integers(2, 4)), float(rng.uniform(0.1, 0.9))
         scenario = meb_scenario(_random_meb(d, rng), _random_meb(d, rng), (w, 1.0 - w))
         for r in scenario_report(scenario, tol=tol):
+            direct = tightness_check(scenario, r.combination)
+            spectral_agrees &= abs(r.upper - direct.upper) <= ROUNDING_ATOL and \
+                (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+            worst = max(worst, abs(r.upper - direct.upper))
             if r.error is not None:  # a failed entry has no bounds to compare
                 worst = np.inf
                 continue
             worst = max(worst, abs(r.exact - exact_bound(scenario, r.combination, tol=tol).value),
                         abs(r.trivial - trivial_bound(scenario, r.combination, tol=tol)))
             starts += r.iterations == 0
-    return CheckResult("orbit_reuse_matches_direct_solve", worst <= tol and starts > 0, worst,
+    return CheckResult("orbit_reuse_matches_direct_solve",
+                       worst <= tol and starts > 0 and spectral_agrees, worst,
                        f"{trials} random MEB scenarios (d = 2, 3), {starts} entries from a start")
 
 

@@ -559,6 +559,76 @@ class TestOrbitReuse:
             assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
             assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
 
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
+                                        if kind != "mub-meb-2qubit" or d == 2])
+    def test_spectral_once_per_orbit(self, kind, d, skip, monkeypatch):
+        s = _build_scenario(kind, d)
+        symmetries = bounds._symmetries(s)
+
+        def orbit(key):
+            return frozenset([key, *(tuple(perm[x] for x in key) for _, _, perm in symmetries)])
+
+        check = bounds.tightness_check
+        calls = []
+
+        def recording(scenario, combination):
+            res = check(scenario, combination)
+            calls.append((tuple(combination), res.degenerate))
+            return res
+
+        monkeypatch.setattr(bounds, "tightness_check", recording)
+        reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
+        monkeypatch.undo()
+        # a degenerate top eigenspace is checked on eigh's own basis, so only
+        # non-degenerate results are reused
+        assert len(calls) == len({c for c, _ in calls})
+        sources = [orbit(c) for c, degenerate in calls if not degenerate]
+        assert len(sources) == len(set(sources))
+        assert len(calls) < len(reports)
+        for r in reports:
+            direct = check(s, r.combination)
+            assert abs(r.upper - direct.upper) <= 1e-12
+            assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+
+    def test_false_symmetry_caught_by_objective_check(self, monkeypatch):
+        s = _build_scenario("meb", 3)
+        u, v, perm = bounds._symmetries(s)[0]
+        labels = [x for test in s.tests for x in test.labels]
+        false = {x: perm[x] for x in labels}
+        false["x1_0"], false["x1_1"] = perm["x1_1"], perm["x1_0"]
+        w = np.kron(u, v)
+
+        def moved(combo):
+            return w @ objective_operator(s, combo).mat @ w.conj().T
+
+        # the combinations whose source under the false relabelling is not
+        # mapped onto them by W
+        inverse = {y: x for x, y in false.items()}
+        wrong = {c for c in all_combinations(s)
+                 if np.abs(objective_operator(s, c).mat
+                           - moved(tuple(inverse[y] for y in c))).max() > 1e-6}
+        check = bounds.tightness_check
+        calls = []
+
+        def recording(scenario, combination):
+            calls.append(tuple(combination))
+            return check(scenario, combination)
+
+        monkeypatch.setattr(bounds, "_symmetries", lambda scenario: [(u, v, false)])
+        monkeypatch.setattr(bounds, "tightness_check", recording)
+        reports = scenario_report(s, tol=1e-6, skip_exact=True, skip_trivial=True)
+        monkeypatch.undo()
+        assert wrong and len(calls) < len(reports)
+        for r in reports:
+            direct = check(s, r.combination)
+            if r.combination in wrong:
+                assert r.combination in calls
+                assert (r.upper, r.tight, r.tight_degenerate) == \
+                    (direct.upper, direct.tight, direct.degenerate)
+            assert abs(r.upper - direct.upper) <= 1e-12
+            assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+
     @pytest.mark.parametrize("seed,d_in,d_out", [(3, 3, 2), (4, 2, 2), (5, 3, 3)])
     def test_random_scenario_has_no_symmetry(self, seed, d_in, d_out):
         s = random_scenario(np.random.default_rng(seed), n_tests=2, d_anc=2, d_in=d_in,
