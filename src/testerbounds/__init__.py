@@ -13,7 +13,6 @@ from .linalg import (
     check_povm,
     check_psd,
     check_state,
-    conjugate_ket,
     eig_hermitian,
     kron,
     maximally_entangled_ket,
@@ -39,9 +38,7 @@ from .testers import (
 from .channel_opt import (
     ChannelOptResult,
     SolverError,
-    dual_bound,
     maximize_over_channels,
-    random_channel_lower_bound,
 )
 from .bounds import (
     BoundReport,
@@ -52,7 +49,6 @@ from .bounds import (
     objective_operator,
     qubit_meb_optimizer,
     scenario_report,
-    subset_bound,
     tightness_check,
     trivial_bound,
     upper_bound,
@@ -62,11 +58,9 @@ from .scenarios import (
     ancilla_free_scenario,
     entangled_input_product_scenario,
     generalized_bell_basis,
-    load_scenario,
     meb_scenario,
     mub_bases,
     mub_meb_pair_2qubit,
-    save_scenario,
     state_measurement_scenario,
 )
 

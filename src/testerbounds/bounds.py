@@ -56,19 +56,13 @@ def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[
     return combination
 
 
-def _weighted_elements(scenario: Scenario,
-                       subsets: Sequence[Sequence[str]]) -> HermitianOperator:
-    """sum_l r_l sum_{x in X_l} T_l(x), one outcome set X_l per test."""
-    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
-    for weight, tester, subset in zip(scenario.weights, scenario.testers(), subsets):
-        for label in subset:
-            total += weight * tester.element(label).mat
-    return HermitianOperator(total, (scenario.d_in, scenario.d_out))
-
-
 def objective_operator(scenario: Scenario, combination: Sequence[str]) -> HermitianOperator:
     """Weighted tester-element sum sum_l r_l T_l(x_l) for one combination."""
-    return _weighted_elements(scenario, [[x] for x in _check_combination(scenario, combination)])
+    combination = _check_combination(scenario, combination)
+    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
+    for weight, tester, label in zip(scenario.weights, scenario.testers(), combination):
+        total += weight * tester.element(label).mat
+    return HermitianOperator(total, (scenario.d_in, scenario.d_out))
 
 
 class _Relabelling:
@@ -253,24 +247,6 @@ def exact_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1e-
     return maximize_over_channels(objective, tol=tol, start=start)
 
 
-def subset_bound(scenario: Scenario, subsets: Sequence[Sequence[str]],
-                 tol: float = 1e-6) -> ChannelOptResult:
-    """Certified maximum of sum_l r_l sum_{x in X_l} p_l(x), one set per test.
-
-    Singleton subsets reproduce ``exact_bound``; full outcome sets give 1.
-    """
-    if len(subsets) != len(scenario.tests):
-        raise ValidationError("one outcome subset per test required")
-    subsets = [[str(s) for s in subset] for subset in subsets]
-    for test, labels in zip(scenario.tests, subsets):
-        if len(set(labels)) != len(labels):
-            raise ValidationError("subset labels must be unique")
-        for label in labels:
-            if label not in test.labels:
-                raise ValidationError(f"label {label!r} not an outcome of its test")
-    return maximize_over_channels(_weighted_elements(scenario, subsets), tol=tol)
-
-
 @dataclass(frozen=True)
 class TightnessResult:
     tight: bool
@@ -279,8 +255,7 @@ class TightnessResult:
     upper: float  # the norm cap d_in * ||objective|| whose attainment is checked
 
 
-def tightness_check(scenario: Scenario, combination: Sequence[str],
-                    atol: float = TIGHTNESS_ATOL) -> TightnessResult:
+def tightness_check(scenario: Scenario, combination: Sequence[str]) -> TightnessResult:
     """Check whether the operator-norm bound is provably attained.
 
     True when some checked top eigenvector of the objective has a maximally
@@ -292,10 +267,10 @@ def tightness_check(scenario: Scenario, combination: Sequence[str],
     objective = objective_operator(scenario, combination)
     vals, vecs = np.linalg.eigh(objective.mat)
     d_in = scenario.d_in
-    top = vecs[:, vals >= vals[-1] - atol].T.reshape(-1, d_in, scenario.d_out)
+    top = vecs[:, vals >= vals[-1] - TIGHTNESS_ATOL].T.reshape(-1, d_in, scenario.d_out)
     marginals = top @ top.conj().transpose(0, 2, 1) - np.eye(d_in) / d_in
     best = float(np.abs(np.linalg.eigvalsh(marginals)).max(axis=1).min())
-    return TightnessResult(tight=best <= atol, degenerate=len(top) > 1,
+    return TightnessResult(tight=best <= TIGHTNESS_ATOL, degenerate=len(top) > 1,
                            marginal_residual=best,
                            upper=d_in * float(np.max(np.abs(vals))))
 
@@ -305,13 +280,13 @@ def agrees(result: ChannelOptResult, value: float) -> bool:
     return abs(result.value - value) <= max(AGREEMENT_FLOOR, 10 * result.gap)
 
 
-def unitary_from_max_entangled(ket: Ket, atol: float = EQUALITY_ATOL) -> np.ndarray:
+def unitary_from_max_entangled(ket: Ket) -> np.ndarray:
     """Recover U with |psi> = (I (x) U)|Psi+> from a maximally entangled ket."""
     if len(ket.dims) != 2 or ket.dims[0] != ket.dims[1]:
         raise DimensionError("ket must live on two factors of equal dimension")
     d = ket.dims[0]
     u = np.sqrt(d) * ket.amps.reshape(d, d).T
-    check_close(u.conj().T @ u, np.eye(d), atol, "ket is not maximally entangled")
+    check_close(u.conj().T @ u, np.eye(d), EQUALITY_ATOL, "ket is not maximally entangled")
     return u
 
 
@@ -354,11 +329,8 @@ def qubit_meb_optimizer(psi1: Ket, psi2: Ket) -> tuple[np.ndarray, float]:
     return u, float(value)
 
 
-def closed_form_state_bound(basis1: Sequence[Ket], basis2: Sequence[Ket],
-                            weights: tuple[float, float] = (0.5, 0.5)) -> np.ndarray:
-    """Table b[i, j] = (1/2)(1 + |<e_i|f_j>|) for two orthonormal bases."""
-    if abs(weights[0] - 0.5) > ROUNDING_ATOL or abs(weights[1] - 0.5) > ROUNDING_ATOL:
-        raise ValidationError("closed form is stated for equal weights (1/2, 1/2)")
+def closed_form_state_bound(basis1: Sequence[Ket], basis2: Sequence[Ket]) -> np.ndarray:
+    """Table b[i, j] = (1/2)(1 + |<e_i|f_j>|) for two orthonormal bases, equal weights."""
     for basis in (basis1, basis2):
         mats = np.stack([k.amps for k in basis])
         check_close(mats @ mats.conj().T, np.eye(len(basis)), EQUALITY_ATOL,

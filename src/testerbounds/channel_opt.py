@@ -31,13 +31,12 @@ to a floor of tol / (64 n); a stage at the floor that does not certify fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .linalg import DimensionError, HermitianOperator, ValidationError
-from .sampling import haar_isometries
-from .testers import Channel, channel_from_choi, channel_from_kraus
+from .testers import Channel, channel_from_choi
 
 DEFAULT_TOL = 1e-6
 DUAL_FEAS_ATOL = 1e-8
@@ -82,13 +81,6 @@ class ChannelOptResult:
         if self.dual_min_eig < -DUAL_FEAS_ATOL:
             raise SolverError(f"dual certificate infeasible (min eig {self.dual_min_eig:.3e})",
                               self.value, self.dual_value, self.optimizer)
-
-
-@dataclass(frozen=True)
-class DualBound:
-    feasible: bool
-    value: float | None
-    min_eig: float
 
 
 def _lift_index(d_in: int, d_out: int) -> np.ndarray:
@@ -283,60 +275,3 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
             mu = max(mu / _MU_SHRINK, mu_floor)
     except np.linalg.LinAlgError as exc:
         raise failure(f"numerical failure: {exc}") from exc
-
-
-def dual_bound(m: HermitianOperator, y: HermitianOperator) -> DualBound:
-    """Evaluate a dual candidate: tr Y is a valid upper bound iff Y(x)I - M >= 0."""
-    if len(m.dims) != 2:
-        raise DimensionError("objective must carry dims (d_in, d_out)")
-    d_in, d_out = m.dims
-    if y.dims != (d_in,):
-        raise DimensionError(f"dual variable dims {y.dims} != ({d_in},)")
-    lo = _slack_min_eig(y.mat, m.mat, _lift_index(d_in, d_out))
-    if lo < -DUAL_FEAS_ATOL:
-        return DualBound(False, None, lo)
-    return DualBound(True, float(np.trace(y.mat).real), lo)
-
-
-def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
-                               ) -> tuple[float, Channel]:
-    """Best tr[M J] over random channels; a Monte-Carlo floor for the optimum.
-
-    Samples Stinespring isometries of mixed Kraus rank (rank 1 gives unitary
-    channels when d_out = d_in).  Every sample is an exactly feasible channel,
-    so the best value never exceeds the certified optimum.
-    """
-    if len(m.dims) != 2:
-        raise DimensionError("objective must carry dims (d_in, d_out)")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    d_in, d_out = m.dims
-    rng = np.random.default_rng(seed)
-    k_min = max(1, ceil(d_in / d_out))
-    k_max = max(k_min, min(d_in * d_out, k_min + 3))
-    ranks = np.full(n_samples, k_min, dtype=int)
-    if k_max > k_min and n_samples > 1:
-        extra = rng.integers(k_min, k_max + 1, size=n_samples - n_samples // 2)
-        ranks[n_samples // 2:] = extra
-
-    best_value = -np.inf
-    best_isometry: np.ndarray | None = None
-    best_rank = k_min
-    for k in np.unique(ranks):
-        count = int(np.sum(ranks == k))
-        q = haar_isometries(rng, count, d_out * int(k), d_in)
-        # v[s, m, (i, o)] = K_m[o, i]: amplitudes of the Choi kets per Kraus term
-        v = q.reshape(count, int(k), d_out, d_in).transpose(0, 1, 3, 2).reshape(count, int(k), -1)
-        vals = np.einsum("skn,nm,skm->s", v.conj(), m.mat, v).real
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_value:
-            best_value = float(vals[idx])
-            best_isometry = q[idx]
-            best_rank = int(k)
-
-    assert best_isometry is not None
-    kraus = [best_isometry[i * d_out:(i + 1) * d_out, :] for i in range(best_rank)]
-    channel = channel_from_kraus(kraus)
-    value = float(np.trace(m.mat @ channel.choi.mat).real)
-    return value, channel

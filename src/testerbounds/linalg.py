@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Iterable, Sequence
 
@@ -101,25 +101,20 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class Ket:
-    """A state vector with tagged subsystem dimensions.
-
-    ``normalized=True`` (the default) enforces unit norm within ``STATE_ATOL``.
-    """
+    """A unit state vector (norm 1 within ``STATE_ATOL``) with tagged subsystem dimensions."""
 
     amps: np.ndarray
     dims: tuple[int, ...]
-    normalized: bool = field(default=True, compare=False)
 
-    def __init__(self, amps: np.ndarray | Sequence, dims: Iterable[int], normalized: bool = True):
+    def __init__(self, amps: np.ndarray | Sequence, dims: Iterable[int]):
         arr = np.ascontiguousarray(np.asarray(amps, dtype=complex).reshape(-1))
         if not np.isfinite(arr).all():
             raise ValidationError("amplitudes contain non-finite entries")
-        if normalized and abs(np.linalg.norm(arr) - 1.0) > STATE_ATOL:
+        if abs(np.linalg.norm(arr) - 1.0) > STATE_ATOL:
             raise ValidationError(f"ket is not normalized (norm {np.linalg.norm(arr):.12f})")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
         object.__setattr__(self, "dims", _check_dims(dims, arr.shape[0]))
-        object.__setattr__(self, "normalized", bool(normalized))
 
     @property
     def size(self) -> int:
@@ -141,8 +136,7 @@ def kron(a, b):
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.mat, b.mat), a.dims + b.dims)
     if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amps, b.amps), a.dims + b.dims,
-                   normalized=a.normalized and b.normalized)
+        return Ket(np.kron(a.amps, b.amps), a.dims + b.dims)
     raise TypeError("kron expects two HermitianOperator or two Ket operands")
 
 
@@ -171,11 +165,6 @@ def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperat
 def basis_transpose(op: HermitianOperator) -> HermitianOperator:
     """Transpose in the fixed computational basis (involutive)."""
     return HermitianOperator(op.mat.T, op.dims)
-
-
-def conjugate_ket(v: Ket) -> Ket:
-    """Entrywise complex conjugate in the computational basis."""
-    return Ket(v.amps.conj(), v.dims, normalized=v.normalized)
 
 
 def eig_hermitian(op: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:
@@ -210,15 +199,12 @@ def maximally_entangled_ket(d: int) -> Ket:
     return Ket(amps, (d, d))
 
 
-def maximally_entangled_state(d: int, normalized: bool = True) -> HermitianOperator:
-    """The projector onto the maximally entangled ket; unnormalized variant has trace d."""
+def maximally_entangled_state(d: int) -> HermitianOperator:
+    """The projector onto the maximally entangled ket, a state of unit trace."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     v = np.eye(d, dtype=complex).reshape(-1)
-    mat = np.outer(v, v.conj())
-    if normalized:
-        mat = mat / d
-    return HermitianOperator(mat, (d, d))
+    return HermitianOperator(np.outer(v, v.conj()) / d, (d, d))
 
 
 def check_close(actual, expected, atol: float, what: str) -> None:

@@ -9,9 +9,7 @@ bases and mutually unbiased bases for arbitrary or prime dimensions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -24,20 +22,19 @@ from .linalg import (
     Ket,
     ValidationError,
     check_close,
-    dumps_canonical,
     kron,
     maximally_entangled_ket,
     maximally_entangled_state,
     partial_trace,
     shift_clock,
 )
-from .testers import Scenario, Test, scenario_from_json, scenario_to_json
+from .testers import Scenario, Test
 
 
-def _fix_phase(amps: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Make the first nonzero amplitude real positive (reproducible output)."""
+def _fix_phase(amps: np.ndarray) -> np.ndarray:
+    """Make the first amplitude above 1e-12 in modulus real positive (reproducible output)."""
     for a in amps:
-        if abs(a) > atol:
+        if abs(a) > 1e-12:
             return amps * (abs(a) / a)
     return amps
 
@@ -226,7 +223,7 @@ def entangled_input_product_scenario(d: int, bases_anc: Sequence[Sequence[Ket]],
         raise ValidationError("one ancilla basis per output basis required")
     n = len(bases_anc)
     weights = [1.0 / n] * n if weights is None else list(weights)
-    state = maximally_entangled_state(d, normalized=True)
+    state = maximally_entangled_state(d)
     tests = []
     for l, (banc, bout) in enumerate(zip(bases_anc, bases_out)):
         if len(banc) != d or banc[0].size != d:
@@ -246,19 +243,9 @@ def meb_scenario(meb1: MEB, meb2: MEB, weights: Sequence[float] = (0.5, 0.5)) ->
     if meb1.d != meb2.d:
         raise DimensionError("bases must share one dimension")
     d = meb1.d
-    state = maximally_entangled_state(d, normalized=True)
+    state = maximally_entangled_state(d)
     tests = []
     for l, meb in enumerate((meb1, meb2)):
         effects = [(f"x{l + 1}_{i}", k.projector()) for i, k in enumerate(meb.kets)]
         tests.append(Test(state, effects, d_anc=d, d_in=d, d_out=d))
     return Scenario(tests, weights)
-
-
-# --- file round trips ---------------------------------------------------
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(scenario_to_json(scenario)) + "\n")
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_json(json.loads(Path(path).read_text()))

@@ -151,14 +151,6 @@ class Channel:
     def d_out(self) -> int:
         return self.choi.dims[1]
 
-    def apply(self, rho: HermitianOperator) -> HermitianOperator:
-        """Apply the channel to a state on the input space via its Choi matrix."""
-        if rho.dims != (self.d_in,):
-            raise DimensionError(f"state dims {rho.dims} != ({self.d_in},)")
-        j = self.choi.mat.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-        out = np.einsum("ij,ikjl->kl", rho.mat, j)
-        return HermitianOperator(out, (self.d_out,))
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -212,10 +204,11 @@ class Scenario:
         return [t.labels for t in self.tests]
 
 
-def state_decomposition(rho: HermitianOperator, cutoff: float = 1e-14) -> list[tuple[float, np.ndarray]]:
-    """Eigendecomposition of a state as a list of (weight, vector) pairs."""
+def state_decomposition(rho: HermitianOperator) -> list[tuple[float, np.ndarray]]:
+    """Eigendecomposition of a state as (weight, vector) pairs, weights of magnitude
+    at most 1e-14 dropped."""
     vals, vecs = np.linalg.eigh(rho.mat)
-    return [(float(v), vecs[:, i].copy()) for i, v in enumerate(vals) if abs(v) > cutoff]
+    return [(float(v), vecs[:, i].copy()) for i, v in enumerate(vals) if abs(v) > 1e-14]
 
 
 def upsilon_dual_apply(rho: HermitianOperator, b: HermitianOperator,

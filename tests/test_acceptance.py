@@ -17,7 +17,7 @@ from testerbounds.bounds import (
     trivial_bound,
     upper_bound,
 )
-from testerbounds.channel_opt import maximize_over_channels, random_channel_lower_bound
+from testerbounds.channel_opt import maximize_over_channels
 from testerbounds.linalg import HermitianOperator, Ket, partial_trace
 from testerbounds.sampling import (
     haar_unitary,
@@ -44,6 +44,8 @@ from testerbounds.testers import (
     probability,
     tester_from_test,
 )
+
+from oracles import random_channel_lower_bound
 
 
 @contextmanager

@@ -15,7 +15,6 @@ from testerbounds.bounds import (
     qubit_meb_optimizer,
     report_to_json,
     scenario_report,
-    subset_bound,
     tightness_check,
     trivial_bound,
     unitary_from_max_entangled,
@@ -210,30 +209,6 @@ class TestExactBound:
         assert achieved == pytest.approx(res.value, abs=1e-12)
 
 
-class TestSubsetBound:
-    def test_full_sets_give_one(self, mub_meb_scenario):
-        subsets = [t.labels for t in mub_meb_scenario.tests]
-        res = subset_bound(mub_meb_scenario, subsets, tol=1e-7)
-        assert res.value == pytest.approx(1.0, abs=1e-6)
-
-    def test_singletons_reduce_to_exact(self, mub_meb_scenario):
-        combo = ("x1_1", "x2_2")
-        res_subset = subset_bound(mub_meb_scenario, [["x1_1"], ["x2_2"]], tol=1e-8)
-        res_exact = exact_bound(mub_meb_scenario, combo, tol=1e-8)
-        assert res_subset.value == pytest.approx(res_exact.value, abs=1e-7)
-
-    def test_two_outcome_subsets_bracketed(self, mub_meb_scenario):
-        res = subset_bound(mub_meb_scenario, [["x1_0", "x1_1"], ["x2_0", "x2_2"]], tol=1e-7)
-        assert 0.75 - 1e-7 <= res.value <= 1.0 + 1e-7
-        assert res.gap <= 1e-7
-
-    def test_bad_subsets_rejected(self, mub_meb_scenario):
-        with pytest.raises(ValidationError):
-            subset_bound(mub_meb_scenario, [["x1_0"], ["x1_0"]])
-        with pytest.raises(ValidationError):
-            subset_bound(mub_meb_scenario, [["x1_0"]])
-
-
 class TestTightness:
     def test_meb_objective_tight(self, mub_meb_scenario):
         result = tightness_check(mub_meb_scenario, ("x1_0", "x2_1"))
@@ -397,8 +372,6 @@ class TestClosedForms:
 
     def test_rejects_bad_inputs(self):
         basis = mub_bases(2, 2)[0]
-        with pytest.raises(ValidationError):
-            closed_form_state_bound(basis, basis, weights=(0.3, 0.7))
         skew = [Ket([1, 0], (2,)), Ket(np.array([1, 1]) / np.sqrt(2), (2,))]
         with pytest.raises(ValidationError):
             closed_form_state_bound(skew, basis)

@@ -19,7 +19,6 @@ from testerbounds.linalg import (
     basis_transpose,
     check_povm,
     check_state,
-    conjugate_ket,
     dumps_canonical,
     eig_hermitian,
     kron,
@@ -129,7 +128,7 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="non-finite"):
             HermitianOperator(mat, (2,))
         with pytest.raises(ValidationError, match="non-finite"):
-            Ket([entry, 0.0], (2,), normalized=False)
+            Ket([entry, 0.0], (2,))
 
     @pytest.mark.parametrize("dims", [(True, 4), (2.0, 2), (2, 2.5), ("2", 2), (None, 4)])
     def test_rejects_non_integer_dims(self, dims):
@@ -160,7 +159,6 @@ class TestConstruction:
     def test_ket_norm_enforced(self):
         with pytest.raises(ValidationError):
             Ket([1.0, 1.0], (2,))
-        Ket([1.0, 1.0], (2,), normalized=False)
 
     def test_matrices_read_only(self):
         op = HermitianOperator(np.eye(2), (2,))
@@ -204,7 +202,7 @@ class TestKron:
 
 class TestPartialTrace:
     def test_unnormalized_entangled_marginal(self):
-        p_plus = maximally_entangled_state(2, normalized=False)
+        p_plus = HermitianOperator(2 * maximally_entangled_state(2).mat, (2, 2))
         out = partial_trace(p_plus, keep=[0])
         assert np.max(np.abs(out.mat - np.eye(2))) < 1e-12
 
@@ -249,11 +247,6 @@ class TestTransposeConjugate:
     def test_real_symmetric_fixed(self):
         op = HermitianOperator(np.array([[1.0, 2.0], [2.0, -1.0]]), (2,))
         assert np.array_equal(basis_transpose(op).mat, op.mat)
-
-    def test_conjugate_ket(self):
-        v = Ket(np.array([1, 1j]) / np.sqrt(2), (2,))
-        out = conjugate_ket(v)
-        assert np.max(np.abs(out.amps - np.array([1, -1j]) / np.sqrt(2))) < 1e-15
 
     def test_involution(self):
         rng = np.random.default_rng(6)
@@ -334,7 +327,11 @@ class TestMaximallyEntangled:
             assert np.max(np.abs(marg.mat - np.eye(d) / d)) < 1e-12
 
     def test_unnormalized_trace(self):
-        assert maximally_entangled_state(3, normalized=False).trace() == pytest.approx(3.0)
+        # d times the state is the projector onto sum_i |i,i>, of trace d
+        v = np.eye(3).reshape(-1)
+        unnormalized = 3 * maximally_entangled_state(3).mat
+        assert np.max(np.abs(unnormalized - np.outer(v, v))) < 1e-15
+        assert np.trace(unnormalized).real == pytest.approx(3.0)
 
     def test_zero_dimension(self):
         with pytest.raises(DimensionError):

@@ -10,6 +10,7 @@ from testerbounds.linalg import (
     DimensionError,
     Ket,
     ValidationError,
+    dumps_canonical,
     maximally_entangled_ket,
     partial_trace,
 )
@@ -19,14 +20,12 @@ from testerbounds.scenarios import (
     ancilla_free_scenario,
     entangled_input_product_scenario,
     generalized_bell_basis,
-    load_scenario,
     meb_scenario,
     mub_bases,
     mub_meb_pair_2qubit,
-    save_scenario,
     state_measurement_scenario,
 )
-from testerbounds.testers import tester_from_test
+from testerbounds.testers import scenario_from_json, scenario_to_json, tester_from_test
 
 
 class TestBellBasis:
@@ -221,22 +220,15 @@ class TestScenarioConstructors:
 
 
 class TestSerialization:
-    def test_scenario_file_round_trip_bytes(self, tmp_path):
+    def test_scenario_file_round_trip_bytes(self):
         meb1, meb2 = mub_meb_pair_2qubit()
-        s = meb_scenario(meb1, meb2)
-        p1 = tmp_path / "one.json"
-        p2 = tmp_path / "two.json"
-        save_scenario(s, p1)
-        save_scenario(load_scenario(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        text = dumps_canonical(scenario_to_json(meb_scenario(meb1, meb2)))
+        loaded = scenario_from_json(json.loads(text))
+        assert dumps_canonical(scenario_to_json(loaded)) == text
 
-    def test_loaded_scenario_revalidates(self, tmp_path):
+    def test_loaded_scenario_revalidates(self):
         meb1, meb2 = mub_meb_pair_2qubit()
-        s = meb_scenario(meb1, meb2)
-        path = tmp_path / "sc.json"
-        save_scenario(s, path)
-        obj = json.loads(path.read_text())
+        obj = json.loads(dumps_canonical(scenario_to_json(meb_scenario(meb1, meb2))))
         obj["weights"] = [0.9, 0.9]
-        path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError):
-            load_scenario(path)
+            scenario_from_json(obj)
