@@ -19,10 +19,12 @@ per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes each
 tester's elements maps the objective M of an outcome or a combination to
 W M W^dag, that of its image, and a certified pair (J, Y) to
 (W J W^dag, U Y U^dag), so bounds within an orbit coincide.  Each image
-starts its solves from the transported pair, certified before any Newton
-step, and takes its source's norm cap and tightness once its own objective
-is checked to equal W M W^dag.  ``exact_bound``, ``trivial_bound``,
-``bound_report`` and ``tightness_check`` reuse nothing; they are the oracle.
+starts its solves from the transported pair, certified before any
+primal-dual iteration, and takes its source's norm cap and tightness once its
+own objective is checked to equal W M W^dag.  Each combination's objective is
+built once and serves both the spectral step and the exact solve.
+``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
+reuse nothing; they are the oracle.
 """
 
 from __future__ import annotations
@@ -178,33 +180,41 @@ def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | Non
             for (label,), res in results.items()}
 
 
-def _exact_bounds(scenario: Scenario, combos: Iterable[tuple[str, ...]], tol: float,
+def _exact_bounds(objectives: dict[tuple[str, ...], HermitianOperator], tol: float,
                   symmetries: Sequence = ()) -> dict:
-    """``exact_bound`` of each combination, or the SolverError it raised."""
-    return _solve_orbits(
-        combos, lambda combo, start: _certified(
-            exact_bound(scenario, combo, tol=tol, start=_moved_pair(start))),
-        symmetries)
+    """The certified maximum of each combination's built objective, or the
+    SolverError it raised."""
+
+    # named like the oracle it stands for: bench/tracing.py tells exact solves
+    # from per-test maxima by the name of the function calling the solver
+    def exact_bound(combo, start):
+        return _certified(maximize_over_channels(objectives[combo], tol=tol,
+                                                 start=_moved_pair(start)))
+
+    return _solve_orbits(objectives, exact_bound, symmetries)
 
 
-def _spectral_steps(scenario: Scenario, combos: Iterable[tuple[str, ...]],
-                    symmetries: Sequence) -> dict[tuple[str, ...], TightnessResult]:
-    """``tightness_check`` of each combination, called once per orbit: an image
-    takes its source's result when its own objective equals W M W^dag entrywise
-    within ROUNDING_ATOL (M the source's), and is checked directly otherwise.  A
+def _spectral_steps(scenario: Scenario, combos: Iterable[tuple[str, ...]], symmetries: Sequence,
+                    objectives: dict | None) -> dict[tuple[str, ...], TightnessResult]:
+    """The tightness of each combination, checked once per orbit: each objective
+    is built once, kept in ``objectives`` unless that is None, and an image takes
+    its source's result when its own objective equals W M W^dag entrywise within
+    ROUNDING_ATOL (M the source's); otherwise it is checked directly.  A
     degenerate top eigenspace is checked on the basis ``eigh`` happens to return,
     which W does not carry over, so such a result is handed to no image."""
 
     def step(combo, start):
+        objective = objective_operator(scenario, combo)
+        if objectives is not None:
+            objectives[combo] = objective
         if start is not None:
             (m, res), u, v = start
-            image = objective_operator(scenario, combo).mat
-            if np.abs(image - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
+            if np.abs(objective.mat - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
                 return res, None
-        res = tightness_check(scenario, combo)
+        res = _tightness(objective)
         if not symmetries or res.degenerate:
             return res, None
-        return res, (objective_operator(scenario, combo).mat, res)
+        return res, (objective.mat, res)
 
     return _solve_orbits(combos, step, symmetries)
 
@@ -264,10 +274,14 @@ def tightness_check(scenario: Scenario, combination: Sequence[str]) -> Tightness
     matrix V, has input marginal V V^dag.  A degenerate top eigenspace is
     checked only on its basis vectors and the degeneracy is reported.
     """
-    objective = objective_operator(scenario, combination)
+    return _tightness(objective_operator(scenario, combination))
+
+
+def _tightness(objective: HermitianOperator) -> TightnessResult:
+    """``tightness_check`` of a built objective."""
     vals, vecs = np.linalg.eigh(objective.mat)
-    d_in = scenario.d_in
-    top = vecs[:, vals >= vals[-1] - TIGHTNESS_ATOL].T.reshape(-1, d_in, scenario.d_out)
+    d_in, d_out = objective.dims
+    top = vecs[:, vals >= vals[-1] - TIGHTNESS_ATOL].T.reshape(-1, d_in, d_out)
     marginals = top @ top.conj().transpose(0, 2, 1) - np.eye(d_in) / d_in
     best = float(np.abs(np.linalg.eigvalsh(marginals)).max(axis=1).min())
     return TightnessResult(tight=best <= TIGHTNESS_ATOL, degenerate=len(top) > 1,
@@ -353,7 +367,8 @@ class BoundReport:
 
     A bound that was skipped, or whose solve failed, is None; ``error`` then
     says which solve failed.  ``tradeoff`` needs both ``trivial`` and ``exact``.
-    ``iterations`` counts the Newton steps behind ``exact``, 0 for a certified start.
+    ``iterations`` counts the primal-dual iterations behind ``exact``, 0 for a
+    certified start.
     """
 
     combination: tuple[str, ...]
@@ -425,7 +440,8 @@ def bound_report(scenario: Scenario, combination: Sequence[str],
     combination = _check_combination(scenario, combination)
     return _report(scenario, combination, tol, tightness_check(scenario, combination),
                    _per_test_maxima(scenario, tol, combination),
-                   _exact_bounds(scenario, [combination], tol)[combination])
+                   _exact_bounds({combination: objective_operator(scenario, combination)},
+                                 tol)[combination])
 
 
 def all_combinations(scenario: Scenario, cap: int | None = None) -> list[tuple[str, ...]]:
@@ -456,9 +472,12 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     check_tol(tol)
     combos = all_combinations(scenario, cap)
     symmetries = _symmetries(scenario)
-    spectral = _spectral_steps(scenario, combos, symmetries)
+    # the spectral step builds each objective once and keeps it only for the
+    # exact solves, so a report that skips them holds no more than one at a time
+    objectives = None if skip_exact else {}
+    spectral = _spectral_steps(scenario, combos, symmetries, objectives)
     maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
-    exact = {} if skip_exact else _exact_bounds(scenario, combos, tol, symmetries)
+    exact = {} if skip_exact else _exact_bounds(objectives, tol, symmetries)
     return [_report(scenario, combo, tol, spectral[combo], maxima, exact.get(combo))
             for combo in combos]
 

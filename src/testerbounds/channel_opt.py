@@ -1,37 +1,34 @@
 """Certified linear optimization over quantum channels.
 
 Solves  max tr[M J]  over Choi matrices J >= 0 with tr_out J = I_in, together
-with the Lagrangian dual  min tr Y  subject to Y (x) I_out >= M.  The reported
-optimum is always bracketed: ``value`` comes from an exactly feasible channel,
-``dual_value`` from an exactly feasible dual certificate, and ``gap`` is their
-difference.
+with the Lagrangian dual  min tr Y  subject to S = Y (x) I_out - M >= 0.  The
+reported optimum is always bracketed: ``value`` comes from an exactly feasible
+channel, ``dual_value`` from an exactly feasible dual certificate, and ``gap``
+is their difference.
 
-The implementation follows the dual central path: for a decreasing barrier
-parameter mu it Newton-minimizes  tr Y - mu log det(Y (x) I - M), recovers the
-primal candidate J = mu (Y (x) I - M)^-1 (whose input marginal is the identity
-exactly on the central path), and repairs both iterates to exact feasibility
-before measuring the gap.
-
-Each Newton step works on complex d_in x d_in matrices.  With R = S^-1 for the
-slack S = Y (x) I - M, it solves  H vec(D) = -vec(G)  for a Hermitian D, where
-G = I - mu tr_out R and, in row-major vec form,
-H[(i,l),(j,k)] = mu sum_{o,p} R[i,o,j,p] R[k,p,l,o]: one matmul of reshaped
-views of R, O(d_in^4 d_out^2).  The decrement is lam = sqrt(-<G, D>).  Y (x) I
-is never formed; Y is scattered onto the output-diagonal blocks of -M.
-
-The step is the damped Newton step Y += D / (1 + r) with r = lam / sqrt(mu).
-The centering objective is mu times a self-concordant function, so r is the
-length of D in that function's local norm, and a step t D with t r < 1 stays
-inside its Dikin ellipsoid: S remains positive definite without a line search.
-The same r is the stopping test: a stage is centered once r <= _CENTERED,
-which is free of the objective's scale.  mu then shrinks by _MU_SHRINK down
-to a floor of tol / (64 n); a stage at the floor that does not certify fails.
+The solver is a feasible-start primal-dual interior-point method, the HKM
+direction with Mehrotra's predictor-corrector, from J = I / d_out and a
+multiple of the identity Y with S > 0.  Its directions keep both feasible, so
+the duality gap is n mu = tr[J S].  Each iteration solves
+herm tr_out(J (dY (x) I) S^-1) = herm tr_out(T S^-1) - I  for a Hermitian dY
+and sets dS = dY (x) I, dJ = herm(T S^-1 - J - J dS S^-1): T = 0 is the
+predictor, T = sigma mu I - dJ_aff dS_aff with sigma = (mu_aff / mu)^3 the
+corrector.  The Schur matrix, (A + B) / 2 with A[(i,l),(j,k)] =
+sum_{o,p} J[i,o,j,p] R[k,p,l,o] for R = S^-1 and B the same with J and R
+swapped, is two matmuls of reshaped views, O(d_in^4 d_out^2), inverted once
+per iteration for both right-hand sides.  Each solve is refined once, as the
+residual of the inverse alone is primal infeasibility later iterates inherit.
+Each side steps to 0.95 of its boundary, capped at 1, found from the smallest
+eigenvalue of L^-1 dX L^-H for the Cholesky factor L of X; J and S are
+factored, their factors inverted and both directions whitened as one stacked
+pair, so S^-1 comes from the inverted factor.  Once n mu <= tol / 2 both
+iterates are repaired to exact feasibility and the gap is measured.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from math import isfinite, sqrt
 
 import numpy as np
 
@@ -41,9 +38,7 @@ from .testers import Channel, channel_from_choi
 DEFAULT_TOL = 1e-6
 DUAL_FEAS_ATOL = 1e-8
 
-_CENTERED = 0.1
-_NEWTON_CAP = 80
-_MU_SHRINK = 10.0
+_MAX_ITERATIONS = 100
 
 
 class SolverError(RuntimeError):
@@ -97,19 +92,17 @@ def _slack(y: np.ndarray, a: np.ndarray, lift: np.ndarray) -> np.ndarray:
     return s
 
 
-def _slack_min_eig(y: np.ndarray, a: np.ndarray, lift: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_slack(y, a, lift))[0])
+def _schur(j: np.ndarray, sinv: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Matrix of dY -> herm tr_out(J (dY (x) I) S^-1) on row-major vec(dY)."""
 
+    def product(first, second):
+        # [(i,l),(j,k)] -> sum_{o,p} first[i,o,j,p] second[k,p,l,o]
+        left = first.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+        right = second.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0)
+        out = left.reshape(d_in * d_in, -1) @ right.reshape(-1, d_in * d_in)
+        return out.reshape((d_in,) * 4).transpose(0, 2, 1, 3)
 
-def _newton_system(sinv: np.ndarray, mu: float, d_in: int, d_out: int,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and vec-form complex Hessian of tr Y - mu log det S at S^-1."""
-    r = sinv.reshape(d_in, d_out, d_in, d_out)
-    grad = np.eye(d_in) - mu * np.einsum("iojo->ij", r)
-    left = r.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
-    right = r.transpose(3, 1, 2, 0).reshape(d_out * d_out, d_in * d_in)
-    hess = (left @ right).reshape(d_in, d_in, d_in, d_in).transpose(0, 2, 1, 3)
-    return grad, mu * hess.reshape(d_in * d_in, d_in * d_in)
+    return ((product(j, sinv) + product(sinv, j)) / 2).reshape(d_in * d_in, -1)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -138,10 +131,10 @@ def _repair_primal(a: np.ndarray, j_cand: np.ndarray, d_in: int, d_out: int,
 def _repair_dual(a: np.ndarray, y: np.ndarray, lift: np.ndarray,
                  ) -> tuple[float, np.ndarray, float]:
     """Shift Y just enough to make Y (x) I - M exactly feasible; return (tr Y, Y, min eig)."""
-    lo = _slack_min_eig(y, a, lift)
+    lo = float(np.linalg.eigvalsh(_slack(y, a, lift))[0])
     if lo < 0:
         y = y + (-lo + 1e-14 * max(1.0, float(np.abs(y).max()))) * np.eye(y.shape[0])
-        lo = _slack_min_eig(y, a, lift)
+        lo = float(np.linalg.eigvalsh(_slack(y, a, lift))[0])
     return float(np.trace(y).real), y, lo
 
 
@@ -165,12 +158,11 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     """Maximize tr[M J] over channels, certified to the requested duality gap.
 
     ``m`` must be Hermitian on in(x)out (positivity is not required).  Raises
-    SolverError, carrying the best bracket found, if the linear algebra fails or
-    the stage at the smallest barrier parameter, tol / (64 d_in d_out), does
-    not certify the gap: repeating it would restart centered and certify the
-    same pair.  A repaired primal that is not a channel is never reported.
+    SolverError, carrying the best bracket with the current iterate repaired
+    into it, if the linear algebra fails, a step collapses, or no pair
+    certifies within the iteration cap.  A non-channel primal is never reported.
 
-    ``start``, a pair (J, Y), is checked like a stage: if it certifies, the
+    ``start``, a pair (J, Y), is checked like an iterate: if it certifies, the
     result has ``iterations == 0``; if not, it seeds the best pair of the usual
     path; if its checks fail, it counts as no start.
     """
@@ -179,7 +171,6 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     check_tol(tol)
     d_in, d_out = m.dims
     a = m.mat
-    n_total = d_in * d_out
     lift = _lift_index(d_in, d_out)
 
     iterations = 0
@@ -188,7 +179,7 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     best_dual: tuple[float, np.ndarray, float] | None = None
 
     def failure(message: str) -> SolverError:
-        """SolverError carrying the best certified pair, none before the first stage."""
+        """SolverError carrying the best certified pair, if there is one."""
         if best_primal is None or best_dual is None:
             return SolverError(message)
         optimizer = _channel(best_primal[1], m.dims)
@@ -196,9 +187,8 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
                            best_dual[0], optimizer)
 
     def certify(j_cand: np.ndarray, y_cand: np.ndarray) -> ChannelOptResult | None:
-        """Repair one stage's pair into the best pair; the result once it certifies.
-        Both repaired iterates are exactly feasible, so the best sides bracket
-        the optimum even when they come from different stages."""
+        """Repair a pair into the best pair, whose exactly feasible sides bracket
+        the optimum even from different iterates; the result once it certifies."""
         nonlocal best_primal, best_dual
         value, jfix = _repair_primal(a, j_cand, d_in, d_out)
         dual_value, y_feas, dual_min = _repair_dual(a, y_cand, lift)
@@ -240,38 +230,48 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
             history.clear()
             best_primal = best_dual = None
 
-    evals_a = np.linalg.eigvalsh(a)
-    lam_max, lam_min = float(evals_a[-1]), float(evals_a[0])
-    spread = max(lam_max - lam_min, 1.0, abs(lam_max))
-    y = (lam_max + 0.1 * spread) * np.eye(d_in)
-    mu = (0.1 * spread + 0.5 * (lam_max - lam_min)) / d_out
-    mu_floor = tol / (64 * n_total)
+    lam_min, lam_max = np.linalg.eigvalsh(a)[[0, -1]].tolist()
+    y = (lam_max + 0.1 * max(lam_max - lam_min, 1.0, abs(lam_max))) * np.eye(d_in)
+    j = np.eye(d_in * d_out, dtype=complex) / d_out
 
+    def direction(ts: np.ndarray | None) -> tuple:
+        """(dJ, dS, dY, dS S^-1) and both step lengths for ts = T S^-1, None if T = 0."""
+        rhs = -np.eye(d_in, dtype=complex) if ts is None else _hermitize(
+            np.einsum("iojo->ij", ts.reshape(d_in, d_out, d_in, d_out))) - np.eye(d_in)
+        dy = schur_inv @ rhs.reshape(-1)
+        dy = _hermitize((dy + schur_inv @ (rhs.reshape(-1) - schur @ dy)).reshape(d_in, d_in))
+        ds = np.zeros_like(a)
+        ds.reshape(-1)[lift] = dy[:, None, :]
+        dss = ds @ sinv
+        dj = _hermitize(-(j @ dss) if ts is None else ts - j @ dss) - j
+        whitened = inv_l @ np.stack([dj, ds]) @ inv_l.conj().transpose(0, 2, 1)
+        lo = np.linalg.eigvalsh(whitened)[:, 0].tolist()
+        return dj, ds, dy, dss, [1.0 / max(1.0, -x / 0.95) for x in lo]
+
+    message = f"not certified in {_MAX_ITERATIONS} iterations"
     try:
-        # Y moves along exactly Hermitian directions, so S needs no re-symmetrizing
-        sinv = _hermitize(np.linalg.inv(_slack(y, a, lift)))
         while True:
-            # center: damped Newton on tr Y - mu log det(Y (x) I - M)
-            for _ in range(_NEWTON_CAP):
-                iterations += 1
-                grad, hess = _newton_system(sinv, mu, d_in, d_out)
-                try:
-                    dvec = np.linalg.solve(hess, -grad.reshape(-1))
-                except np.linalg.LinAlgError:
-                    dvec = np.linalg.lstsq(hess, -grad.reshape(-1), rcond=None)[0]
-                delta = _hermitize(dvec.reshape(d_in, d_in))
-                r = sqrt(max(-np.vdot(grad, delta).real, 0.0) / mu)
-                if not isfinite(r) or r <= _CENTERED:
-                    break
-                y = y + delta / (1.0 + r)
-                sinv = _hermitize(np.linalg.inv(_slack(y, a, lift)))
-
-            res = certify(mu * sinv, y)
-            if res is not None:
+            s = _slack(y, a, lift)
+            gap = np.vdot(j, s).real
+            if gap <= tol / 2 and (res := certify(j, y)) is not None:
                 return res
-            if mu <= mu_floor:
-                raise failure(f"gap {best_dual[0] - best_primal[0]:.3e} not certified at "
-                              "the smallest barrier parameter")
-            mu = max(mu / _MU_SHRINK, mu_floor)
+            if iterations == _MAX_ITERATIONS:
+                break
+            iterations += 1
+            inv_l = np.linalg.inv(np.linalg.cholesky(np.stack([j, s])))
+            sinv = inv_l[1].conj().T @ inv_l[1]
+            schur = _schur(j, sinv, d_in, d_out)
+            schur_inv = np.linalg.inv(schur)
+            dj, ds, dy, dss, (tp, td) = direction(None)
+            mu_aff = np.vdot(j + tp * dj, s + td * ds).real
+            ts = (mu_aff / gap) ** 3 * gap / (d_in * d_out) * sinv - dj @ dss
+            dj, ds, dy, dss, (tp, td) = direction(ts)
+            if max(tp, td) < np.finfo(float).eps:
+                message = "step collapsed"
+                break
+            j, y = j + tp * dj, y + td * dy
     except np.linalg.LinAlgError as exc:
-        raise failure(f"numerical failure: {exc}") from exc
+        message = f"numerical failure: {exc}"
+    with suppress(np.linalg.LinAlgError, SolverError):
+        certify(j, y)  # the error carries the current iterate, repaired
+    raise failure(f"{message} (gap {gap:.3e} before repair)")

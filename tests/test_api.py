@@ -1,6 +1,8 @@
-"""The package surface: its public names, and no dead imports in its modules."""
+"""The package surface: its public names, no dead imports in its modules, and a
+runtime that needs nothing beyond the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,30 @@ def test_unused_import_is_caught():
               "from typing import Sequence\nfrom .linalg import Ket  # noqa: F401\n"
               "def f(x: 'Sequence') -> None:\n    pass\n")
     assert unused_imports(source) == ["line 2: json"]
+
+
+RUNTIME = set(sys.stdlib_module_names) | {"numpy", "testerbounds"}
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level packages a module imports; relative imports are the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", [*MODULES, MODULES[0].parent / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_runtime_is_numpy_only(path):
+    # scipy and the test-only packages may be installed, but the library must not need them
+    assert imported_packages(path.read_text()) - RUNTIME == set()
+
+
+def test_foreign_import_is_caught():
+    source = ("from __future__ import annotations\nimport numpy.linalg\nimport json\n"
+              "from scipy.linalg import cho_solve\nfrom .linalg import Ket\n")
+    assert imported_packages(source) - RUNTIME == {"scipy"}

@@ -501,6 +501,23 @@ class TestReports:
 class TestOrbitReuse:
     """Reports solve once per symmetry orbit; the direct solves are the oracle."""
 
+    @staticmethod
+    def record_tightness(s, monkeypatch) -> list:
+        """(combination, degenerate) of each objective a report checks directly,
+        the combination found by rebuilding every objective."""
+        combos = all_combinations(s)
+        check = bounds._tightness
+        calls = []
+
+        def recording(objective):
+            res = check(objective)
+            calls.append((next(c for c in combos if np.array_equal(
+                objective_operator(s, c).mat, objective.mat)), res.degenerate))
+            return res
+
+        monkeypatch.setattr(bounds, "_tightness", recording)
+        return calls
+
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
     def test_newton_once_per_orbit(self, kind, d, monkeypatch):
@@ -532,6 +549,27 @@ class TestOrbitReuse:
             assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
             assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
 
+    def test_per_test_maxima_once_per_label_orbit(self, monkeypatch):
+        # the solver stops once n mu <= tol / 2, which leaves a transported pair
+        # room for the rounding of its repair: every image certifies its start
+        s = _build_scenario("meb", 5)
+        symmetries = bounds._symmetries(s)
+        labels = {id(op): label for tester in s.testers() for label, op in tester.elements}
+        solve = bounds.maximize_over_channels
+        iterations = {}
+
+        def recording(m, tol, start=None):
+            res = solve(m, tol=tol, start=start)
+            iterations[labels[id(m)]] = res.iterations
+            return res
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", recording)
+        maxima = bounds._per_test_maxima(s, 1e-6, symmetries=symmetries)
+        orbits = {frozenset([x, *(perm[x] for _, _, perm in symmetries)]) for x in labels.values()}
+        solved = [x for x, n in iterations.items() if n > 0]
+        assert len(iterations) == len(maxima) == 50 and len(orbits) == 2
+        assert sorted(len([x for x in solved if x in orbit]) for orbit in orbits) == [1, 1]
+
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
@@ -542,15 +580,7 @@ class TestOrbitReuse:
         def orbit(key):
             return frozenset([key, *(tuple(perm[x] for x in key) for _, _, perm in symmetries)])
 
-        check = bounds.tightness_check
-        calls = []
-
-        def recording(scenario, combination):
-            res = check(scenario, combination)
-            calls.append((tuple(combination), res.degenerate))
-            return res
-
-        monkeypatch.setattr(bounds, "tightness_check", recording)
+        calls = self.record_tightness(s, monkeypatch)
         reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
         monkeypatch.undo()
         # a degenerate top eigenspace is checked on eigh's own basis, so only
@@ -560,7 +590,7 @@ class TestOrbitReuse:
         assert len(sources) == len(set(sources))
         assert len(calls) < len(reports)
         for r in reports:
-            direct = check(s, r.combination)
+            direct = tightness_check(s, r.combination)
             assert abs(r.upper - direct.upper) <= 1e-12
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
 
@@ -581,20 +611,14 @@ class TestOrbitReuse:
         wrong = {c for c in all_combinations(s)
                  if np.abs(objective_operator(s, c).mat
                            - moved(tuple(inverse[y] for y in c))).max() > 1e-6}
-        check = bounds.tightness_check
-        calls = []
-
-        def recording(scenario, combination):
-            calls.append(tuple(combination))
-            return check(scenario, combination)
-
         monkeypatch.setattr(bounds, "_symmetries", lambda scenario: [(u, v, false)])
-        monkeypatch.setattr(bounds, "tightness_check", recording)
+        recorded = self.record_tightness(s, monkeypatch)
         reports = scenario_report(s, tol=1e-6, skip_exact=True, skip_trivial=True)
         monkeypatch.undo()
+        calls = [c for c, _ in recorded]
         assert wrong and len(calls) < len(reports)
         for r in reports:
-            direct = check(s, r.combination)
+            direct = tightness_check(s, r.combination)
             if r.combination in wrong:
                 assert r.combination in calls
                 assert (r.upper, r.tight, r.tight_degenerate) == \
