@@ -18,11 +18,15 @@ eigendecomposition, and records a failed solve as ``error``.  It works once
 per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes each
 tester's elements maps the objective M of an outcome or a combination to
 W M W^dag, that of its image, and a certified pair (J, Y) to
-(W J W^dag, U Y U^dag), so bounds within an orbit coincide.  Each image
-starts its solves from the transported pair, certified before any
-primal-dual iteration, and takes its source's norm cap and tightness once its
-own objective is checked to equal W M W^dag.  Each combination's objective is
-built once and serves both the spectral step and the exact solve.
+(W J W^dag, U Y U^dag), so bounds within an orbit coincide.  The orbits are
+one table per report: the first key of an orbit in report order is its
+source, solved with no start, and each image starts from the transported
+pair, which certifies before any primal-dual iteration or counts as no start.
+The images of a failed source are solved directly.  An image takes its
+source's norm cap and tightness once its own objective is checked to equal
+W M W^dag; a source with a degenerate top eigenspace hands nothing on.  Each
+combination's objective is built once and serves both the spectral step and
+the exact solve.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing; they are the oracle.
 """
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,44 +127,39 @@ def _conjugated(m: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np
     return w @ m @ w.conj().T
 
 
-def _solve_orbits(keys: Iterable[tuple[str, ...]], solve: Callable, symmetries: Sequence) -> dict:
-    """The result of ``solve(key, start)``, or the SolverError it raised, for each
-    key (a tuple of labels) in order.  ``solve`` also returns what the images of
-    its key may start from, or None, always None for a result accepted from
-    ``start``.  Each symmetry's image of the key, unless done or started
-    already, gets that as the start (handed, U, V), which ``solve`` moves by
-    W = U (x) V.  The symmetries form a group, so the images of a key accepted
-    from a start are those of its source, all done or started."""
-    results: dict = {}
-    starts: dict = {}
+def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
+    """The orbit table of ``keys`` (tuples of labels), in their order: the first
+    key of each orbit is its source and maps to None, every other key to
+    (source, U, V) for the first symmetry W = U (x) V that maps the source
+    onto it.  The symmetries form a group, so the images of a source are its
+    whole orbit."""
+    table: dict = {}
     for key in keys:
+        if key not in table:
+            table[key] = None
+            for u, v, perm in symmetries:
+                table.setdefault(tuple(perm[x] for x in key), (key, u, v))
+    return {key: table[key] for key in keys}
+
+
+def _solved(table: dict, objectives: dict, solve: Callable, tol: float) -> dict:
+    """The result of ``solve(objectives[key], tol=tol, start=...)``, or the
+    SolverError it raised, for each key of an orbit table.  A source has no
+    start; an image starts from its source's certified pair (J, Y) moved to
+    (W J W^dag, U Y U^dag), or from none when the source failed."""
+    results: dict = {}
+    for key, origin in table.items():
+        start = None
+        if origin is not None and isinstance(results[origin[0]], ChannelOptResult):
+            source, u, v = origin
+            res = results[source]
+            start = (_conjugated(res.optimizer.choi.mat, u, v),
+                     _conjugated(res.dual_certificate.mat, u))
         try:
-            results[key], handed = solve(key, starts.pop(key, None))
+            results[key] = solve(objectives[key], tol=tol, start=start)
         except SolverError as exc:
             results[key] = exc
-            continue
-        if handed is None:
-            continue
-        for u, v, perm in symmetries:
-            image = tuple(perm[x] for x in key)
-            if image not in results and image not in starts:
-                starts[image] = (handed, u, v)
     return results
-
-
-def _certified(res: ChannelOptResult) -> tuple[ChannelOptResult, tuple | None]:
-    """A solve's result, and its pair (J, Y) unless it was certified from a start."""
-    if res.iterations == 0:
-        return res, None
-    return res, (res.optimizer.choi.mat, res.dual_certificate.mat)
-
-
-def _moved_pair(start) -> tuple[np.ndarray, np.ndarray] | None:
-    """The solver start (W J W^dag, U Y U^dag) for a handed pair (J, Y)."""
-    if start is None:
-        return None
-    (j, y), u, v = start
-    return _conjugated(j, u, v), _conjugated(y, u)
 
 
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
@@ -171,52 +170,51 @@ def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | Non
     elements = {(label,): element
                 for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
                 for label, element in tester.elements if labels is None or label in labels}
-    results = _solve_orbits(
-        elements, lambda key, start: _certified(
-            maximize_over_channels(elements[key], tol=tol, start=_moved_pair(start))),
-        symmetries)
+    results = _solved(_orbits(list(elements), symmetries), elements, maximize_over_channels, tol)
     return {label: res.dual_value if isinstance(res, ChannelOptResult)
             else f"per-test maximum for {label!r} failed: {res}"
             for (label,), res in results.items()}
 
 
 def _exact_bounds(objectives: dict[tuple[str, ...], HermitianOperator], tol: float,
-                  symmetries: Sequence = ()) -> dict:
+                  table: dict) -> dict:
     """The certified maximum of each combination's built objective, or the
-    SolverError it raised."""
+    SolverError it raised, walking the orbit table ``table``."""
 
     # named like the oracle it stands for: bench/tracing.py tells exact solves
     # from per-test maxima by the name of the function calling the solver
-    def exact_bound(combo, start):
-        return _certified(maximize_over_channels(objectives[combo], tol=tol,
-                                                 start=_moved_pair(start)))
+    def exact_bound(m, tol, start):
+        return maximize_over_channels(m, tol=tol, start=start)
 
-    return _solve_orbits(objectives, exact_bound, symmetries)
+    return _solved(table, objectives, exact_bound, tol)
 
 
-def _spectral_steps(scenario: Scenario, combos: Iterable[tuple[str, ...]], symmetries: Sequence,
+def _spectral_steps(scenario: Scenario, table: dict,
                     objectives: dict | None) -> dict[tuple[str, ...], TightnessResult]:
-    """The tightness of each combination, checked once per orbit: each objective
-    is built once, kept in ``objectives`` unless that is None, and an image takes
-    its source's result when its own objective equals W M W^dag entrywise within
-    ROUNDING_ATOL (M the source's); otherwise it is checked directly.  A
-    degenerate top eigenspace is checked on the basis ``eigh`` happens to return,
-    which W does not carry over, so such a result is handed to no image."""
-
-    def step(combo, start):
+    """The tightness of each combination of an orbit table, checked once per
+    orbit: each objective is built once, kept in ``objectives`` unless that is
+    None, and an image takes its source's result when its own objective equals
+    W M W^dag entrywise within ROUNDING_ATOL (M the source's); otherwise it is
+    checked directly.  A degenerate top eigenspace is checked on the basis
+    ``eigh`` happens to return, which W does not carry over, so such a result
+    is handed to no image."""
+    sources = {origin[0] for origin in table.values() if origin is not None}
+    handed: dict = {}
+    results: dict = {}
+    for combo, origin in table.items():
         objective = objective_operator(scenario, combo)
         if objectives is not None:
             objectives[combo] = objective
-        if start is not None:
-            (m, res), u, v = start
+        if origin is not None and origin[0] in handed:
+            source, u, v = origin
+            m, res = handed[source]
             if np.abs(objective.mat - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
-                return res, None
-        res = _tightness(objective)
-        if not symmetries or res.degenerate:
-            return res, None
-        return res, (objective.mat, res)
-
-    return _solve_orbits(combos, step, symmetries)
+                results[combo] = res
+                continue
+        results[combo] = res = _tightness(objective)
+        if combo in sources and not res.degenerate:
+            handed[combo] = (objective.mat, res)
+    return results
 
 
 def _weighted_maxima(scenario: Scenario, combination: tuple[str, ...],
@@ -441,7 +439,7 @@ def bound_report(scenario: Scenario, combination: Sequence[str],
     return _report(scenario, combination, tol, tightness_check(scenario, combination),
                    _per_test_maxima(scenario, tol, combination),
                    _exact_bounds({combination: objective_operator(scenario, combination)},
-                                 tol)[combination])
+                                 tol, {combination: None})[combination])
 
 
 def all_combinations(scenario: Scenario, cap: int | None = None) -> list[tuple[str, ...]]:
@@ -462,22 +460,24 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
     per-test maxima feeding the trivial bound are solved once per outcome.
-    Symmetries are detected once per report, and the norm cap, the tightness
-    and every solve run once per symmetry orbit: an image's ``upper``, ``tight``
-    and ``tight_degenerate`` are its source's, taken once its objective matches
-    the transported one, and its solves start from the transported pair.
+    Symmetries and the combinations' orbit table are computed once per report,
+    and the norm cap, the tightness and every solve run once per symmetry
+    orbit: an image's ``upper``, ``tight`` and ``tight_degenerate`` are its
+    source's, taken once its objective matches the transported one, and its
+    solves start from the transported pair.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
     check_tol(tol)
     combos = all_combinations(scenario, cap)
     symmetries = _symmetries(scenario)
+    table = _orbits(combos, symmetries)
     # the spectral step builds each objective once and keeps it only for the
     # exact solves, so a report that skips them holds no more than one at a time
     objectives = None if skip_exact else {}
-    spectral = _spectral_steps(scenario, combos, symmetries, objectives)
+    spectral = _spectral_steps(scenario, table, objectives)
     maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
-    exact = {} if skip_exact else _exact_bounds(objectives, tol, symmetries)
+    exact = {} if skip_exact else _exact_bounds(objectives, tol, table)
     return [_report(scenario, combo, tol, spectral[combo], maxima, exact.get(combo))
             for combo in combos]
 

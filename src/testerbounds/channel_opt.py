@@ -163,8 +163,8 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     certifies within the iteration cap.  A non-channel primal is never reported.
 
     ``start``, a pair (J, Y), is checked like an iterate: if it certifies, the
-    result has ``iterations == 0``; if not, it seeds the best pair of the usual
-    path; if its checks fail, it counts as no start.
+    result has ``iterations == 0``; otherwise it counts as no start, and the
+    solve runs exactly as with ``start=None``.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
@@ -219,16 +219,12 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
         )
 
     if start is not None:
-        try:
-            res = certify(*start)
-        except (np.linalg.LinAlgError, SolverError):
-            res = best_primal = None
-        if res is not None:
-            return res
-        if best_primal is None or _channel(best_primal[1], m.dims) is None:
-            # a start that fails its checks counts as no start
-            history.clear()
-            best_primal = best_dual = None
+        with suppress(np.linalg.LinAlgError, SolverError):
+            if (res := certify(*start)) is not None:
+                return res
+        # a start that does not certify counts as no start
+        history.clear()
+        best_primal = best_dual = None
 
     lam_min, lam_max = np.linalg.eigvalsh(a)[[0, -1]].tolist()
     y = (lam_max + 0.1 * max(lam_max - lam_min, 1.0, abs(lam_max))) * np.eye(d_in)

@@ -21,7 +21,9 @@ from testerbounds.bounds import (
     upper_bound,
 )
 from testerbounds.cli import GEN_KINDS, _build_scenario
+from testerbounds.channel_opt import SolverError
 from testerbounds.linalg import (
+    ROUNDING_ATOL,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -569,6 +571,69 @@ class TestOrbitReuse:
         solved = [x for x, n in iterations.items() if n > 0]
         assert len(iterations) == len(maxima) == 50 and len(orbits) == 2
         assert sorted(len([x for x in solved if x in orbit]) for orbit in orbits) == [1, 1]
+
+    def test_failed_source_images_solved_directly(self, monkeypatch):
+        # x1_0 is the source of its label orbit: its failure is the error of
+        # every combination that uses it, and its images start from nothing
+        s = _build_scenario("meb", 3)
+        labels = {id(op): label for tester in s.testers() for label, op in tester.elements}
+        solve = bounds.maximize_over_channels
+        starts, runs = {}, []
+
+        def failing(m, tol, start=None):
+            if labels.get(id(m)) == "x1_0":
+                raise SolverError("injected failure")
+            res = solve(m, tol=tol, start=start)
+            if id(m) in labels:
+                starts[labels[id(m)]] = start
+            runs.append(res.iterations > 0)
+            return res
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", failing)
+        reports = scenario_report(s, tol=1e-6)
+        monkeypatch.undo()
+        assert [r.combination for r in reports if r.error] == \
+            [c for c in all_combinations(s) if c[0] == "x1_0"]
+        assert sorted(x for x, start in starts.items() if start is None) == \
+            [f"x1_{i}" for i in range(1, 9)] + ["x2_0"]
+        assert sum(runs) == 10
+        for r in reports:
+            assert (r.trivial is None) == (r.error is not None)
+            assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
+            if r.trivial is not None:
+                assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
+
+    @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
+                                        if kind != "mub-meb-2qubit" or d == 2])
+    def test_orbit_table(self, kind, d):
+        s = _build_scenario(kind, d)
+        symmetries = bounds._symmetries(s)
+        elements = {(label,): op.mat for tester in s.testers() for label, op in tester.elements}
+        objectives = {c: objective_operator(s, c).mat for c in all_combinations(s)}
+        for mats in (elements, objectives):
+            table = bounds._orbits(list(mats), symmetries)
+            assert list(table) == list(mats)
+            for key in mats:
+                orbit = {key, *(tuple(perm[x] for x in key) for _, _, perm in symmetries)}
+                members = [k for k in table if k in orbit]
+                # the first key of an orbit in report order is its one source
+                assert [table[k] is None for k in members] == [True] + [False] * (len(members) - 1)
+            for key, origin in table.items():
+                if origin is not None:
+                    source, u, v = origin
+                    assert table[source] is None
+                    assert np.abs(bounds._conjugated(mats[source], u, v)
+                                  - mats[key]).max() <= ROUNDING_ATOL
+
+    def test_orbit_table_sources_of_meb(self):
+        s = _build_scenario("meb", 3)
+        symmetries = bounds._symmetries(s)
+        combos = bounds._orbits(all_combinations(s), symmetries)
+        labels = bounds._orbits([(x,) for test in s.tests for x in test.labels], symmetries)
+        assert [k for k, origin in combos.items() if origin is None] == [("x1_0", "x2_0")]
+        assert len(combos) == 81
+        assert [k for k, origin in labels.items() if origin is None] == [("x1_0",), ("x2_0",)]
+        assert len(labels) == 18
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)

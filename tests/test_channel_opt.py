@@ -264,17 +264,6 @@ class TestStart:
         assert np.trace(image.mat @ moved.optimizer.choi.mat).real == \
             pytest.approx(moved.value, abs=1e-12)
 
-    def test_wrong_starts_fall_back(self):
-        m = random_psd(np.random.default_rng(6), 3, 2)
-        direct = maximize_over_channels(m, tol=1e-6)
-        other = maximize_over_channels(random_psd(np.random.default_rng(7), 3, 2), tol=1e-6)
-        u, v = shift_clock(3)[4], shift_clock(2)[3]
-        for start in (self.transported(other, u, v), (np.eye(6) / 2, np.zeros((3, 3)))):
-            res = maximize_over_channels(m, tol=1e-6, start=start)
-            assert res.iterations > 0 and len(res.history) > 1
-            assert 0.0 <= res.gap <= 1e-6
-            assert abs(res.value - direct.value) <= 1e-6
-
     @staticmethod
     def near_singular_choi():
         """A Choi candidate whose input marginal has eigenvalues near 1 and 1e-13:
@@ -287,13 +276,25 @@ class TestStart:
             np.zeros((4, 4)), j, 2, 2)[1], (2, 2)) is None
         return j
 
-    @pytest.mark.parametrize("choi", [lambda: np.kron(np.diag([1.0, 0.0]), np.eye(2)),
-                                      near_singular_choi],
-                             ids=["singular-marginal", "repairs-to-non-channel"])
-    def test_unrepairable_start_is_no_start(self, choi):
+    @staticmethod
+    def wrong_image(direct):
+        """The certified pair of another objective, moved by a shift-clock W."""
+        other = maximize_over_channels(random_psd(np.random.default_rng(7), 2, 2), tol=1e-6)
+        return TestStart.transported(other, shift_clock(2)[3], shift_clock(2)[3])
+
+    @pytest.mark.parametrize("start", [
+        lambda direct: (np.kron(np.diag([1.0, 0.0]), np.eye(2)), direct.dual_certificate.mat),
+        lambda direct: (TestStart.near_singular_choi(), direct.dual_certificate.mat),
+        wrong_image,
+        lambda direct: (np.eye(4) / 2, np.zeros((2, 2))),
+    ], ids=["singular-marginal", "repairs-to-non-channel", "wrong-image", "zero-dual"])
+    def test_unrepairable_start_is_no_start(self, start):
+        # a start that does not certify leaves no trace: the solve is the
+        # start=None solve, bracket, iterations and history alike
         m = random_psd(np.random.default_rng(2), 2, 2)
         direct = maximize_over_channels(m, tol=1e-6)
-        res = maximize_over_channels(m, tol=1e-6, start=(choi(), direct.dual_certificate.mat))
+        res = maximize_over_channels(m, tol=1e-6, start=start(direct))
+        assert res.iterations > 0
         assert (res.value, res.dual_value, res.iterations, res.history) == \
             (direct.value, direct.dual_value, direct.iterations, direct.history)
 
