@@ -22,13 +22,13 @@ W M W^dag, that of its image, and a certified pair (J, Y) to
 one table per report: the first key of an orbit in report order is its
 source, solved with no start, and each image starts from the transported
 pair, which certifies before any primal-dual iteration or counts as no start.
-The images of a failed source are solved directly.  An image takes its
-source's norm cap and tightness once its own objective is checked to equal
-W M W^dag; a source with a degenerate top eigenspace hands nothing on.  Each
-combination's objective is built once and serves both the spectral step and
-the exact solve.
+The images of a failed source are solved directly.  A report is one walk
+over the combinations' table: each objective is built once, an image takes
+its source's norm cap and tightness once its own objective is checked to
+equal W M W^dag (a source with a degenerate top eigenspace hands nothing
+on), and its exact solve follows at once.  Only sources keep their objective.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
-reuse nothing; they are the oracle.
+reuse nothing and take no start; they are the oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,79 +142,37 @@ def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
     return {key: table[key] for key in keys}
 
 
-def _solved(table: dict, objectives: dict, solve: Callable, tol: float) -> dict:
-    """The result of ``solve(objectives[key], tol=tol, start=...)``, or the
-    SolverError it raised, for each key of an orbit table.  A source has no
-    start; an image starts from its source's certified pair (J, Y) moved to
-    (W J W^dag, U Y U^dag), or from none when the source failed."""
-    results: dict = {}
-    for key, origin in table.items():
-        start = None
-        if origin is not None and isinstance(results[origin[0]], ChannelOptResult):
-            source, u, v = origin
-            res = results[source]
-            start = (_conjugated(res.optimizer.choi.mat, u, v),
-                     _conjugated(res.dual_certificate.mat, u))
-        try:
-            results[key] = solve(objectives[key], tol=tol, start=start)
-        except SolverError as exc:
-            results[key] = exc
-    return results
+def _start(results: dict, origin) -> tuple[np.ndarray, np.ndarray] | None:
+    """The start of a key of an orbit table whose source's result is in
+    ``results``: the source's certified pair (J, Y) moved to
+    (W J W^dag, U Y U^dag), or None for a source and for an image of a source
+    that raised SolverError."""
+    res = None if origin is None else results[origin[0]]
+    if not isinstance(res, ChannelOptResult):
+        return None
+    _, u, v = origin
+    return _conjugated(res.optimizer.choi.mat, u, v), _conjugated(res.dual_certificate.mat, u)
 
 
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
                      symmetries: Sequence = ()) -> dict[str, float | str]:
     """Dual value of max_channel p(x) (an upper estimate within ``tol``) for each
     outcome x of each test of nonzero weight, restricted to ``labels`` if given;
-    a failed solve is kept as its error message."""
+    a failed solve is kept as its error message.  One walk over the label
+    orbit table: an image starts from its source's moved pair."""
     elements = {(label,): element
                 for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
                 for label, element in tester.elements if labels is None or label in labels}
-    results = _solved(_orbits(list(elements), symmetries), elements, maximize_over_channels, tol)
+    results: dict = {}
+    for key, origin in _orbits(list(elements), symmetries).items():
+        try:
+            results[key] = maximize_over_channels(elements[key], tol=tol,
+                                                  start=_start(results, origin))
+        except SolverError as exc:
+            results[key] = exc
     return {label: res.dual_value if isinstance(res, ChannelOptResult)
             else f"per-test maximum for {label!r} failed: {res}"
             for (label,), res in results.items()}
-
-
-def _exact_bounds(objectives: dict[tuple[str, ...], HermitianOperator], tol: float,
-                  table: dict) -> dict:
-    """The certified maximum of each combination's built objective, or the
-    SolverError it raised, walking the orbit table ``table``."""
-
-    # named like the oracle it stands for: bench/tracing.py tells exact solves
-    # from per-test maxima by the name of the function calling the solver
-    def exact_bound(m, tol, start):
-        return maximize_over_channels(m, tol=tol, start=start)
-
-    return _solved(table, objectives, exact_bound, tol)
-
-
-def _spectral_steps(scenario: Scenario, table: dict,
-                    objectives: dict | None) -> dict[tuple[str, ...], TightnessResult]:
-    """The tightness of each combination of an orbit table, checked once per
-    orbit: each objective is built once, kept in ``objectives`` unless that is
-    None, and an image takes its source's result when its own objective equals
-    W M W^dag entrywise within ROUNDING_ATOL (M the source's); otherwise it is
-    checked directly.  A degenerate top eigenspace is checked on the basis
-    ``eigh`` happens to return, which W does not carry over, so such a result
-    is handed to no image."""
-    sources = {origin[0] for origin in table.values() if origin is not None}
-    handed: dict = {}
-    results: dict = {}
-    for combo, origin in table.items():
-        objective = objective_operator(scenario, combo)
-        if objectives is not None:
-            objectives[combo] = objective
-        if origin is not None and origin[0] in handed:
-            source, u, v = origin
-            m, res = handed[source]
-            if np.abs(objective.mat - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
-                results[combo] = res
-                continue
-        results[combo] = res = _tightness(objective)
-        if combo in sources and not res.degenerate:
-            handed[combo] = (objective.mat, res)
-    return results
 
 
 def _weighted_maxima(scenario: Scenario, combination: tuple[str, ...],
@@ -247,12 +205,11 @@ def upper_bound(scenario: Scenario, combination: Sequence[str]) -> float:
     return scenario.d_in * operator_norm(objective, require_psd=True)
 
 
-def exact_bound(scenario: Scenario, combination: Sequence[str], tol: float = 1e-6,
-                start: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelOptResult:
-    """Certified maximum of the weighted combination probability over channels;
-    ``start`` is a candidate pair handed to ``maximize_over_channels``."""
-    objective = objective_operator(scenario, combination)
-    return maximize_over_channels(objective, tol=tol, start=start)
+def exact_bound(scenario: Scenario, combination: Sequence[str],
+                tol: float = 1e-6) -> ChannelOptResult:
+    """Certified maximum of the weighted combination probability over channels,
+    solved from no start."""
+    return maximize_over_channels(objective_operator(scenario, combination), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -436,10 +393,13 @@ def bound_report(scenario: Scenario, combination: Sequence[str],
                  tol: float = 1e-6) -> BoundReport:
     """Every bound for one combination; a failed solve is recorded as ``error``."""
     combination = _check_combination(scenario, combination)
-    return _report(scenario, combination, tol, tightness_check(scenario, combination),
-                   _per_test_maxima(scenario, tol, combination),
-                   _exact_bounds({combination: objective_operator(scenario, combination)},
-                                 tol, {combination: None})[combination])
+    spectral = tightness_check(scenario, combination)
+    maxima = _per_test_maxima(scenario, tol, combination)
+    try:
+        exact = exact_bound(scenario, combination, tol)
+    except SolverError as exc:
+        exact = exc
+    return _report(scenario, combination, tol, spectral, maxima, exact)
 
 
 def all_combinations(scenario: Scenario, cap: int | None = None) -> list[tuple[str, ...]]:
@@ -460,11 +420,11 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
     per-test maxima feeding the trivial bound are solved once per outcome.
-    Symmetries and the combinations' orbit table are computed once per report,
-    and the norm cap, the tightness and every solve run once per symmetry
-    orbit: an image's ``upper``, ``tight`` and ``tight_degenerate`` are its
-    source's, taken once its objective matches the transported one, and its
-    solves start from the transported pair.
+    The report is one walk over the combinations' orbit table, in report
+    order, and builds each objective once.  An image takes its source's
+    ``upper``, ``tight`` and ``tight_degenerate`` once its objective matches
+    the transported one, and its exact solve starts from the transported
+    pair; only a source that has images keeps its objective and results.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
@@ -472,14 +432,40 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     combos = all_combinations(scenario, cap)
     symmetries = _symmetries(scenario)
     table = _orbits(combos, symmetries)
-    # the spectral step builds each objective once and keeps it only for the
-    # exact solves, so a report that skips them holds no more than one at a time
-    objectives = None if skip_exact else {}
-    spectral = _spectral_steps(scenario, table, objectives)
+    sources = {origin[0] for origin in table.values() if origin is not None}
     maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
-    exact = {} if skip_exact else _exact_bounds(objectives, tol, table)
-    return [_report(scenario, combo, tol, spectral[combo], maxima, exact.get(combo))
-            for combo in combos]
+
+    # named like the oracle it stands for: bench/tracing.py tells exact solves
+    # from per-test maxima by the name of the function calling the solver
+    def exact_bound(objective, start):
+        try:
+            return maximize_over_channels(objective, tol=tol, start=start)
+        except SolverError as exc:
+            return exc
+
+    # a degenerate top eigenspace is checked on the basis eigh happens to
+    # return, which W does not carry over, so such a result is handed on to
+    # no image
+    handed: dict = {}
+    solved: dict = {}
+    reports = []
+    for combo, origin in table.items():
+        objective = objective_operator(scenario, combo)
+        spectral = None
+        if origin is not None and origin[0] in handed:
+            source, u, v = origin
+            m, res = handed[source]
+            if np.abs(objective.mat - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
+                spectral = res
+        if spectral is None:
+            spectral = _tightness(objective)
+        exact = None if skip_exact else exact_bound(objective, _start(solved, origin))
+        if combo in sources:
+            solved[combo] = exact
+            if not spectral.degenerate:
+                handed[combo] = (objective.mat, spectral)
+        reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
+    return reports
 
 
 _JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_degenerate",

@@ -95,7 +95,7 @@ def _load(data: bytes, what: str, from_json):
     """The value ``from_json`` builds from the JSON text ``data``."""
     try:
         return from_json(json.loads(data))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot load {what}: {exc}") from exc
 
 

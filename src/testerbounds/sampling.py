@@ -28,10 +28,9 @@ def random_ket(d: int, rng: np.random.Generator, dims: tuple[int, ...] | None = 
 
 
 def ginibre_state(d: int, rng: np.random.Generator,
-                  dims: tuple[int, ...] | None = None, rank: int | None = None) -> HermitianOperator:
-    """Full-rank (or fixed-rank) random density operator G G^dag / tr."""
-    rank = rank or d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                  dims: tuple[int, ...] | None = None) -> HermitianOperator:
+    """Full-rank random density operator G G^dag / tr."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return HermitianOperator(rho / np.trace(rho).real, dims or (d,))
 
@@ -87,16 +86,15 @@ def random_scenario(rng: np.random.Generator, n_tests: int = 2,
 
 
 def random_mixed_marginal_test(d_anc: int, d_in: int, d_out: int, n_outcomes: int,
-                               rng: np.random.Generator, prefix: str = "x",
-                               n_pure: int = 3) -> Test:
+                               rng: np.random.Generator, prefix: str = "x") -> Test:
     """Random test whose input marginal on the channel input is exactly I/d_in.
 
-    Mixes pure states of the form (W (x) I)|Psi+> with Haar isometries
+    Mixes three pure states of the form (W (x) I)|Psi+> with Haar isometries
     W: d_in -> d_anc, each of which has input marginal I/d_in.
     """
     if d_anc < d_in:
         raise ValueError("need d_anc >= d_in for an isometric purification")
-    weights = rng.dirichlet(np.ones(n_pure))
+    weights = rng.dirichlet(np.ones(3))
     rho = np.zeros((d_anc * d_in,) * 2, dtype=complex)
     psi_plus = maximally_entangled_ket(d_in).amps
     for w in weights:

@@ -212,9 +212,9 @@ def ancilla_free_scenario(input_kets: Sequence[Ket], bases: Sequence[Sequence[Ke
 
 
 def entangled_input_product_scenario(d: int, bases_anc: Sequence[Sequence[Ket]],
-                                     bases_out: Sequence[Sequence[Ket]],
-                                     weights: Sequence[float] | None = None) -> Scenario:
-    """Maximally entangled input, product-basis measurement e_i (x) f_j per test.
+                                     bases_out: Sequence[Sequence[Ket]]) -> Scenario:
+    """Maximally entangled input, product-basis measurement e_i (x) f_j per test,
+    equal weights.
 
     Outcome labels are x{l}_{i}_{j} with i indexing the ancilla basis and j the
     output basis.
@@ -222,7 +222,6 @@ def entangled_input_product_scenario(d: int, bases_anc: Sequence[Sequence[Ket]],
     if len(bases_anc) != len(bases_out):
         raise ValidationError("one ancilla basis per output basis required")
     n = len(bases_anc)
-    weights = [1.0 / n] * n if weights is None else list(weights)
     state = maximally_entangled_state(d)
     tests = []
     for l, (banc, bout) in enumerate(zip(bases_anc, bases_out)):
@@ -235,7 +234,7 @@ def entangled_input_product_scenario(d: int, bases_anc: Sequence[Sequence[Ket]],
                 eff = kron(e, f).projector()
                 effects.append((f"x{l + 1}_{i}_{j}", eff))
         tests.append(Test(state, effects, d_anc=d, d_in=d, d_out=d_out))
-    return Scenario(tests, weights)
+    return Scenario(tests, [1.0 / n] * n)
 
 
 def meb_scenario(meb1: MEB, meb2: MEB, weights: Sequence[float] = (0.5, 0.5)) -> Scenario:

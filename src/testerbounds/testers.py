@@ -105,14 +105,6 @@ class Tester:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "marginal", marginal)
 
-    @property
-    def d_in(self) -> int:
-        return self.marginal.dims[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.elements[0][1].dims[1]
-
     def element(self, label: str) -> HermitianOperator:
         for lab, op in self.elements:
             if lab == label:

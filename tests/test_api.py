@@ -11,6 +11,7 @@ import testerbounds
 
 MODULES = sorted(p for p in Path(testerbounds.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # dir() of the package: its exports and the submodules importing them binds
 PUBLIC = [
@@ -58,6 +59,38 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def traced_attributes(source: str) -> set[tuple[str, str]]:
+    """(module, attribute) of each entry of the tracer's ``TARGETS`` table."""
+    table = next(node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    return {(entry.elts[0].id, entry.elts[1].value) for entry in table.elts}
+
+
+def untraced_shims(source: str, module: str, traced: set[tuple[str, str]]) -> list[str]:
+    """Names a module imports on ``# noqa: F401`` lines that the tracer does not
+    rebind in it: such an import serves nothing."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if "# noqa: F401" in lines[alias.lineno - 1]
+            and (module, alias.asname or alias.name) not in traced]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_noqa_imports_serve_the_tracer(path):
+    traced = traced_attributes(TRACING.read_text())
+    assert untraced_shims(path.read_text(), path.stem, traced) == []
+
+
+def test_untraced_shim_is_caught():
+    traced = traced_attributes(TRACING.read_text())
+    assert ("bounds", "eig_hermitian") in traced
+    source = ("from .linalg import eig_hermitian  # noqa: F401\n"
+              "from .linalg import Ket  # noqa: F401\nfrom .linalg import kron\n")
+    assert untraced_shims(source, "bounds", traced) == ["Ket"]
+    assert untraced_shims(source, "cli", traced) == ["eig_hermitian", "Ket"]
 
 
 def test_unused_import_is_caught():

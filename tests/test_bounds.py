@@ -659,7 +659,8 @@ class TestOrbitReuse:
             assert abs(r.upper - direct.upper) <= 1e-12
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
 
-    def test_false_symmetry_caught_by_objective_check(self, monkeypatch):
+    @pytest.mark.parametrize("skip", [True, False])
+    def test_false_symmetry_caught_by_objective_check(self, skip, monkeypatch):
         s = _build_scenario("meb", 3)
         u, v, perm = bounds._symmetries(s)[0]
         labels = [x for test in s.tests for x in test.labels]
@@ -678,7 +679,7 @@ class TestOrbitReuse:
                            - moved(tuple(inverse[y] for y in c))).max() > 1e-6}
         monkeypatch.setattr(bounds, "_symmetries", lambda scenario: [(u, v, false)])
         recorded = self.record_tightness(s, monkeypatch)
-        reports = scenario_report(s, tol=1e-6, skip_exact=True, skip_trivial=True)
+        reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
         monkeypatch.undo()
         calls = [c for c, _ in recorded]
         assert wrong and len(calls) < len(reports)
@@ -690,6 +691,18 @@ class TestOrbitReuse:
                     (direct.upper, direct.tight, direct.degenerate)
             assert abs(r.upper - direct.upper) <= 1e-12
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+        if not skip:
+            # a wrong image's moved start does not certify, in the exact solves
+            # and the per-test maxima alike, and the image is solved from none:
+            # more combinations run the interior point than there are sources
+            sources = [c for c, origin in bounds._orbits(all_combinations(s),
+                                                         [(u, v, false)]).items()
+                       if origin is None]
+            assert sum(r.iterations > 0 for r in reports) > len(sources)
+            for r in reports:
+                assert r.error is None
+                assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
+                assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
 
     @pytest.mark.parametrize("seed,d_in,d_out", [(3, 3, 2), (4, 2, 2), (5, 3, 3)])
     def test_random_scenario_has_no_symmetry(self, seed, d_in, d_out):

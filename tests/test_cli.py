@@ -21,7 +21,10 @@ from testerbounds.testers import channel_from_unitary, channel_to_json, scenario
 
 FULL_KEYS = ["combination", "trivial", "upper", "exact", "gap", "tradeoff", "tight",
              "tight_degenerate", "optimizer"]
-BAD_SCENARIOS = ['{"tests": 5, "weights": [1.0]}', '{"tests": [], "weights": null}']
+# json.loads raises RecursionError, not ValueError, on deep nesting
+DEEP = "[" * 100_000 + "]" * 100_000
+BAD_SCENARIOS = ['{"tests": 5, "weights": [1.0]}', '{"tests": [], "weights": null}',
+                 pytest.param(DEEP, id="deep-nesting")]
 
 
 def run_cli(capsys, *args):
@@ -294,6 +297,14 @@ class TestSimulate:
         obj["d_in"], obj["d_out"] = d_in, d_out
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", str(mub_meb_file), str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot load channel" in err
+
+    def test_deeply_nested_channel(self, capsys, mub_meb_file, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
         code, out, err = run_cli(capsys, "simulate", str(mub_meb_file), str(path))
         assert code == 2
         assert out == ""
