@@ -22,11 +22,15 @@ W M W^dag, that of its image, and a certified pair (J, Y) to
 one table per report: the first key of an orbit in report order is its
 source, solved with no start, and each image starts from the transported
 pair, which certifies before any primal-dual iteration or counts as no start.
-The images of a failed source are solved directly.  A report is one walk
-over the combinations' table: each objective is built once, an image takes
-its source's norm cap and tightness once its own objective is checked to
-equal W M W^dag (a source with a degenerate top eigenspace hands nothing
-on), and its exact solve follows at once.  Only sources keep their objective.
+The images of a failed source are solved directly.  Each symmetry is kept
+as monomials (index, phase), W[a, index[a]] = phase[a], so moving a matrix is
+a gather and two phase products.  A report is one walk over the
+combinations' table: each objective is built once, as the plain matrix that
+``objective_operator`` wraps, and validated as an operator only for an exact
+solve; an image takes its source's norm cap and tightness once its own
+objective is checked to equal W M W^dag (a source with a degenerate top
+eigenspace hands nothing on), and its exact solve follows at once.  Only
+sources keep their objective.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing and take no start; they are the oracle.
 """
@@ -45,7 +49,7 @@ from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, DimensionError, HermitianOper
                      ValidationError, check_close, operator_norm, shift_clock)
 # not called here: bench/tracing.py looks this name up in this module
 from .linalg import eig_hermitian  # noqa: F401
-from .testers import Channel, Scenario, channel_to_json
+from .testers import Channel, Scenario, Tester, channel_to_json
 
 TIGHTNESS_ATOL = 1e-8
 TRADEOFF_MARGIN = 1e-8
@@ -62,13 +66,22 @@ def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[
     return combination
 
 
+def _objective(scenario: Scenario, testers: Sequence[Tester],
+               combination: tuple[str, ...]) -> np.ndarray:
+    """The matrix of sum_l r_l T_l(x_l), summed one test at a time.  A sum of
+    exactly Hermitian elements is exactly Hermitian, so wrapping it in a
+    ``HermitianOperator`` leaves its bits as they are."""
+    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
+    for weight, tester, label in zip(scenario.weights, testers, combination):
+        total += weight * tester.element(label).mat
+    return total
+
+
 def objective_operator(scenario: Scenario, combination: Sequence[str]) -> HermitianOperator:
     """Weighted tester-element sum sum_l r_l T_l(x_l) for one combination."""
     combination = _check_combination(scenario, combination)
-    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
-    for weight, tester, label in zip(scenario.weights, scenario.testers(), combination):
-        total += weight * tester.element(label).mat
-    return HermitianOperator(total, (scenario.d_in, scenario.d_out))
+    return HermitianOperator(_objective(scenario, scenario.testers(), combination),
+                             (scenario.d_in, scenario.d_out))
 
 
 class _Relabelling:
@@ -84,10 +97,19 @@ class _Relabelling:
         return self._labels[self._row[self._index[label]]]
 
 
-def _symmetries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray, _Relabelling]]:
-    """(U, V, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
+def _monomials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, phase) of each matrix m of a stack with one nonzero entry per row,
+    m[a, index[a]] = phase[a]."""
+    index = np.abs(stack).argmax(axis=2)
+    return index, np.take_along_axis(stack, index[..., None], axis=2)[..., 0]
+
+
+def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
+    """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
     maps the fingerprints <r|T|r> of each tester's elements one to one onto
     its own (r is one fixed generic vector); perm[x] = y when W T(x) W^dag = T(y).
+    W and U are monomials (index, phase), W[a, index[a]] = phase[a], read off
+    the dense shift-clock matrices, so each phase is an entry of them.
     A false match is caught downstream: its starts fail their certification and
     its spectral reuse fails the objective check."""
     d_in, d_out = scenario.d_in, scenario.d_out
@@ -117,28 +139,35 @@ def _symmetries(scenario: Scenario) -> list[tuple[np.ndarray, np.ndarray, _Relab
     rows = np.empty_like(order[keep])
     np.put_along_axis(rows, order[keep], order[0], axis=1)
     index = {label: i for i, label in enumerate(labels)}
-    return [(us[c // len(vs)], vs[c % len(vs)], _Relabelling(index, labels, row))
-            for c, row in zip(np.flatnonzero(keep), rows)]
+    (iu, pu), (iv, pv) = _monomials(us), _monomials(vs)
+    c = np.flatnonzero(keep)
+    iu, pu, iv, pv = iu[c // len(vs)], pu[c // len(vs)], iv[c % len(vs)], pv[c % len(vs)]
+    # row (a, b) of U (x) V holds U[a, iu[a]] V[b, iv[b]] in column (iu[a], iv[b])
+    iw = (iu[:, :, None] * d_out + iv[:, None, :]).reshape(len(c), d_in * d_out)
+    pw = (pu[:, :, None] * pv[:, None, :]).reshape(len(c), d_in * d_out)
+    return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
+            for i, row in enumerate(rows)]
 
 
-def _conjugated(m: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """W m W^dag for W = u (x) v, or W = u when v is None."""
-    w = u if v is None else (u[:, None, :, None] * v[None, :, None, :]).reshape(m.shape)
-    return w @ m @ w.conj().T
+def _conjugated(m: np.ndarray, monomial: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """W m W^dag for the monomial W = (index, phase): entry (a, b) is
+    phase[a] m[index[a], index[b]] conj(phase[b])."""
+    index, phase = monomial
+    return phase[:, None] * m.take(index, 0).take(index, 1) * phase.conj()
 
 
 def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
     """The orbit table of ``keys`` (tuples of labels), in their order: the first
     key of each orbit is its source and maps to None, every other key to
-    (source, U, V) for the first symmetry W = U (x) V that maps the source
-    onto it.  The symmetries form a group, so the images of a source are its
-    whole orbit."""
+    (source, W, U) for the first symmetry W = U (x) V that maps the source
+    onto it, W and U as monomials.  The symmetries form a group, so the images
+    of a source are its whole orbit."""
     table: dict = {}
     for key in keys:
         if key not in table:
             table[key] = None
-            for u, v, perm in symmetries:
-                table.setdefault(tuple(perm[x] for x in key), (key, u, v))
+            for w, u, perm in symmetries:
+                table.setdefault(tuple(perm[x] for x in key), (key, w, u))
     return {key: table[key] for key in keys}
 
 
@@ -150,8 +179,8 @@ def _start(results: dict, origin) -> tuple[np.ndarray, np.ndarray] | None:
     res = None if origin is None else results[origin[0]]
     if not isinstance(res, ChannelOptResult):
         return None
-    _, u, v = origin
-    return _conjugated(res.optimizer.choi.mat, u, v), _conjugated(res.dual_certificate.mat, u)
+    _, w, u = origin
+    return _conjugated(res.optimizer.choi.mat, w), _conjugated(res.dual_certificate.mat, u)
 
 
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
@@ -229,13 +258,14 @@ def tightness_check(scenario: Scenario, combination: Sequence[str]) -> Tightness
     matrix V, has input marginal V V^dag.  A degenerate top eigenspace is
     checked only on its basis vectors and the degeneracy is reported.
     """
-    return _tightness(objective_operator(scenario, combination))
+    objective = objective_operator(scenario, combination)
+    return _tightness(objective.mat, objective.dims)
 
 
-def _tightness(objective: HermitianOperator) -> TightnessResult:
-    """``tightness_check`` of a built objective."""
-    vals, vecs = np.linalg.eigh(objective.mat)
-    d_in, d_out = objective.dims
+def _tightness(mat: np.ndarray, dims: tuple[int, int]) -> TightnessResult:
+    """``tightness_check`` of a built objective matrix on in(x)out of ``dims``."""
+    vals, vecs = np.linalg.eigh(mat)
+    d_in, d_out = dims
     top = vecs[:, vals >= vals[-1] - TIGHTNESS_ATOL].T.reshape(-1, d_in, d_out)
     marginals = top @ top.conj().transpose(0, 2, 1) - np.eye(d_in) / d_in
     best = float(np.abs(np.linalg.eigvalsh(marginals)).max(axis=1).min())
@@ -449,21 +479,24 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     handed: dict = {}
     solved: dict = {}
     reports = []
+    testers = scenario.testers()
+    dims = (scenario.d_in, scenario.d_out)
     for combo, origin in table.items():
-        objective = objective_operator(scenario, combo)
+        mat = _objective(scenario, testers, combo)
         spectral = None
         if origin is not None and origin[0] in handed:
-            source, u, v = origin
+            source, w, _ = origin
             m, res = handed[source]
-            if np.abs(objective.mat - _conjugated(m, u, v)).max() <= ROUNDING_ATOL:
+            if np.abs(mat - _conjugated(m, w)).max() <= ROUNDING_ATOL:
                 spectral = res
         if spectral is None:
-            spectral = _tightness(objective)
-        exact = None if skip_exact else exact_bound(objective, _start(solved, origin))
+            spectral = _tightness(mat, dims)
+        exact = None if skip_exact else exact_bound(HermitianOperator(mat, dims),
+                                                     _start(solved, origin))
         if combo in sources:
             solved[combo] = exact
             if not spectral.degenerate:
-                handed[combo] = (objective.mat, spectral)
+                handed[combo] = (mat, spectral)
         reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
     return reports
 

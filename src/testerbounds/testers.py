@@ -70,10 +70,8 @@ class Test:
         object.__setattr__(self, "d_anc", d_anc)
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.povm)
+        # not a field: equality and repr stay those of the fields above
+        object.__setattr__(self, "labels", tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,10 @@ class Tester:
         check_state(basis_transpose(marginal), "transposed marginal")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "marginal", marginal)
+        object.__setattr__(self, "_by_label", dict(elements))
 
     def element(self, label: str) -> HermitianOperator:
-        for lab, op in self.elements:
-            if lab == label:
-                return op
-        raise KeyError(label)
+        return self._by_label[label]
 
 
 @dataclass(frozen=True)

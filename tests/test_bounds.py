@@ -33,6 +33,7 @@ from testerbounds.linalg import (
     maximally_entangled_ket,
     operator_norm,
     partial_trace,
+    shift_clock,
 )
 from testerbounds.sampling import haar_unitary, random_ket, random_povm, random_scenario
 from testerbounds.scenarios import (
@@ -45,7 +46,7 @@ from testerbounds.scenarios import (
     mub_meb_pair_2qubit,
     state_measurement_scenario,
 )
-from testerbounds.testers import Scenario, channel_from_unitary
+from testerbounds.testers import Scenario, Test, channel_from_unitary
 
 
 def random_meb(d, rng):
@@ -511,10 +512,10 @@ class TestOrbitReuse:
         check = bounds._tightness
         calls = []
 
-        def recording(objective):
-            res = check(objective)
+        def recording(mat, dims):
+            res = check(mat, dims)
             calls.append((next(c for c in combos if np.array_equal(
-                objective_operator(s, c).mat, objective.mat)), res.degenerate))
+                objective_operator(s, c).mat, mat)), res.degenerate))
             return res
 
         monkeypatch.setattr(bounds, "_tightness", recording)
@@ -620,9 +621,9 @@ class TestOrbitReuse:
                 assert [table[k] is None for k in members] == [True] + [False] * (len(members) - 1)
             for key, origin in table.items():
                 if origin is not None:
-                    source, u, v = origin
+                    source, w, u = origin
                     assert table[source] is None
-                    assert np.abs(bounds._conjugated(mats[source], u, v)
+                    assert np.abs(bounds._conjugated(mats[source], w)
                                   - mats[key]).max() <= ROUNDING_ATOL
 
     def test_orbit_table_sources_of_meb(self):
@@ -662,14 +663,16 @@ class TestOrbitReuse:
     @pytest.mark.parametrize("skip", [True, False])
     def test_false_symmetry_caught_by_objective_check(self, skip, monkeypatch):
         s = _build_scenario("meb", 3)
-        u, v, perm = bounds._symmetries(s)[0]
+        w, u, perm = bounds._symmetries(s)[0]
         labels = [x for test in s.tests for x in test.labels]
         false = {x: perm[x] for x in labels}
         false["x1_0"], false["x1_1"] = perm["x1_1"], perm["x1_0"]
-        w = np.kron(u, v)
+        # W as a dense matrix, W[a, index[a]] = phase[a]
+        dense = np.zeros((9, 9), dtype=complex)
+        dense[np.arange(9), w[0]] = w[1]
 
         def moved(combo):
-            return w @ objective_operator(s, combo).mat @ w.conj().T
+            return dense @ objective_operator(s, combo).mat @ dense.conj().T
 
         # the combinations whose source under the false relabelling is not
         # mapped onto them by W
@@ -677,7 +680,7 @@ class TestOrbitReuse:
         wrong = {c for c in all_combinations(s)
                  if np.abs(objective_operator(s, c).mat
                            - moved(tuple(inverse[y] for y in c))).max() > 1e-6}
-        monkeypatch.setattr(bounds, "_symmetries", lambda scenario: [(u, v, false)])
+        monkeypatch.setattr(bounds, "_symmetries", lambda scenario: [(w, u, false)])
         recorded = self.record_tightness(s, monkeypatch)
         reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
         monkeypatch.undo()
@@ -696,7 +699,7 @@ class TestOrbitReuse:
             # and the per-test maxima alike, and the image is solved from none:
             # more combinations run the interior point than there are sources
             sources = [c for c, origin in bounds._orbits(all_combinations(s),
-                                                         [(u, v, false)]).items()
+                                                         [(w, u, false)]).items()
                        if origin is None]
             assert sum(r.iterations > 0 for r in reports) > len(sources)
             for r in reports:
@@ -704,7 +707,10 @@ class TestOrbitReuse:
                 assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
                 assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
 
-    @pytest.mark.parametrize("seed,d_in,d_out", [(3, 3, 2), (4, 2, 2), (5, 3, 3)])
+    # the rectangular and degenerate shapes check that an empty set of
+    # symmetries is built for any (d_in, d_out)
+    @pytest.mark.parametrize("seed,d_in,d_out", [(3, 3, 2), (4, 2, 2), (5, 3, 3), (6, 1, 3),
+                                                 (7, 3, 1), (8, 2, 3)])
     def test_random_scenario_has_no_symmetry(self, seed, d_in, d_out):
         s = random_scenario(np.random.default_rng(seed), n_tests=2, d_anc=2, d_in=d_in,
                             d_out=d_out, n_outcomes=3)
@@ -712,3 +718,72 @@ class TestOrbitReuse:
         direct = [report_to_json(bound_report(s, c, tol=1e-6)) for c in all_combinations(s)]
         reused = [report_to_json(r) for r in scenario_report(s, tol=1e-6)]
         assert dumps_canonical({"reports": reused}) == dumps_canonical({"reports": direct})
+
+
+def random_hermitian_matrix(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+class TestMonomials:
+    """Symmetries act as index-and-phase monomials, and reports build each
+    objective as a plain matrix; dense products and the oracles check both."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
+    def test_transport_matches_dense_kron(self, d_in, d_out):
+        # one outcome of a maximally mixed input: every shift-clock W is a symmetry
+        test = Test(HermitianOperator(np.eye(d_in) / d_in, (1, d_in)),
+                    [("x", HermitianOperator(np.eye(d_out), (1, d_out)))], 1, d_in, d_out)
+        symmetries = bounds._symmetries(Scenario([test], [1.0]))
+        us, vs = shift_clock(d_in), shift_clock(d_out)
+        assert len(symmetries) == len(us) * len(vs) - 1
+        rng = np.random.default_rng(10 * d_in + d_out)
+        m, j = (random_hermitian_matrix(rng, d_in * d_out) for _ in range(2))
+        y = random_hermitian_matrix(rng, d_in)
+        # symmetry c - 1 is candidate c = (p, q, s, t) in shift_clock order
+        for c, (w, u, _) in enumerate(symmetries, start=1):
+            dense_u, dense_v = us[c // len(vs)], vs[c % len(vs)]
+            dense_w = np.kron(dense_u, dense_v)
+            for mat, monomial, dense in ((m, w, dense_w), (j, w, dense_w), (y, u, dense_u)):
+                expected = dense @ mat @ dense.conj().T
+                assert np.abs(bounds._conjugated(mat, monomial) - expected).max() <= \
+                    1e-15 * np.abs(mat).max()
+
+    @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
+                                        if kind != "mub-meb-2qubit" or d == 2])
+    def test_report_objectives_are_the_oracles(self, kind, d, monkeypatch):
+        s = _build_scenario(kind, d)
+        build, solve = bounds._objective, bounds.maximize_over_channels
+        built, solved = [], []
+
+        def building(scenario, testers, combination):
+            built.append((combination, build(scenario, testers, combination)))
+            return built[-1][1]
+
+        def solving(m, tol, start=None):
+            solved.append(m)
+            return solve(m, tol=tol, start=start)
+
+        monkeypatch.setattr(bounds, "_objective", building)
+        monkeypatch.setattr(bounds, "maximize_over_channels", solving)
+        reports = scenario_report(s, tol=1e-6, skip_trivial=True)
+        monkeypatch.undo()
+        combos = all_combinations(s)
+        assert [c for c, _ in built] == [r.combination for r in reports] == combos
+        assert len(solved) == len(combos)
+        for (combo, mat), m in zip(built, solved):
+            oracle = objective_operator(s, combo)
+            assert np.array_equal(mat, oracle.mat) and np.array_equal(m.mat, oracle.mat)
+            assert m.dims == oracle.dims
+
+    def test_closed_form_report_builds_no_operator(self, monkeypatch):
+        # a cost guard: the walk builds plain matrices, and an operator is
+        # validated only when an exact solve follows
+        s = _build_scenario("meb", 3)
+        s.testers()
+        built = []
+        operator = bounds.HermitianOperator
+        monkeypatch.setattr(bounds, "HermitianOperator",
+                            lambda *args: built.append(args) or operator(*args))
+        reports = scenario_report(s, skip_exact=True, skip_trivial=True)
+        assert len(reports) == 81 and len(built) < len(reports)

@@ -1,5 +1,7 @@
 """Tests for test/tester construction, channels and the generalized Born rule."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,20 @@ class TestTesterConstruction:
                 ("a", HermitianOperator(np.diag([0, 1.0]), (1, 2)))]
         with pytest.raises(ValidationError):
             Test(state, povm, d_anc=1, d_in=1, d_out=2)
+
+    def test_labels_built_once_outside_equality(self):
+        rng = np.random.default_rng(8)
+        effects = [e.mat for e in random_povm(3, 3, rng)]
+        test = state_measurement_test(effects)
+        assert test.labels == ("m0", "m1", "m2") and test.labels is test.labels
+        assert "labels" not in {f.name for f in dataclasses.fields(Test)}
+        assert test == Test(test.input_state, test.povm, d_anc=1, d_in=1, d_out=3)
+        assert "labels" not in repr(test)
+        tester = tester_from_test(test)
+        assert [tester.element(label) for label in test.labels] == \
+            [op for _, op in tester.elements]
+        with pytest.raises(KeyError):
+            tester.element("m3")
 
     def test_tester_type_rejects_bad_sum(self):
         eye = HermitianOperator(np.eye(4) / 3, (2, 2))
