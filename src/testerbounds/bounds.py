@@ -17,20 +17,23 @@ per-test maximum once per outcome, takes the norm cap and its tightness from one
 eigendecomposition, and records a failed solve as ``error``.  It works once
 per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes each
 tester's elements maps the objective M of an outcome or a combination to
-W M W^dag, that of its image, and a certified pair (J, Y) to
-(W J W^dag, U Y U^dag), so bounds within an orbit coincide.  The orbits are
-one table per report: the first key of an orbit in report order is its
-source, solved with no start, and each image starts from the transported
-pair, which certifies before any primal-dual iteration or counts as no start.
-The images of a failed source are solved directly.  Each symmetry is kept
-as monomials (index, phase), W[a, index[a]] = phase[a], so moving a matrix is
-a gather and two phase products.  A report is one walk over the
-combinations' table: each objective is built once, as the plain matrix that
-``objective_operator`` wraps, and validated as an operator only for an exact
-solve; an image takes its source's norm cap and tightness once its own
-objective is checked to equal W M W^dag (a source with a degenerate top
-eigenspace hands nothing on), and its exact solve follows at once.  Only
-sources keep their objective.
+W M W^dag, that of its image, and a certified result with channel J and dual
+certificate Y to one with W J W^dag and U Y U^dag, so bounds within an orbit
+coincide.  The orbits are one table per report: the first key of an orbit in
+report order is its source, solved with no start, and each image starts from
+its source's result and objective, both moved by W.  The solver certifies
+such a start by a perturbation bound, with no eigendecomposition and no
+primal-dual iteration, or solves the image as if it had no start.  The images
+of a failed source are solved directly.  Each symmetry is kept as monomials
+(index, phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and
+two phase products.  A report is one walk over the combinations' table: each
+objective is built once, as the plain matrix that ``objective_operator``
+wraps, and validated as an operator only for an exact solve.  Each source
+that has images keeps its objective M; an image moves it once, to W M W^dag,
+for both its spectral step and its start.  It takes its source's norm cap and
+tightness once its own objective is checked to equal W M W^dag (a source with
+a degenerate top eigenspace hands them to no image), and its exact solve
+follows at once.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing and take no start; they are the oracle.
 """
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -171,16 +174,34 @@ def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
     return {key: table[key] for key in keys}
 
 
-def _start(results: dict, origin) -> tuple[np.ndarray, np.ndarray] | None:
-    """The start of a key of an orbit table whose source's result is in
-    ``results``: the source's certified pair (J, Y) moved to
-    (W J W^dag, U Y U^dag), or None for a source and for an image of a source
-    that raised SolverError."""
-    res = None if origin is None else results[origin[0]]
+def _moved_channel(channel: Channel, w: tuple[np.ndarray, np.ndarray]) -> Channel:
+    """The channel with Choi matrix J' = W J W^dag for the monomial W, not
+    validated again.  Entry (a, b) of J' is J[index[a], index[b]] times two of
+    W's phases, two complex products averaged with its mirror, so entrywise
+    |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
+    ||J' - W J W^dag||_op <= c u ||J||_F <= c u tr J = c u d_in.  W's phases,
+    entries of the shift-clock matrices, have unit modulus within 4e-15 for
+    d <= 8.  So J' is within 1e-14 d_in of the exact move of J by a unitary,
+    and passes the positivity and trace-preservation checks J passed to within
+    that, far inside their 1e-9."""
+    moved = object.__new__(Channel)
+    object.__setattr__(moved, "choi", HermitianOperator(_conjugated(channel.choi.mat, w),
+                                                        channel.choi.dims))
+    object.__setattr__(moved, "kind", channel.kind)
+    object.__setattr__(moved, "data", None)
+    return moved
+
+
+def _start(res: ChannelOptResult | SolverError | None, moved: np.ndarray, w: tuple, u: tuple,
+           ) -> tuple[ChannelOptResult, np.ndarray] | None:
+    """The start of an image from its source's result: the result moved to
+    channel W J W^dag and dual certificate U Y U^dag, paired with ``moved``,
+    the source's objective moved to W M W^dag; None when the source has no
+    certified result."""
     if not isinstance(res, ChannelOptResult):
         return None
-    _, w, u = origin
-    return _conjugated(res.optimizer.choi.mat, w), _conjugated(res.dual_certificate.mat, u)
+    y = HermitianOperator(_conjugated(res.dual_certificate.mat, u), res.dual_certificate.dims)
+    return replace(res, optimizer=_moved_channel(res.optimizer, w), dual_certificate=y), moved
 
 
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
@@ -188,15 +209,19 @@ def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | Non
     """Dual value of max_channel p(x) (an upper estimate within ``tol``) for each
     outcome x of each test of nonzero weight, restricted to ``labels`` if given;
     a failed solve is kept as its error message.  One walk over the label
-    orbit table: an image starts from its source's moved pair."""
+    orbit table: an image starts from its source's result and element, moved
+    to T' = W T W^dag."""
     elements = {(label,): element
                 for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
                 for label, element in tester.elements if labels is None or label in labels}
     results: dict = {}
     for key, origin in _orbits(list(elements), symmetries).items():
+        start = None
+        if origin is not None:
+            source, w, u = origin
+            start = _start(results[source], _conjugated(elements[source].mat, w), w, u)
         try:
-            results[key] = maximize_over_channels(elements[key], tol=tol,
-                                                  start=_start(results, origin))
+            results[key] = maximize_over_channels(elements[key], tol=tol, start=start)
         except SolverError as exc:
             results[key] = exc
     return {label: res.dual_value if isinstance(res, ChannelOptResult)
@@ -454,7 +479,8 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     order, and builds each objective once.  An image takes its source's
     ``upper``, ``tight`` and ``tight_degenerate`` once its objective matches
     the transported one, and its exact solve starts from the transported
-    pair; only a source that has images keeps its objective and results.
+    result and objective; only a source that has images keeps its objective
+    and results.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
@@ -476,27 +502,25 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     # a degenerate top eigenspace is checked on the basis eigh happens to
     # return, which W does not carry over, so such a result is handed on to
     # no image
-    handed: dict = {}
-    solved: dict = {}
+    kept: dict = {}
     reports = []
     testers = scenario.testers()
     dims = (scenario.d_in, scenario.d_out)
     for combo, origin in table.items():
         mat = _objective(scenario, testers, combo)
-        spectral = None
-        if origin is not None and origin[0] in handed:
-            source, w, _ = origin
-            m, res = handed[source]
-            if np.abs(mat - _conjugated(m, w)).max() <= ROUNDING_ATOL:
-                spectral = res
+        spectral = start = None
+        if origin is not None:
+            source, w, u = origin
+            m, handed, solved = kept[source]
+            moved = _conjugated(m, w)
+            if handed is not None and np.abs(mat - moved).max() <= ROUNDING_ATOL:
+                spectral = handed
+            start = _start(solved, moved, w, u)
         if spectral is None:
             spectral = _tightness(mat, dims)
-        exact = None if skip_exact else exact_bound(HermitianOperator(mat, dims),
-                                                     _start(solved, origin))
+        exact = None if skip_exact else exact_bound(HermitianOperator(mat, dims), start)
         if combo in sources:
-            solved[combo] = exact
-            if not spectral.degenerate:
-                handed[combo] = (mat, spectral)
+            kept[combo] = (mat, None if spectral.degenerate else spectral, exact)
         reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
     return reports
 

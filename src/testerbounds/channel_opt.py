@@ -23,6 +23,15 @@ eigenvalue of L^-1 dX L^-H for the Cholesky factor L of X; J and S are
 factored, their factors inverted and both directions whitened as one stacked
 pair, so S^-1 comes from the inverted factor.  Once n mu <= tol / 2 both
 iterates are repaired to exact feasibility and the gap is measured.
+
+A start is a result certified for another objective M_s, such as that of a
+unitarily equivalent objective moved by the same unitary.  eps =
+n max|M - M_s| bounds ||M - M_s||_op, so the start's channel J is feasible
+with value tr[M J], and Y + eps I is a dual certificate of M, since
+(Y + eps I) (x) I - M >= Y (x) I - M_s: its value is tr Y + d_in eps and its
+slack's smallest eigenvalue is at least the start's.  No eigendecomposition
+is needed.  A start certifies when eps <= ROUNDING_ATOL and that widened gap
+is at most tol (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, HermitianOperator, ValidationError
+from .linalg import ROUNDING_ATOL, DimensionError, HermitianOperator, ValidationError
 from .testers import Channel, channel_from_choi
 
 DEFAULT_TOL = 1e-6
@@ -152,8 +161,33 @@ def _channel(jfix: np.ndarray, dims: tuple[int, ...]) -> Channel | None:
         return None
 
 
+def _crossed(gap: float, value: float, dual_value: float) -> bool:
+    """Whether a bracket is inverted beyond the rounding of its two ends."""
+    return gap < -1e-10 * max(1.0, abs(value), abs(dual_value))
+
+
+def _from_start(m: HermitianOperator, tol: float, start: tuple[ChannelOptResult, np.ndarray],
+                ) -> ChannelOptResult | None:
+    """The result for ``m`` that a start (result, M_s) certifies by the
+    perturbation bound eps = n max|M - M_s|, or None."""
+    res, objective = start
+    if res.optimizer.choi.dims != m.dims or objective.shape != m.mat.shape:
+        return None
+    eps = m.size * float(np.abs(m.mat - objective).max())
+    value = float(np.vdot(res.optimizer.choi.mat, m.mat).real)
+    dual_value = res.dual_value + m.dims[0] * eps
+    gap = dual_value - value
+    if not eps <= ROUNDING_ATOL or gap > tol or _crossed(gap, value, dual_value):
+        return None
+    y = res.dual_certificate.mat + eps * np.eye(m.dims[0])
+    return ChannelOptResult(value=value, optimizer=res.optimizer, dual_value=dual_value,
+                            dual_certificate=HermitianOperator(y, res.dual_certificate.dims),
+                            gap=max(gap, 0.0), tol=tol, dual_min_eig=res.dual_min_eig,
+                            iterations=0, history=((value, dual_value),))
+
+
 def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
-                           start: tuple[np.ndarray, np.ndarray] | None = None,
+                           start: tuple[ChannelOptResult, np.ndarray] | None = None,
                            ) -> ChannelOptResult:
     """Maximize tr[M J] over channels, certified to the requested duality gap.
 
@@ -162,13 +196,17 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     into it, if the linear algebra fails, a step collapses, or no pair
     certifies within the iteration cap.  A non-channel primal is never reported.
 
-    ``start``, a pair (J, Y), is checked like an iterate: if it certifies, the
-    result has ``iterations == 0``; otherwise it counts as no start, and the
-    solve runs exactly as with ``start=None``.
+    ``start``, a pair (result, M_s) of a result certified for the objective
+    M_s, certifies ``m`` as the module docstring says: the result then has
+    the start's channel, value tr[M J], the dual certificate Y + eps I,
+    ``iterations == 0`` and one ``history`` entry.  Otherwise it counts as no
+    start, and the solve runs exactly as with ``start=None``.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
     check_tol(tol)
+    if start is not None and (res := _from_start(m, tol, start)) is not None:
+        return res
     d_in, d_out = m.dims
     a = m.mat
     lift = _lift_index(d_in, d_out)
@@ -198,8 +236,7 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
         if best_dual is None or dual_value < best_dual[0]:
             best_dual = (dual_value, y_feas, dual_min)
         gap = best_dual[0] - best_primal[0]
-        scale = max(1.0, abs(best_primal[0]), abs(best_dual[0]))
-        if gap < -1e-10 * scale:
+        if _crossed(gap, best_primal[0], best_dual[0]):
             raise failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
         if gap > tol:
             return None
@@ -217,14 +254,6 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
             iterations=iterations,
             history=tuple(history),
         )
-
-    if start is not None:
-        with suppress(np.linalg.LinAlgError, SolverError):
-            if (res := certify(*start)) is not None:
-                return res
-        # a start that does not certify counts as no start
-        history.clear()
-        best_primal = best_dual = None
 
     lam_min, lam_max = np.linalg.eigvalsh(a)[[0, -1]].tolist()
     y = (lam_max + 0.1 * max(lam_max - lam_min, 1.0, abs(lam_max))) * np.eye(d_in)

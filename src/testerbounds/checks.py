@@ -235,8 +235,10 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
     """Every entry of a report that reuses symmetry orbits is within ``tol`` of
     the direct solves, its ``upper`` within rounding of ``tightness_check`` and
     its ``tight`` and ``tight_degenerate`` equal to it, and some entry came
-    from a transported start."""
-    worst, starts, spectral_agrees = 0.0, 0, True
+    from a transported start.  Two certified brackets of one optimum overlap,
+    so each transported bracket [exact, exact + gap] must meet the direct
+    solve's [value, dual_value], within the rounding of its ends."""
+    worst, starts, spectral_agrees, overlap = 0.0, 0, True, True
     for _ in range(trials):
         d, w = int(rng.integers(2, 4)), float(rng.uniform(0.1, 0.9))
         scenario = meb_scenario(_random_meb(d, rng), _random_meb(d, rng), (w, 1.0 - w))
@@ -248,12 +250,16 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
             if r.error is not None:  # a failed entry has no bounds to compare
                 worst = np.inf
                 continue
-            worst = max(worst, abs(r.exact - exact_bound(scenario, r.combination, tol=tol).value),
+            solve = exact_bound(scenario, r.combination, tol=tol)
+            worst = max(worst, abs(r.exact - solve.value),
                         abs(r.trivial - trivial_bound(scenario, r.combination, tol=tol)))
-            starts += r.iterations == 0
+            if r.iterations == 0:
+                starts += 1
+                overlap &= max(r.exact, solve.value) <= \
+                    min(r.exact + r.gap, solve.dual_value) + ROUNDING_ATOL
     return CheckResult("orbit_reuse_matches_direct_solve",
-                       worst <= tol and starts > 0 and spectral_agrees, worst,
-                       f"{trials} random MEB scenarios (d = 2, 3), {starts} entries from a start")
+                       worst <= tol and starts > 0 and spectral_agrees and overlap, worst,
+                       f"{trials} random MEB scenarios (d = 2, 3), {starts} transported entries")
 
 
 def run_all(seed: int, trials: int, tol: float = 1e-6,

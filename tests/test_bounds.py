@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from testerbounds import bounds
+from testerbounds import bounds, channel_opt
 from testerbounds.bounds import (
     BoundReport,
     all_combinations,
@@ -35,7 +35,8 @@ from testerbounds.linalg import (
     partial_trace,
     shift_clock,
 )
-from testerbounds.sampling import haar_unitary, random_ket, random_povm, random_scenario
+from testerbounds.sampling import (haar_unitary, random_channel, random_ket, random_povm,
+                                   random_scenario)
 from testerbounds.scenarios import (
     MEB,
     ancilla_free_scenario,
@@ -46,7 +47,7 @@ from testerbounds.scenarios import (
     mub_meb_pair_2qubit,
     state_measurement_scenario,
 )
-from testerbounds.testers import Scenario, Test, channel_from_unitary
+from testerbounds.testers import Scenario, Test, channel_from_choi, channel_from_unitary
 
 
 def random_meb(d, rng):
@@ -553,8 +554,9 @@ class TestOrbitReuse:
             assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
 
     def test_per_test_maxima_once_per_label_orbit(self, monkeypatch):
-        # the solver stops once n mu <= tol / 2, which leaves a transported pair
-        # room for the rounding of its repair: every image certifies its start
+        # the solver stops once n mu <= tol / 2, which leaves the widening of a
+        # moved result, d_in eps <= d_in * 1e-12, room within tol: every image
+        # certifies its start
         s = _build_scenario("meb", 5)
         symmetries = bounds._symmetries(s)
         labels = {id(op): label for tester in s.testers() for label, op in tester.elements}
@@ -603,6 +605,26 @@ class TestOrbitReuse:
             assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
             if r.trivial is not None:
                 assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
+
+    def test_images_make_no_repair(self, monkeypatch):
+        # a cost guard: an image is certified by the perturbation bound, with
+        # no eigendecomposition, so the primal repair runs once per
+        # interior-point solve and never for an image
+        s = _build_scenario("meb", 3)
+        repair, solve = channel_opt._repair_primal, bounds.maximize_over_channels
+        repairs, iterations = [], []
+
+        def solving(m, tol, start=None):
+            res = solve(m, tol=tol, start=start)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(channel_opt, "_repair_primal",
+                            lambda *args: repairs.append(args) or repair(*args))
+        monkeypatch.setattr(bounds, "maximize_over_channels", solving)
+        reports = scenario_report(s)
+        assert len(iterations) == len(reports) + 18
+        assert len(repairs) == sum(n > 0 for n in iterations) == 3
 
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
@@ -748,6 +770,24 @@ class TestMonomials:
                 expected = dense @ mat @ dense.conj().T
                 assert np.abs(bounds._conjugated(mat, monomial) - expected).max() <= \
                     1e-15 * np.abs(mat).max()
+
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 3), (5, 5), (7, 7)])
+    def test_moved_channel_within_stated_bound(self, d_in, d_out):
+        # the bound _moved_channel states instead of validating again:
+        # ||J' - W J W^dag||_op <= ||.||_F <= 8 u d_in, W the monomial as a
+        # dense matrix and the product taken in extended precision
+        test = Test(HermitianOperator(np.eye(d_in) / d_in, (1, d_in)),
+                    [("x", HermitianOperator(np.eye(d_out), (1, d_out)))], 1, d_in, d_out)
+        symmetries = bounds._symmetries(Scenario([test], [1.0]))
+        us, vs = shift_clock(d_in), shift_clock(d_out)
+        channel = random_channel(d_in, d_out, np.random.default_rng(d_in + 10 * d_out))
+        j = channel.choi.mat.astype(np.clongdouble)
+        for c in range(1, len(symmetries) + 1, max(1, len(symmetries) // 50)):
+            dense = np.kron(us[c // len(vs)], vs[c % len(vs)]).astype(np.clongdouble)
+            moved = bounds._moved_channel(channel, symmetries[c - 1][0])
+            err = moved.choi.mat - dense @ j @ dense.conj().T
+            assert np.sqrt((np.abs(err) ** 2).sum()) <= 8 * 2.0 ** -53 * d_in
+            channel_from_choi(moved.choi)  # and it passes the checks it skipped
 
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testerbounds import bounds, channel_opt
 from testerbounds.channel_opt import (
@@ -13,6 +15,7 @@ from testerbounds.channel_opt import (
     maximize_over_channels,
 )
 from testerbounds.linalg import (
+    ROUNDING_ATOL,
     HermitianOperator,
     Ket,
     maximally_entangled_ket,
@@ -241,59 +244,88 @@ class TestDampedStep:
         assert sum(steps) <= budget
 
 
+def shift_clock_start(res, m, d_in, d_out, c):
+    """The start of the image of ``m`` under shift-clock candidate c, made by
+    the report walk's own ``bounds._start``, and that image, W M W^dag from
+    the dense W."""
+    u = shift_clock(d_in)[c // d_out ** 2]
+    w = np.kron(u, shift_clock(d_out)[c % d_out ** 2])
+    w_mono, u_mono = ((index[0], phase[0]) for index, phase in
+                      (bounds._monomials(w[None]), bounds._monomials(u[None])))
+    start = bounds._start(res, bounds._conjugated(m.mat, w_mono), w_mono, u_mono)
+    return start, w @ m.mat @ w.conj().T
+
+
 class TestStart:
-    """A start pair is certified before any Newton step and never trusted blindly."""
+    """A start is a result certified for another objective: it certifies an
+    objective within the guard by a perturbation bound, before any Newton step
+    and with no eigendecomposition, or it is no start."""
+
+    # each shape meets random candidates W = U (x) V, the identity included,
+    # and the image is perturbed by up to 1e-13 per entry, so that eps stays
+    # within the guard
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16), size=st.floats(0.0, 1e-13))
+    def test_transported_start_certifies(self, d_in, d_out, seed, pick, size):
+        rng = np.random.default_rng(seed)
+        m = random_psd(rng, d_in, d_out)
+        source = maximize_over_channels(m, tol=1e-6)
+        start, image = shift_clock_start(source, m, d_in, d_out, pick % (d_in * d_out) ** 2)
+        noise = random_hermitian(rng, d_in, d_out).mat
+        image = HermitianOperator(image + size * noise / np.abs(noise).max(), (d_in, d_out))
+        res = maximize_over_channels(image, tol=1e-6, start=start)
+        eps = image.size * np.abs(image.mat - start[1]).max()
+        assert res.iterations == 0 and len(res.history) == 1 and eps <= ROUNDING_ATOL
+        assert np.trace(image.mat @ res.optimizer.choi.mat).real == \
+            pytest.approx(res.value, abs=1e-14)
+        assert res.dual_value - source.dual_value == \
+            pytest.approx(d_in * eps, abs=2 * np.spacing(max(1.0, source.dual_value)))
+        # the widened certificate is feasible for the image itself
+        assert np.array_equal(res.dual_certificate.mat,
+                              start[0].dual_certificate.mat + eps * np.eye(d_in))
+        assert dual_min_eig(image, res.dual_certificate) >= source.dual_min_eig - 1e-14
+        # two certified brackets of one optimum overlap
+        direct = maximize_over_channels(image, tol=1e-6)
+        assert res.value <= direct.dual_value and direct.value <= res.dual_value
 
     @staticmethod
-    def transported(res, u, v):
-        w = np.kron(u, v)
-        return (w @ res.optimizer.choi.mat @ w.conj().T,
-                u @ res.dual_certificate.mat @ u.conj().T)
-
-    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (1, 3), (3, 3)])
-    def test_transported_start_certifies(self, d_in, d_out):
-        m = random_psd(np.random.default_rng(4), d_in, d_out)
-        res = maximize_over_channels(m, tol=1e-6)
-        u, v = shift_clock(d_in)[-1], shift_clock(d_out)[1]
-        w = np.kron(u, v)
-        image = HermitianOperator(w @ m.mat @ w.conj().T, (d_in, d_out))
-        moved = maximize_over_channels(image, tol=1e-6, start=self.transported(res, u, v))
-        assert moved.iterations == 0 and len(moved.history) == 1
-        assert 0.0 <= moved.gap <= 1e-6
-        assert moved.value == pytest.approx(res.value, abs=1e-12)
-        assert np.trace(image.mat @ moved.optimizer.choi.mat).real == \
-            pytest.approx(moved.value, abs=1e-12)
+    def wrong_image(m, source):
+        """The result of another objective, moved by a shift-clock W: its
+        objective is farther than the guard from the image's."""
+        other = random_psd(np.random.default_rng(7), 2, 2)
+        start, _ = shift_clock_start(maximize_over_channels(other, tol=1e-6), other, 2, 2, 15)
+        _, image = shift_clock_start(source, m, 2, 2, 15)
+        return HermitianOperator(image, (2, 2)), 1e-6, start
 
     @staticmethod
-    def near_singular_choi():
-        """A Choi candidate whose input marginal has eigenvalues near 1 and 1e-13:
-        its repair is not a channel in floating point."""
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = np.kron(haar_unitary(2, rng) @ np.diag(np.sqrt([1.0, 1e-13])), np.eye(2)) @ g
-        j = b @ b.conj().T
-        assert channel_opt._channel(channel_opt._repair_primal(
-            np.zeros((4, 4)), j, 2, 2)[1], (2, 2)) is None
-        return j
+    def past_guard(m, source):
+        """The exact image moved by 5e-13 per diagonal entry: eps = 2e-12."""
+        start, image = shift_clock_start(source, m, 2, 2, 5)
+        return HermitianOperator(image + 5e-13 * np.eye(4), (2, 2)), 1e-6, start
 
     @staticmethod
-    def wrong_image(direct):
-        """The certified pair of another objective, moved by a shift-clock W."""
-        other = maximize_over_channels(random_psd(np.random.default_rng(7), 2, 2), tol=1e-6)
-        return TestStart.transported(other, shift_clock(2)[3], shift_clock(2)[3])
+    def wide_gap(m, source):
+        """A source whose widened gap exceeds the image's tolerance."""
+        start, image = shift_clock_start(source, m, 2, 2, 5)
+        assert source.gap > 0
+        return HermitianOperator(image, (2, 2)), source.gap / 2, start
 
-    @pytest.mark.parametrize("start", [
-        lambda direct: (np.kron(np.diag([1.0, 0.0]), np.eye(2)), direct.dual_certificate.mat),
-        lambda direct: (TestStart.near_singular_choi(), direct.dual_certificate.mat),
-        wrong_image,
-        lambda direct: (np.eye(4) / 2, np.zeros((2, 2))),
-    ], ids=["singular-marginal", "repairs-to-non-channel", "wrong-image", "zero-dual"])
-    def test_unrepairable_start_is_no_start(self, start):
+    @staticmethod
+    def shape_mismatch(m, source):
+        """The objective as one of shape (1, 4): eps is 0, but the channels differ."""
+        start, _ = shift_clock_start(source, m, 2, 2, 0)
+        return HermitianOperator(m.mat, (1, 4)), 1e-6, start
+
+    @pytest.mark.parametrize("case", [wrong_image, past_guard, wide_gap, shape_mismatch],
+                             ids=["wrong-image", "past-guard", "wide-gap", "shape-mismatch"])
+    def test_uncertified_start_is_no_start(self, case):
         # a start that does not certify leaves no trace: the solve is the
         # start=None solve, bracket, iterations and history alike
         m = random_psd(np.random.default_rng(2), 2, 2)
-        direct = maximize_over_channels(m, tol=1e-6)
-        res = maximize_over_channels(m, tol=1e-6, start=start(direct))
+        image, tol, start = case(m, maximize_over_channels(m, tol=1e-6))
+        direct = maximize_over_channels(image, tol=tol)
+        res = maximize_over_channels(image, tol=tol, start=start)
         assert res.iterations > 0
         assert (res.value, res.dual_value, res.iterations, res.history) == \
             (direct.value, direct.dual_value, direct.iterations, direct.history)

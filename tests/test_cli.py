@@ -7,12 +7,13 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import testerbounds
-from testerbounds import bounds
+from testerbounds import bounds, checks
 from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
 from testerbounds.linalg import dumps_canonical
@@ -262,6 +263,24 @@ class TestVerify:
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
+
+    def test_orbit_reuse_requires_overlapping_brackets(self, monkeypatch):
+        # each transported bracket moved to end tol / 4 below the direct one:
+        # within tol of the direct solve, but the two brackets no longer meet
+        report = checks.scenario_report
+
+        def shifted(scenario, tol):
+            entries = [SimpleNamespace(**vars(r)) for r in report(scenario, tol=tol)]
+            for r in entries:
+                if r.iterations == 0:
+                    r.exact = bounds.exact_bound(scenario, r.combination, tol).value \
+                        - r.gap - tol / 4
+            return entries
+
+        assert checks.check_orbit_reuse(np.random.default_rng(5), 1).passed
+        monkeypatch.setattr(checks, "scenario_report", shifted)
+        res = checks.check_orbit_reuse(np.random.default_rng(5), 1)
+        assert not res.passed and res.worst_residual <= 1e-6
 
 
 class TestSimulate:
