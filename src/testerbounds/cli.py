@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 verification/inequality failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -24,11 +25,12 @@ import numpy as np
 from . import __version__
 from .bounds import all_combinations, report_to_json, scenario_report, upper_bound
 from .channel_opt import SolverError
-# not called here: bench/tracing.py looks these two names up in this module
+# not called here: bench/tracing.py looks these three names up in this module
 from .bounds import tightness_check  # noqa: F401
 from .channel_opt import maximize_over_channels  # noqa: F401
+from .linalg import dumps_canonical  # noqa: F401
 from .checks import run_all
-from .linalg import ValidationError, dumps_canonical
+from .linalg import ValidationError, write_canonical
 from .scenarios import (
     ancilla_free_scenario,
     entangled_input_product_scenario,
@@ -53,11 +55,11 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+def _emit(obj, out: str | None) -> None:
+    """Write ``obj`` as canonical JSON and a newline to the file ``out``, else to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        write_canonical(obj, fh.write)
+        fh.write("\n")
 
 
 def _build_scenario(kind: str, d: int):
@@ -87,7 +89,7 @@ def cmd_gen(args) -> int:
         _err("--d must be at least 2")
         return 2
     scenario = _build_scenario(args.kind, args.d)
-    _emit(dumps_canonical(scenario_to_json(scenario)), args.out)
+    _emit(scenario_to_json(scenario), args.out)
     return 0
 
 
@@ -114,9 +116,10 @@ def cmd_bound(args) -> int:
     payload = {
         "scenario_digest": hashlib.sha256(data).hexdigest(),
         "tol": args.tol,
-        "reports": [report_to_json(r) for r in reports],
+        # written one entry at a time, as each is built
+        "reports": map(report_to_json, reports),
     }
-    _emit(dumps_canonical(payload), args.out)
+    _emit(payload, args.out)
     failed = sum(r.error is not None for r in reports)
     if failed:
         _err(f"{failed} of {len(reports)} combinations carry a solver error")
@@ -141,7 +144,7 @@ def cmd_verify(args) -> int:
                    for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(dumps_canonical(payload), args.out)
+    _emit(payload, args.out)
     return 0 if payload["all_passed"] else 1
 
 
@@ -174,7 +177,7 @@ def cmd_simulate(args) -> int:
         "checks": checks,
         "violations": violations,
     }
-    _emit(dumps_canonical(payload), args.out)
+    _emit(payload, args.out)
     if violations:
         _err(f"{violations} empirical bound violations beyond 5 sigma")
         return 1

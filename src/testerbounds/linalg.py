@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Iterable, Sequence
@@ -264,12 +266,25 @@ def operator_from_json(obj: dict) -> HermitianOperator:
 
 def dumps_canonical(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2)``: ASCII-escaped text, a 2-space indent, key
-    order as built.  That encoder is pure Python once an indent is set; this one joins one
-    list once and writes a list of finite ``[float, float]`` pairs (a matrix row) as one
-    join of ``float.__repr__`` texts and separators fixed by depth and length."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
+    order as built.  Two values ``json.dumps`` rejects are written as their JSON forms: a
+    non-empty complex ndarray as ``_entries_to_json`` of it, and an iterator (a generator
+    or ``map``) as the list of its items.  This is ``write_canonical`` kept in memory."""
+    chunks: list[str] = []
+    write_canonical(obj, chunks.append)
+    return "".join(chunks)
+
+
+def write_canonical(obj, write) -> None:
+    """Pass the text of ``dumps_canonical(obj)`` to ``write``, in pieces: each item of an
+    iterator in ``obj`` goes out once it is written, so only one item's text is held.
+
+    ``json.dumps`` runs a pure-Python encoder once an indent is set.  This one formats
+    each distinct float once per call, and writes a list of ``[float, float]`` pairs (a
+    matrix row) or a complex array as one join of those texts and of separators fixed by
+    depth and shape."""
+    writer = _Writer(write)
+    writer.value(obj, "\n")
+    writer.flush()
 
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -284,38 +299,82 @@ def _scalar_json(x) -> str:
     return _FLOAT_NAMES.get(text, text)
 
 
-def _pairs_json(items: list, nl: str) -> str | None:
-    """A list of finite [float, float] pairs opened after newline-and-indent ``nl``, else None."""
+class _FloatTexts(dict):
+    """Each float's JSON text, keyed by its 64-bit pattern: as floats, 0.0 and -0.0 are
+    one key and each NaN is a new one."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = _scalar_json(struct.unpack("<d", struct.pack("<q", bits))[0])
+        return text
+
+
+def _pair_bits(items: list | tuple) -> list[int] | None:
+    """The bit patterns of a list of [float, float] pairs, in order, else None."""
     if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
     flat = list(itertools.chain.from_iterable(items))
-    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
-        return None  # an overflowing sum of finite values only costs the generic path
-    row, pair = nl + "  ", nl + "    "
-    parts = [f"[{row}[{pair}"] * (2 * len(flat) + 1)
-    parts[2::2] = ([f",{pair}", f"{row}],{row}[{pair}"] * (len(items) - 1)
-                   + [f",{pair}", f"{row}]{nl}]"])
-    parts[1::2] = map(float.__repr__, flat)
-    return "".join(parts)
+    if set(map(type, flat)) != {float}:
+        return None
+    return np.array(flat).view(np.int64).tolist()
 
 
-def _write_json(obj, nl: str, out: list[str]) -> None:
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif not isinstance(obj, (list, tuple, dict)):
-        out.append(_scalar_json(obj))
-    elif isinstance(obj, dict):
-        out.append("{" + (inner := nl + "  "))
-        for key, value in obj.items():
-            out.append(_escape(key if isinstance(key, str) else _scalar_json(key)) + ": ")
-            _write_json(value, inner, out)
-            out.append("," + inner)
-        out[-1] = nl + "}" if obj else "{}"
-    elif (text := _pairs_json(obj, nl)) is not None:
-        out.append(text)
-    else:
-        out.append("[" + (inner := nl + "  "))
-        for item in obj:
-            _write_json(item, inner, out)
-            out.append("," + inner)
-        out[-1] = nl + "]" if obj else "[]"
+class _Writer:
+    """One call of ``write_canonical``: the text not yet passed on, and the float texts."""
+
+    def __init__(self, write):
+        self.write = write
+        self.out: list[str] = []
+        self.texts = _FloatTexts()
+
+    def flush(self) -> None:
+        self.write("".join(self.out))
+        self.out.clear()
+
+    def value(self, obj, nl: str) -> None:
+        """Append ``obj``'s text, opened after newline-and-indent ``nl``."""
+        out = self.out
+        if isinstance(obj, str):
+            out.append(_escape(obj))
+        elif obj is None or isinstance(obj, (int, float)):
+            out.append(_scalar_json(obj))
+        elif isinstance(obj, dict):
+            out.append("{" + (inner := nl + "  "))
+            for key, value in obj.items():
+                out.append(_escape(key if isinstance(key, str) else _scalar_json(key)) + ": ")
+                self.value(value, inner)
+                out.append("," + inner)
+            out[-1] = nl + "}" if obj else "{}"
+        elif isinstance(obj, (list, tuple)) and (bits := _pair_bits(obj)) is not None:
+            out.append(self.grid(bits, (len(obj), 2), nl))
+        elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.size:
+            # the text of _entries_to_json(obj): + 0.0 writes no -0.0
+            arr = np.ascontiguousarray(obj, dtype=complex) + 0.0
+            out.append(self.grid(arr.view(np.int64).ravel().tolist(), arr.shape + (2,), nl))
+        elif isinstance(obj, (list, tuple, Iterator)):
+            streamed = not isinstance(obj, (list, tuple))
+            out.append("[" + (inner := nl + "  "))
+            for item in obj:
+                self.value(item, inner)
+                if streamed:
+                    self.flush()
+                out.append("," + inner)
+            out[-1] = "[]" if out[-1][0] == "[" else nl + "]"
+        else:
+            _scalar_json(obj)  # raises the TypeError json.dumps raises
+
+    def grid(self, bits: list[int], shape: tuple[int, ...], nl: str) -> str:
+        """A nested list of floats, given by their bit patterns and its ``shape`` (outermost
+        first, no zero), opened after newline-and-indent ``nl``."""
+        depth = len(shape)
+        ind = [nl + "  " * i for i in range(depth + 1)]
+        # opens[i] and closes[i]: the brackets between level i and the floats
+        opens = ["".join("[" + s for s in ind[i + 1:]) for i in range(depth)] + [""]
+        closes = ["".join(s + "]" for s in reversed(ind[i:depth])) for i in range(depth)] + [""]
+        seps: list[str] = []
+        for i in reversed(range(depth)):
+            seps = (seps + [closes[i + 1] + "," + ind[i + 1] + opens[i + 1]]) * shape[i]
+            seps.pop()
+        parts = [opens[0]] * (2 * len(bits) + 1)
+        parts[2::2] = [*seps, closes[0]]
+        parts[1::2] = map(self.texts.__getitem__, bits)
+        return "".join(parts)

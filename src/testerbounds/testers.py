@@ -383,14 +383,21 @@ def scenario_from_json(obj: dict) -> Scenario:
     return Scenario([test_from_json(t) for t in obj["tests"]], obj["weights"])
 
 
-def channel_to_json(ch: Channel) -> dict:
+def _channel_json(ch: Channel) -> dict:
+    """``channel_to_json`` with ``data`` as the complex ndarray, for ``dumps_canonical``."""
     if ch.kind in ("unitary", "kraus"):
         data = np.asarray(ch.data)
     elif ch.kind in ("constant", "choi"):
         data = (ch.data if ch.kind == "constant" else ch.choi).mat
     else:
         raise ValidationError(f"unknown channel kind {ch.kind!r}")
-    return {"kind": ch.kind, "d_in": ch.d_in, "d_out": ch.d_out, "data": _entries_to_json(data)}
+    return {"kind": ch.kind, "d_in": ch.d_in, "d_out": ch.d_out, "data": data}
+
+
+def channel_to_json(ch: Channel) -> dict:
+    obj = _channel_json(ch)
+    obj["data"] = _entries_to_json(obj["data"])
+    return obj
 
 
 def channel_from_json(obj: dict) -> Channel:

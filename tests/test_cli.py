@@ -164,7 +164,31 @@ class TestBound:
             else:
                 assert list(entry) == FULL_KEYS
         library = bounds.scenario_report(scenario, tol=1e-6)
-        assert [bounds.report_to_json(r) for r in library] == entries
+        written = dumps_canonical({"reports": [bounds.report_to_json(r) for r in library]})
+        assert json.loads(written)["reports"] == entries
+
+    def test_report_builds_no_pair_lists(self, capsys, mub_meb_file, monkeypatch):
+        # a cost guard: optimizers go to the writer as arrays, never as nested
+        # [re, im] lists
+        def refuse(arr):
+            raise AssertionError("[re, im] lists built")
+
+        monkeypatch.setattr(testerbounds.linalg, "_entries_to_json", refuse)
+        monkeypatch.setattr(testerbounds.testers, "_entries_to_json", refuse)
+        code, out, _ = run_cli(capsys, "bound", str(mub_meb_file))
+        assert code == 0
+        assert all(list(e) == FULL_KEYS for e in json.loads(out)["reports"])
+
+    def test_report_streams_entries(self, mub_meb_file, monkeypatch):
+        # stdout is looked up when the report is written, and gets each entry
+        # as its own piece, so one entry's text is held at a time
+        pieces = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
+        assert main(["bound", str(mub_meb_file)]) == 0
+        # the header with the first entry, 15 more entries, the closing text, the newline
+        assert len(pieces) == 1 + 15 + 2
+        assert pieces[1].lstrip(", \n").startswith('{\n      "combination"')
+        assert len(json.loads("".join(pieces))["reports"]) == 16
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
     @pytest.mark.parametrize("skips", [[], ["--skip-exact", "--skip-trivial"]],
@@ -353,14 +377,11 @@ class TestOutputBytes:
     """Every command writes exactly json.dumps(obj, indent=2), to stdout or --out."""
 
     @staticmethod
-    def check(capsys, tmp_path, *args):
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0
+    def check(capsys, tmp_path, *args, code=0):
+        first, out, _ = run_cli(capsys, *args)
+        assert first == main([*args, "--out", str(tmp_path / "out.json")]) == code
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        path = tmp_path / "out.json"
-        assert main([*args, "--out", str(path)]) == 0
-        capsys.readouterr()
-        assert path.read_bytes() == out.encode("ascii")
+        assert (tmp_path / "out.json").read_bytes() == out.encode("ascii")
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", ["state-mub", "example1", "example2", "meb", "mub-meb-2qubit"])
@@ -369,11 +390,28 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("skips", [[], ["--skip-exact"], ["--skip-trivial"],
                                        ["--skip-exact", "--skip-trivial"]])
-    @pytest.mark.parametrize("kind,d", [("mub-meb-2qubit", 2), ("meb", 3)])
+    @pytest.mark.parametrize("kind,d", [("state-mub", 2), ("example1", 2), ("example2", 2),
+                                        ("meb", 2), ("mub-meb-2qubit", 2), ("meb", 3)])
     def test_bound(self, capsys, tmp_path, kind, d, skips):
+        # the report is streamed entry by entry, to stdout or to the file
         path = tmp_path / "s.json"
         assert main(["gen", kind, "--d", str(d), "--out", str(path)]) == 0
         self.check(capsys, tmp_path, "bound", str(path), *skips)
+
+    def test_bound_with_failed_solves(self, capsys, tmp_path, mub_meb_file, monkeypatch):
+        scenario = scenario_from_json(json.loads(mub_meb_file.read_text()))
+        failing = scenario.testers()[0].element("x1_2").mat
+        solve = bounds.maximize_over_channels
+
+        def flaky(m, tol, start=None):
+            if np.array_equal(m.mat, failing):
+                raise SolverError("injected failure")
+            return solve(m, tol=tol, start=start)
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", flaky)
+        self.check(capsys, tmp_path, "bound", str(mub_meb_file), code=3)
+        entries = json.loads((tmp_path / "out.json").read_text())["reports"]
+        assert sum("error" in e for e in entries) == 4
 
     def test_verify(self, capsys, tmp_path):
         self.check(capsys, tmp_path, "verify", "--trials", "2")

@@ -28,6 +28,7 @@ from testerbounds.linalg import (
     operator_to_json,
     operator_norm,
     partial_trace,
+    write_canonical,
 )
 
 
@@ -70,6 +71,44 @@ JSON_CASES = [
     [(1.0, 2.0)], [[1e308, 1e308], [1e308, 1e308]], {1: None, 1.5: True, False: "\u00e9"},
     ("a", 10 ** 40, -0.0, math.nan, -math.inf),
 ]
+
+# complex arrays for the writer, against json.dumps of their [re, im] lists: parts drawn
+# from a few values so that texts repeat, with both zeros, subnormals and non-finites
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 0.5, -1.25, math.nan, math.inf,
+                          -math.inf]) | _FINITE
+
+
+@st.composite
+def complex_arrays(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    parts = draw(st.lists(_PARTS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(complex).reshape(rows, cols)
+
+
+ARRAY_VALUES = st.recursive(
+    complex_arrays() | _SCALARS | _PAIR_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=10)
+
+_RECT = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0), complex(5e-324, -2.5e-310)],
+                  [0.5 + 0.5j, complex(math.nan, math.inf), complex(-math.inf, 0.5)]])
+_SQUARE = np.random.default_rng(5).choice([0.0, -0.0, 0.25, 0.25j, -0.5 - 0.0j], (6, 6))
+ARRAY_CASES = [
+    np.array([[complex(-0.0, 0.0)]]), _RECT, _RECT.T, _SQUARE, _SQUARE.astype(np.complex64),
+    [_RECT, _SQUARE], {"data": _RECT}, {"k": [{"data": _SQUARE}, [_RECT]]},
+    {"pairs": [[0.0, -0.0], [-0.0, 0.0]], "data": _RECT, "more": [[-0.0, 0.0]]},
+]
+
+
+def with_lists(obj):
+    """``obj`` with each array as its [re, im] lists, the form json.dumps takes."""
+    if isinstance(obj, np.ndarray):
+        return _entries_to_json(obj)
+    if isinstance(obj, dict):
+        return {key: with_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [with_lists(value) for value in obj]
+    return obj
 
 
 def random_unit(rng, n):
@@ -416,8 +455,28 @@ class TestJson:
     def test_writer_matches_json(self, value):
         assert dumps_canonical(value) == json.dumps(value, indent=2)
 
+    @pytest.mark.parametrize("value", ARRAY_CASES, ids=range(len(ARRAY_CASES)))
+    def test_writer_array_cases_match_json(self, value):
+        assert dumps_canonical(value) == json.dumps(with_lists(value), indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ARRAY_VALUES)
+    def test_writer_arrays_match_json(self, value):
+        assert dumps_canonical(value) == json.dumps(with_lists(value), indent=2)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_writer_streams_iterator_items(self, n):
+        items = [{"data": _RECT, "i": i} for i in range(n)]
+        pieces = []
+        write_canonical({"head": 1.5, "items": iter(items), "tail": [-0.0]}, pieces.append)
+        expected = json.dumps({"head": 1.5, "items": with_lists(items), "tail": [-0.0]},
+                              indent=2)
+        assert "".join(pieces) == expected
+        assert len(pieces) == n + 1  # each item as it is written, then the rest
+
     def test_writer_rejects_what_json_rejects(self):
-        for value in ({(1, 2): 0}, {"x": {1, 2}}, [np.float32(1.0)], object()):
+        for value in ({(1, 2): 0}, {"x": {1, 2}}, [np.float32(1.0)], object(), np.ones(2),
+                      np.zeros((0, 2), dtype=complex)):
             with pytest.raises(TypeError):
                 json.dumps(value, indent=2)
             with pytest.raises(TypeError):
