@@ -52,7 +52,7 @@ from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, DimensionError, HermitianOper
                      ValidationError, check_close, operator_norm, shift_clock)
 # not called here: bench/tracing.py looks this name up in this module
 from .linalg import eig_hermitian  # noqa: F401
-from .testers import Channel, Scenario, Tester, _channel_json
+from .testers import Channel, Scenario, Tester, channel_to_json
 
 TIGHTNESS_ATOL = 1e-8
 TRADEOFF_MARGIN = 1e-8
@@ -530,13 +530,12 @@ _JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_
 
 
 def report_to_json(report: BoundReport) -> dict:
-    """One report entry; skipped bounds (None fields) are omitted.  The optimizer's
-    ``data`` is its Choi matrix, a complex ndarray: ``dumps_canonical`` writes it as the
-    ``[re, im]`` rows of a channel file, and ``json.dumps`` needs ``_entries_to_json``
-    of it."""
+    """One report entry, a payload for ``dumps_canonical``; skipped bounds (None fields)
+    are omitted.  The optimizer is ``channel_to_json`` of it: its ``data`` is the Choi
+    matrix as a complex ndarray, written as the ``[re, im]`` rows of a channel file."""
     obj: dict = {"combination": list(report.combination)}
     for name in _JSON_FIELDS:
         value = getattr(report, name)
         if value is not None:
-            obj[name] = _channel_json(value) if name == "optimizer" else value
+            obj[name] = channel_to_json(value) if name == "optimizer" else value
     return obj

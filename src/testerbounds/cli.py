@@ -200,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="compute bound reports for a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--cap", type=int, default=4096,
-                   help="largest allowed combination count (default 4096)")
-    p.add_argument("--no-cap", action="store_true", help="disable the combination cap")
+    cap = p.add_mutually_exclusive_group()
+    cap.add_argument("--cap", type=int, default=4096,
+                     help="largest allowed combination count (default 4096)")
+    cap.add_argument("--no-cap", action="store_true", help="disable the combination cap")
     p.add_argument("--skip-exact", action="store_true",
                    help="skip the channel optimization, keep closed-form bounds")
     p.add_argument("--skip-trivial", action="store_true",
@@ -224,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--n", type=int, default=100_000, help="number of samples")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--cap", type=int, default=4096)
-    p.add_argument("--no-cap", action="store_true")
+    cap = p.add_mutually_exclusive_group()
+    cap.add_argument("--cap", type=int, default=4096)
+    cap.add_argument("--no-cap", action="store_true")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -8,9 +8,7 @@ the left factor is the slow index, i.e. the composite basis index of
 
 from __future__ import annotations
 
-import itertools
 import math
-import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
@@ -242,14 +240,14 @@ def check_povm(effects: Sequence[HermitianOperator]) -> None:
 
 
 # JSON encoding shared by every module: matrices are
-#   {"dims": [d1, d2, ...], "data": [[[re, im], ...], ...]}   (row-major).
+#   {"dims": [d1, d2, ...], "data": [[[re, im], ...], ...]}   (row-major)
+# in files, and complex ndarrays in the payloads built for ``dumps_canonical``.
 
-def _entries_to_json(arr: np.ndarray) -> list:
-    # + 0.0 canonicalizes negative zeros so files round-trip byte-identically
-    return (np.stack([arr.real, arr.imag], axis=-1) + 0.0).tolist()
-
-
-def _entries_from_json(data: list, ndim: int) -> np.ndarray:
+def _entries_from_json(data, ndim: int) -> np.ndarray:
+    if isinstance(data, np.ndarray) and data.dtype.kind == "c":  # a payload's own array
+        if data.ndim != ndim:
+            raise ValidationError(f"complex array of shape {data.shape}, expected {ndim}-D")
+        return data
     arr = np.asarray(data, dtype=float)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ValidationError(f"malformed complex entries of shape {arr.shape}")
@@ -257,7 +255,7 @@ def _entries_from_json(data: list, ndim: int) -> np.ndarray:
 
 
 def operator_to_json(op: HermitianOperator) -> dict:
-    return {"dims": list(op.dims), "data": _entries_to_json(op.mat)}
+    return {"dims": list(op.dims), "data": op.mat}
 
 
 def operator_from_json(obj: dict) -> HermitianOperator:
@@ -267,8 +265,9 @@ def operator_from_json(obj: dict) -> HermitianOperator:
 def dumps_canonical(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2)``: ASCII-escaped text, a 2-space indent, key
     order as built.  Two values ``json.dumps`` rejects are written as their JSON forms: a
-    non-empty complex ndarray as ``_entries_to_json`` of it, and an iterator (a generator
-    or ``map``) as the list of its items.  This is ``write_canonical`` kept in memory."""
+    non-empty complex ndarray (every matrix of a ``*_to_json`` payload) as the ``[re, im]``
+    nestings of a file, with no -0.0, and an iterator (a generator or ``map``) as the list
+    of its items.  This is ``write_canonical`` kept in memory."""
     chunks: list[str] = []
     write_canonical(obj, chunks.append)
     return "".join(chunks)
@@ -279,9 +278,9 @@ def write_canonical(obj, write) -> None:
     iterator in ``obj`` goes out once it is written, so only one item's text is held.
 
     ``json.dumps`` runs a pure-Python encoder once an indent is set.  This one formats
-    each distinct float once per call, and writes a list of ``[float, float]`` pairs (a
-    matrix row) or a complex array as one join of those texts and of separators fixed by
-    depth and shape."""
+    each distinct float of the complex arrays once per call, and writes each array as one
+    join of those texts and of separators fixed by depth and shape.  Every list, such as
+    a parsed payload, is written item by item."""
     writer = _Writer(write)
     writer.value(obj, "\n")
     writer.flush()
@@ -300,22 +299,12 @@ def _scalar_json(x) -> str:
 
 
 class _FloatTexts(dict):
-    """Each float's JSON text, keyed by its 64-bit pattern: as floats, 0.0 and -0.0 are
-    one key and each NaN is a new one."""
+    """Each float's JSON text, keyed by the float, which merges 0.0 and -0.0: arrays, its
+    only users, are written ``+ 0.0``.  A NaN matches no key and is written ``NaN``."""
 
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = _scalar_json(struct.unpack("<d", struct.pack("<q", bits))[0])
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _scalar_json(x)
         return text
-
-
-def _pair_bits(items: list | tuple) -> list[int] | None:
-    """The bit patterns of a list of [float, float] pairs, in order, else None."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(items))
-    if set(map(type, flat)) != {float}:
-        return None
-    return np.array(flat).view(np.int64).tolist()
 
 
 class _Writer:
@@ -344,12 +333,10 @@ class _Writer:
                 self.value(value, inner)
                 out.append("," + inner)
             out[-1] = nl + "}" if obj else "{}"
-        elif isinstance(obj, (list, tuple)) and (bits := _pair_bits(obj)) is not None:
-            out.append(self.grid(bits, (len(obj), 2), nl))
         elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.size:
-            # the text of _entries_to_json(obj): + 0.0 writes no -0.0
+            # [re, im] nestings, as in a file: + 0.0 writes no -0.0
             arr = np.ascontiguousarray(obj, dtype=complex) + 0.0
-            out.append(self.grid(arr.view(np.int64).ravel().tolist(), arr.shape + (2,), nl))
+            out.append(self.grid(arr.view(float).ravel().tolist(), arr.shape + (2,), nl))
         elif isinstance(obj, (list, tuple, Iterator)):
             streamed = not isinstance(obj, (list, tuple))
             out.append("[" + (inner := nl + "  "))
@@ -362,9 +349,9 @@ class _Writer:
         else:
             _scalar_json(obj)  # raises the TypeError json.dumps raises
 
-    def grid(self, bits: list[int], shape: tuple[int, ...], nl: str) -> str:
-        """A nested list of floats, given by their bit patterns and its ``shape`` (outermost
-        first, no zero), opened after newline-and-indent ``nl``."""
+    def grid(self, floats: list[float], shape: tuple[int, ...], nl: str) -> str:
+        """A nested list of ``floats``, row-major, of ``shape`` (outermost first, no zero),
+        opened after newline-and-indent ``nl``."""
         depth = len(shape)
         ind = [nl + "  " * i for i in range(depth + 1)]
         # opens[i] and closes[i]: the brackets between level i and the floats
@@ -374,7 +361,7 @@ class _Writer:
         for i in reversed(range(depth)):
             seps = (seps + [closes[i + 1] + "," + ind[i + 1] + opens[i + 1]]) * shape[i]
             seps.pop()
-        parts = [opens[0]] * (2 * len(bits) + 1)
+        parts = [opens[0]] * (2 * len(floats) + 1)
         parts[2::2] = [*seps, closes[0]]
-        parts[1::2] = map(self.texts.__getitem__, bits)
+        parts[1::2] = map(self.texts.__getitem__, floats)
         return "".join(parts)

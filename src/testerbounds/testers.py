@@ -21,7 +21,6 @@ from .linalg import (
     HermitianOperator,
     ValidationError,
     _entries_from_json,
-    _entries_to_json,
     as_dim,
     basis_transpose,
     check_close,
@@ -383,8 +382,7 @@ def scenario_from_json(obj: dict) -> Scenario:
     return Scenario([test_from_json(t) for t in obj["tests"]], obj["weights"])
 
 
-def _channel_json(ch: Channel) -> dict:
-    """``channel_to_json`` with ``data`` as the complex ndarray, for ``dumps_canonical``."""
+def channel_to_json(ch: Channel) -> dict:
     if ch.kind in ("unitary", "kraus"):
         data = np.asarray(ch.data)
     elif ch.kind in ("constant", "choi"):
@@ -392,12 +390,6 @@ def _channel_json(ch: Channel) -> dict:
     else:
         raise ValidationError(f"unknown channel kind {ch.kind!r}")
     return {"kind": ch.kind, "d_in": ch.d_in, "d_out": ch.d_out, "data": data}
-
-
-def channel_to_json(ch: Channel) -> dict:
-    obj = _channel_json(ch)
-    obj["data"] = _entries_to_json(obj["data"])
-    return obj
 
 
 def channel_from_json(obj: dict) -> Channel:

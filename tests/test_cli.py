@@ -16,7 +16,7 @@ import testerbounds
 from testerbounds import bounds, checks
 from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
-from testerbounds.linalg import dumps_canonical
+from testerbounds.linalg import dumps_canonical, operator_to_json
 from testerbounds.sampling import haar_unitary
 from testerbounds.testers import channel_from_unitary, channel_to_json, scenario_from_json
 
@@ -112,8 +112,16 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", str(mub_meb_file), "--cap", "4")
         assert code == 2
         assert "cap" in err
-        code, out, _ = run_cli(capsys, "bound", str(mub_meb_file), "--cap", "4", "--no-cap")
+        code, out, _ = run_cli(capsys, "bound", str(mub_meb_file), "--no-cap")
         assert code == 0
+        assert len(json.loads(out)["reports"]) == 16
+
+    @pytest.mark.parametrize("cap", ["3", "0"])
+    def test_cap_and_no_cap_exclusive(self, capsys, mub_meb_file, cap):
+        code, out, err = run_cli(capsys, "bound", str(mub_meb_file), "--cap", cap, "--no-cap")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument --cap" in err
 
     def test_skip_exact(self, capsys, mub_meb_file):
         code, out, _ = run_cli(capsys, "bound", str(mub_meb_file), "--skip-exact")
@@ -167,17 +175,14 @@ class TestBound:
         written = dumps_canonical({"reports": [bounds.report_to_json(r) for r in library]})
         assert json.loads(written)["reports"] == entries
 
-    def test_report_builds_no_pair_lists(self, capsys, mub_meb_file, monkeypatch):
-        # a cost guard: optimizers go to the writer as arrays, never as nested
-        # [re, im] lists
-        def refuse(arr):
-            raise AssertionError("[re, im] lists built")
-
-        monkeypatch.setattr(testerbounds.linalg, "_entries_to_json", refuse)
-        monkeypatch.setattr(testerbounds.testers, "_entries_to_json", refuse)
-        code, out, _ = run_cli(capsys, "bound", str(mub_meb_file))
-        assert code == 0
-        assert all(list(e) == FULL_KEYS for e in json.loads(out)["reports"])
+    def test_payloads_hold_matrices_as_arrays(self, mub_meb_file):
+        # a cost guard: matrices go to the writer as the arrays they are stored in,
+        # never copied into nested [re, im] lists
+        scenario = scenario_from_json(json.loads(mub_meb_file.read_text()))
+        report = bounds.scenario_report(scenario, tol=1e-6)[0]
+        assert bounds.report_to_json(report)["optimizer"]["data"] is report.optimizer.choi.mat
+        op = scenario.tests[0].input_state
+        assert operator_to_json(op)["data"] is op.mat
 
     def test_report_streams_entries(self, mub_meb_file, monkeypatch):
         # stdout is looked up when the report is written, and gets each entry
@@ -366,6 +371,13 @@ class TestSimulate:
                                str(unitary_channel_file), "--cap", "4")
         assert code == 2
         assert "exceed the cap 4" in err
+
+    def test_cap_and_no_cap_exclusive(self, capsys, mub_meb_file, unitary_channel_file):
+        code, out, err = run_cli(capsys, "simulate", str(mub_meb_file),
+                                 str(unitary_channel_file), "--cap", "3", "--no-cap")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument --cap" in err
 
     def test_bad_n(self, capsys, mub_meb_file, unitary_channel_file):
         code, _, _ = run_cli(capsys, "simulate", str(mub_meb_file),

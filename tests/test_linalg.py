@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from testerbounds.linalg import (
     _entries_from_json,
-    _entries_to_json,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -30,6 +29,8 @@ from testerbounds.linalg import (
     partial_trace,
     write_canonical,
 )
+from testerbounds.sampling import random_channel
+from testerbounds.testers import channel_to_json
 
 
 def random_hermitian(rng, dims):
@@ -39,13 +40,19 @@ def random_hermitian(rng, dims):
 
 
 def entries_oracle(arr):
-    """The element-wise complex codec the vectorized one replaced."""
+    """The [re, im] lists of a complex matrix, element by element."""
     return [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in row] for row in arr]
 
 
+def entries_to_json(arr):
+    """The [re, im] lists of a complex array of any shape: what the writer must write for
+    it, as json.dumps writes these lists."""
+    return (np.stack([arr.real, arr.imag], axis=-1) + 0.0).tolist()
+
+
 # JSON values for the writer's oracle: every scalar json.dumps accepts, text with
-# non-ASCII, control and quote characters, and lists of [re, im] pairs beside
-# near-misses that must take the generic path.
+# non-ASCII, control and quote characters, and lists of [re, im] pairs, as a parsed
+# payload holds them, beside near-misses.
 _TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2028", "\U0001f600", ""])
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 40), 10 ** 40)
@@ -62,7 +69,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=20)
 
-# explicit near-misses and depths; an indent off by one level fails each nested one
+# explicit depths, [re, im] rows and near-misses; every list takes the writer's generic
+# path, and an indent off by one level fails each nested one
 JSON_CASES = [
     [], {}, [[]], [{}], {"a": [], "b": {}}, [[1.0, 2.0]], [[1.0, -0.0], [1e-300, 1e300]],
     {"data": [[[0.5, -0.25], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.25]]]},
@@ -80,9 +88,11 @@ _PARTS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 0.5, -1.25, math.nan, ma
 
 @st.composite
 def complex_arrays(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    parts = draw(st.lists(_PARTS, min_size=2 * rows * cols, max_size=2 * rows * cols))
-    return np.array(parts).view(complex).reshape(rows, cols)
+    # a matrix, or a stack of them as a Kraus channel holds
+    shape = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3))
+    size = math.prod(shape)
+    parts = draw(st.lists(_PARTS, min_size=2 * size, max_size=2 * size))
+    return np.array(parts).view(complex).reshape(shape)
 
 
 ARRAY_VALUES = st.recursive(
@@ -97,13 +107,15 @@ ARRAY_CASES = [
     np.array([[complex(-0.0, 0.0)]]), _RECT, _RECT.T, _SQUARE, _SQUARE.astype(np.complex64),
     [_RECT, _SQUARE], {"data": _RECT}, {"k": [{"data": _SQUARE}, [_RECT]]},
     {"pairs": [[0.0, -0.0], [-0.0, 0.0]], "data": _RECT, "more": [[-0.0, 0.0]]},
+    # (k, r, c) stacks, as a Kraus channel's data
+    np.stack([_RECT, -_RECT, _RECT[::-1]]), {"data": np.array([[[0.5j]]])},
 ]
 
 
 def with_lists(obj):
     """``obj`` with each array as its [re, im] lists, the form json.dumps takes."""
     if isinstance(obj, np.ndarray):
-        return _entries_to_json(obj)
+        return entries_to_json(obj)
     if isinstance(obj, dict):
         return {key: with_lists(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -429,7 +441,7 @@ class TestJson:
         arr[0, 0] = complex(-0.0, -0.0)
         arr[-1, 0] = complex(0.0, -0.0)
         arr[0, -1] *= 1e-310  # subnormal parts
-        out = _entries_to_json(arr)
+        out = json.loads(dumps_canonical(arr))
         assert repr(out) == repr(entries_oracle(arr))  # repr tells -0.0 from 0.0
         flat = np.ravel(out)
         assert not np.signbit(flat[flat == 0]).any()
@@ -442,9 +454,30 @@ class TestJson:
         rows, cols = rng.integers(1, 7, size=2)
         arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         arr[rng.random((rows, cols)) < 0.3] = 0.0
-        out = _entries_to_json(arr)
+        out = json.loads(dumps_canonical(arr))
         assert repr(out) == repr(entries_oracle(arr))
-        assert np.array_equal(_entries_from_json(json.loads(dumps_canonical(out)), 2), arr)
+        assert np.array_equal(_entries_from_json(out, 2), arr)
+
+    def test_operator_round_trip_through_text(self):
+        op = random_hermitian(np.random.default_rng(13), (3, 2))
+        obj = operator_to_json(op)
+        back = operator_from_json(json.loads(dumps_canonical(obj)))
+        assert back.dims == op.dims
+        assert np.array_equal(back.mat, op.mat)
+
+    def test_entries_take_complex_arrays_as_they_are(self):
+        arr = np.arange(6).reshape(2, 3) * (1 - 0.5j)
+        assert _entries_from_json(arr, 2) is arr
+        stack = np.stack([arr, arr])
+        assert _entries_from_json(stack, 3) is stack
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (1, 2, 2, 2)])
+    def test_entries_reject_complex_arrays_of_other_ndim(self, shape):
+        arr = np.ones(shape, dtype=complex)
+        with pytest.raises(ValidationError, match="expected 2-D"):
+            _entries_from_json(arr, 2)
+        with pytest.raises(ValidationError):
+            operator_from_json({"dims": [2], "data": arr})
 
     @pytest.mark.parametrize("value", JSON_CASES, ids=repr)
     def test_writer_cases_match_json(self, value):
@@ -463,6 +496,11 @@ class TestJson:
     @given(ARRAY_VALUES)
     def test_writer_arrays_match_json(self, value):
         assert dumps_canonical(value) == json.dumps(with_lists(value), indent=2)
+
+    def test_writer_kraus_channel_matches_json(self):
+        obj = channel_to_json(random_channel(2, 3, np.random.default_rng(23), kraus_rank=3))
+        assert obj["data"].shape == (3, 3, 2)
+        assert dumps_canonical(obj) == json.dumps(with_lists(obj), indent=2)
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_writer_streams_iterator_items(self, n):

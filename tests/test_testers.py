@@ -1,6 +1,7 @@
 """Tests for test/tester construction, channels and the generalized Born rule."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from testerbounds.linalg import (
     PositivityError,
     ValidationError,
     basis_transpose,
+    dumps_canonical,
     kron,
     maximally_entangled_ket,
     maximally_entangled_state,
@@ -522,3 +524,26 @@ class TestJsonInterfaces:
         back = channel_from_json(channel_to_json(ch))
         assert back.kind == ch.kind if kind != "kraus" else True
         assert np.max(np.abs(back.choi.mat - ch.choi.mat)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "choi"])
+    def test_channel_round_trip_through_text(self, kind):
+        # each kind's data is written as [re, im] lists and read back to the same bytes
+        rng = np.random.default_rng(24)
+        ch = {"unitary": lambda: channel_from_unitary(haar_unitary(3, rng)),
+              "kraus": lambda: random_channel(2, 3, rng, kraus_rank=3),
+              "constant": lambda: channel_constant(ginibre_state(2, rng), d_in=3),
+              "choi": lambda: channel_from_choi(random_channel(2, 2, rng).choi)}[kind]()
+        text = dumps_canonical(channel_to_json(ch))
+        back = channel_from_json(json.loads(text))
+        assert back.kind == ch.kind
+        assert dumps_canonical(channel_to_json(back)) == text
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus"])
+    def test_channel_data_of_wrong_ndim_rejected(self, kind):
+        rng = np.random.default_rng(25)
+        obj = channel_to_json(random_channel(2, 2, rng, kraus_rank=2))
+        obj["kind"] = kind  # a unitary given a stack, or a Kraus list given one matrix
+        if kind == "kraus":
+            obj["data"] = obj["data"][0]
+        with pytest.raises(ValidationError, match="expected 2-D"):
+            channel_from_json(obj)

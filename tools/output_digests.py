@@ -1,0 +1,81 @@
+"""Print the SHA-256 of each CLI output on a fixed set of inputs, one
+``sha256  name`` line per output, so that two checkouts' outputs can be
+compared byte for byte with ``diff``:
+
+    python3 tools/output_digests.py > digests.txt
+
+The outputs are ``gen`` of every kind at d = 2, 3 and 5; ``bound`` of each of
+those scenarios at d = 2 and 3, with no flags and with
+``--skip-exact --skip-trivial``; the full ``bound`` of ``meb --d 5``;
+``verify --trials 3 --seed 7``; two channel files written by the package; and
+``simulate`` of ``mub-meb-2qubit`` with the unitary one.  Every command runs
+in-process through ``cli.main``, with the package imported from this
+checkout's ``src/``, and writes to a temporary directory.  A command that does
+not exit 0 gets its exit code after its name.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from testerbounds.cli import GEN_KINDS, main  # noqa: E402
+from testerbounds.linalg import dumps_canonical  # noqa: E402
+from testerbounds.testers import (  # noqa: E402
+    channel_from_kraus,
+    channel_from_unitary,
+    channel_to_json,
+)
+
+S = math.sqrt(0.5)
+CHANNELS = {
+    "unitary": channel_from_unitary([[S, 1j * S], [1j * S, S]]),
+    # amplitude damping with decay probability 1/4
+    "kraus": channel_from_kraus([[[1, 0], [0, math.sqrt(0.75)]], [[0, 0.5], [0, 0]]]),
+}
+
+
+def _digest(name: str, path: Path, code: int = 0) -> None:
+    data = path.read_bytes() if path.exists() else b""  # a failed command may write nothing
+    suffix = f" (exit {code})" if code else ""
+    print(f"{hashlib.sha256(data).hexdigest()}  {name}{suffix}", flush=True)
+
+
+def _run(tmp: Path, name: str, *argv: str) -> Path:
+    """Run the CLI with ``--out`` a new file, print that file's digest, return its path."""
+    out = tmp / (name.replace(" ", "_") + ".json")
+    code = main([*argv, "--out", str(out)])
+    _digest(name, out, code)
+    return out
+
+
+def print_digests(tmp: Path) -> None:
+    scenarios: dict[tuple[str, int], Path] = {}
+    for kind in GEN_KINDS:
+        # mub-meb-2qubit is one fixed scenario, whatever --d says
+        for d in (2,) if kind == "mub-meb-2qubit" else (2, 3, 5):
+            scenarios[kind, d] = _run(tmp, f"gen {kind} --d {d}", "gen", kind, "--d", str(d))
+    for (kind, d), path in scenarios.items():
+        if d > 3:
+            continue
+        _run(tmp, f"bound {kind} --d {d}", "bound", str(path))
+        _run(tmp, f"bound {kind} --d {d} --skip-exact --skip-trivial",
+             "bound", str(path), "--skip-exact", "--skip-trivial")
+    _run(tmp, "bound meb --d 5", "bound", str(scenarios["meb", 5]))
+    _run(tmp, "verify --trials 3 --seed 7", "verify", "--trials", "3", "--seed", "7")
+    for kind, channel in CHANNELS.items():
+        path = tmp / f"channel-{kind}.json"
+        path.write_text(dumps_canonical(channel_to_json(channel)) + "\n")
+        _digest(f"channel {kind}", path)
+    _run(tmp, "simulate mub-meb-2qubit unitary", "simulate",
+         str(scenarios["mub-meb-2qubit", 2]), str(tmp / "channel-unitary.json"))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print_digests(Path(tmp))
