@@ -107,43 +107,92 @@ def _monomials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, np.take_along_axis(stack, index[..., None], axis=2)[..., 0]
 
 
+def _fingerprints(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """prints[c, x] = <w_c|T_x|w_c> for each vector w_c, a row of ``moved``, and
+    each matrix T_x of ``stack``, the matrices side by side:
+    stack[:, x m:(x + 1) m] = T_x for vectors of length m."""
+    products = (moved.conj() @ stack).reshape(len(moved), -1, moved.shape[1])
+    return (products @ moved[:, :, None])[..., 0].real
+
+
 def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
     """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
     maps the fingerprints <r|T|r> of each tester's elements one to one onto
     its own (r is one fixed generic vector); perm[x] = y when W T(x) W^dag = T(y).
     W and U are monomials (index, phase), W[a, index[a]] = phase[a], read off
-    the dense shift-clock matrices, so each phase is an entry of them.
-    A false match is caught downstream: its starts fail their certification and
-    its spectral reuse fails the objective check."""
+    the dense shift-clock matrices, so each phase is an entry of them.  The
+    list is in candidate order, c = (p, q, s, t) counted from the identity.
+
+    Modulo phases the candidates form the group Z_d_in^2 x Z_d_out^2, and the
+    symmetries with the identity a subgroup H of it.  The search takes one
+    chunk of candidates per U, in order, and fingerprints in one batched
+    product only the candidates of the chunk not yet known to lie in H.
+    An accepted g grows H to H + <g>, the cosets k g + H, whose relabellings
+    are compositions of known ones: perm of h + k g is perm_g applied k times
+    after perm_h.  Where H is every candidate, as on ``meb`` and ``example2``,
+    three chunks decide all of them; where H holds no U but the identity, as
+    on ``example1`` and random scenarios, every chunk is fingerprinted.
+    A false match is caught downstream, and spreads to the subgroup it
+    generates: its starts fail their certification and its spectral reuse
+    fails the objective check."""
     d_in, d_out = scenario.d_in, scenario.d_out
     us, vs = shift_clock(d_in), shift_clock(d_out)
     k = np.arange(1.0, d_in * d_out + 1)
     r = (np.exp(1j * np.sqrt(2) * k * k) / np.sqrt(k)).reshape(d_in, d_out)
     r /= np.linalg.norm(r)
-    # W^dag r for every candidate, one chunk per U so that each fingerprint
-    # product stays small; row 0 is the identity, so row 0 of each fingerprint
-    # table is the tester's own
-    moved = (us.conj().transpose(0, 2, 1)[:, None] @ r @ vs.conj()).reshape(len(us), len(vs), -1)
-    keep = np.arange(len(us) * len(vs)) > 0
+    shape = (d_in, d_in, d_out, d_out)
+    coords = np.unravel_index(np.arange(len(us) * len(vs)), shape)
+
+    def add(a, b):
+        return np.ravel_multi_index([x[a] + x[b] for x in coords], shape, mode="wrap")
+
     labels: list[str] = []
-    orders = []
+    tiers = []
     for tester in scenario.testers():
-        stack = np.stack([op.mat for _, op in tester.elements])
-        prints = np.concatenate([np.einsum("xcm,cm->cx", chunk.conj() @ stack, chunk).real
-                                 for chunk in moved])
-        order = np.argsort(prints, axis=1)
-        ranked = np.take_along_axis(prints, order, axis=1)
-        keep &= np.abs(ranked - ranked[0]).max(axis=1) <= EQUALITY_ATOL
-        orders.append(len(labels) + order)
+        tiers.append(slice(len(labels), len(labels) + len(tester.elements)))
         labels += [label for label, _ in tester.elements]
-    order = np.concatenate(orders, axis=1)
-    # rows[c, order[c, i]] = order[0, i]: the element of rank i goes to the
-    # tester's own element of rank i
-    rows = np.empty_like(order[keep])
-    np.put_along_axis(rows, order[keep], order[0], axis=1)
+    stack = np.stack([op.mat for tester in scenario.testers() for _, op in tester.elements],
+                     axis=1).reshape(d_in * d_out, -1)
+    in_h = np.zeros(len(us) * len(vs), bool)
+    group, rows = np.zeros(1, np.intp), np.arange(len(labels))[None]  # H and its relabellings
+    for iu, u in enumerate(us):
+        c = np.flatnonzero(~in_h[iu * len(vs):(iu + 1) * len(vs)])
+        if not len(c):
+            continue
+        # the chunk's candidates outside H; the identity is the first
+        # candidate of chunk 0, and its fingerprints the testers' own
+        prints = _fingerprints((u.conj().T @ r @ vs.conj()).reshape(len(vs), -1)[c], stack)
+        c += iu * len(vs)
+        ranked = np.concatenate([np.sort(prints[:, tier], axis=1) for tier in tiers], axis=1)
+        if iu == 0:
+            own = ranked[0]
+            own_order = np.concatenate([tier.start + np.argsort(prints[0, tier]) for tier in tiers])
+            in_h[0] = True
+        keep = np.abs(ranked - own).max(axis=1) <= EQUALITY_ATOL
+        if keep.any():
+            # found[i, order[i, j]] = own_order[j]: the element of rank j goes
+            # to the tester's own element of rank j
+            order = np.concatenate([tier.start + np.argsort(prints[keep, tier], axis=1)
+                                    for tier in tiers], axis=1)
+            found = np.empty_like(order)
+            np.put_along_axis(found, order, own_order[None], axis=1)
+            for g, row in zip(c[keep], found):
+                if in_h[g]:
+                    continue
+                # H + <g>: the cosets k g + H up to the first k with k g in H
+                shift = add(np.arange(len(in_h)), g)
+                cosets, coset_rows = [group], [rows]
+                members = shift[group]
+                while not in_h[members[0]]:
+                    in_h[members] = True
+                    cosets.append(members)
+                    coset_rows.append(row[coset_rows[-1]])
+                    members = shift[members]
+                group, rows = np.concatenate(cosets), np.concatenate(coset_rows)
+    order = np.argsort(group)[1:]
+    c, rows = group[order], rows[order]
     index = {label: i for i, label in enumerate(labels)}
     (iu, pu), (iv, pv) = _monomials(us), _monomials(vs)
-    c = np.flatnonzero(keep)
     iu, pu, iv, pv = iu[c // len(vs)], pu[c // len(vs)], iv[c % len(vs)], pv[c % len(vs)]
     # row (a, b) of U (x) V holds U[a, iu[a]] V[b, iv[b]] in column (iu[a], iv[b])
     iw = (iu[:, :, None] * d_out + iv[:, None, :]).reshape(len(c), d_in * d_out)

@@ -38,15 +38,6 @@ class PositivityError(ValidationError):
     """An operator required to be positive semidefinite is not."""
 
 
-def _as_complex_matrix(mat: np.ndarray | Sequence) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix contains non-finite entries")
-    return arr
-
-
 def as_dim(d) -> int:
     """A dimension given as an int or numpy integer; a bool, float or str raises."""
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
@@ -75,11 +66,20 @@ class HermitianOperator:
     dims: tuple[int, ...]
 
     def __init__(self, mat: np.ndarray | Sequence, dims: Iterable[int]):
-        arr = _as_complex_matrix(mat)
-        skew = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-        if skew > HERMITICITY_ATOL:
+        arr = np.asarray(mat, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+        h = arr.conj().T
+        # a non-finite entry makes the skew NaN or inf, which fails the test
+        # below and is reported as such; inf - inf warrants no warning first
+        with np.errstate(invalid="ignore"):
+            skew = np.abs(arr - h).max(initial=0.0)
+        if not skew <= HERMITICITY_ATOL:
+            if not np.isfinite(arr).all():
+                raise ValidationError("matrix contains non-finite entries")
             raise ValidationError(f"matrix is not Hermitian (residual {skew:.3e})")
-        arr = (arr + arr.conj().T) / 2
+        arr = arr + h
+        arr /= 2  # complex division, so the bits, signed zeros too, of (arr + h) / 2
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
         object.__setattr__(self, "dims", _check_dims(dims, arr.shape[0]))

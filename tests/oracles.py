@@ -4,9 +4,10 @@ from math import ceil
 
 import numpy as np
 
-from testerbounds.linalg import HermitianOperator
+from testerbounds.bounds import _monomials, _Relabelling
+from testerbounds.linalg import EQUALITY_ATOL, HermitianOperator, shift_clock
 from testerbounds.sampling import haar_isometries
-from testerbounds.testers import Channel, channel_from_kraus
+from testerbounds.testers import Channel, Scenario, channel_from_kraus
 
 
 def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
@@ -45,3 +46,44 @@ def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
     channel = channel_from_kraus(kraus)
     value = float(np.trace(m.mat @ channel.choi.mat).real)
     return value, channel
+
+
+def exhaustive_symmetries(scenario: Scenario) -> list:
+    """``bounds._symmetries`` by fingerprinting every candidate on its own, with
+    no use of the group structure: the list, in the same order, that the
+    coset-pruned search must return."""
+    d_in, d_out = scenario.d_in, scenario.d_out
+    us, vs = shift_clock(d_in), shift_clock(d_out)
+    k = np.arange(1.0, d_in * d_out + 1)
+    r = (np.exp(1j * np.sqrt(2) * k * k) / np.sqrt(k)).reshape(d_in, d_out)
+    r /= np.linalg.norm(r)
+    # W^dag r for every candidate, one chunk per U so that each fingerprint
+    # product stays small; row 0 is the identity, so row 0 of each fingerprint
+    # table is the tester's own
+    moved = (us.conj().transpose(0, 2, 1)[:, None] @ r @ vs.conj()).reshape(len(us), len(vs), -1)
+    keep = np.arange(len(us) * len(vs)) > 0
+    labels: list[str] = []
+    orders = []
+    for tester in scenario.testers():
+        stack = np.stack([op.mat for _, op in tester.elements])
+        prints = np.concatenate([np.einsum("xcm,cm->cx", chunk.conj() @ stack, chunk).real
+                                 for chunk in moved])
+        order = np.argsort(prints, axis=1)
+        ranked = np.take_along_axis(prints, order, axis=1)
+        keep &= np.abs(ranked - ranked[0]).max(axis=1) <= EQUALITY_ATOL
+        orders.append(len(labels) + order)
+        labels += [label for label, _ in tester.elements]
+    order = np.concatenate(orders, axis=1)
+    # rows[c, order[c, i]] = order[0, i]: the element of rank i goes to the
+    # tester's own element of rank i
+    rows = np.empty_like(order[keep])
+    np.put_along_axis(rows, order[keep], order[0], axis=1)
+    index = {label: i for i, label in enumerate(labels)}
+    (iu, pu), (iv, pv) = _monomials(us), _monomials(vs)
+    c = np.flatnonzero(keep)
+    iu, pu, iv, pv = iu[c // len(vs)], pu[c // len(vs)], iv[c % len(vs)], pv[c % len(vs)]
+    # row (a, b) of U (x) V holds U[a, iu[a]] V[b, iv[b]] in column (iu[a], iv[b])
+    iw = (iu[:, :, None] * d_out + iv[:, None, :]).reshape(len(c), d_in * d_out)
+    pw = (pu[:, :, None] * pv[:, None, :]).reshape(len(c), d_in * d_out)
+    return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
+            for i, row in enumerate(rows)]

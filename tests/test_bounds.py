@@ -49,6 +49,8 @@ from testerbounds.scenarios import (
 )
 from testerbounds.testers import Scenario, Test, channel_from_choi, channel_from_unitary
 
+from oracles import exhaustive_symmetries
+
 
 def random_meb(d, rng):
     base = generalized_bell_basis(d)
@@ -827,3 +829,116 @@ class TestMonomials:
                             lambda *args: built.append(args) or operator(*args))
         reports = scenario_report(s, skip_exact=True, skip_trivial=True)
         assert len(reports) == 81 and len(built) < len(reports)
+
+
+def one_test_scenario(rho, effects):
+    """The scenario of one ancilla-free test: input state ``rho`` and the POVM
+    ``effects``, labelled x0, x1, ..."""
+    d_in, d_out = len(rho), len(effects[0])
+    test = Test(HermitianOperator(rho, (1, d_in)),
+                [(f"x{i}", HermitianOperator(e, (1, d_out))) for i, e in enumerate(effects)],
+                1, d_in, d_out)
+    return Scenario([test], [1.0])
+
+
+def basis_effects(d, copies=1):
+    """The computational-basis POVM of dimension d, each effect split into
+    ``copies`` equal ones."""
+    return [np.diag(np.eye(d)[i]) / copies for i in range(d) for _ in range(copies)]
+
+
+def fourier_diagonal(weights):
+    """The circulant state with eigenvalues ``weights`` on the Fourier basis:
+    X commutes with it, Z does not."""
+    d = len(weights)
+    f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    return f @ np.diag(weights) @ f.conj().T
+
+
+def symmetry_list(symmetries, labels):
+    """(W, U, relabelling) of each symmetry as plain lists, for equality."""
+    return [(w[0].tolist(), w[1].tolist(), u[0].tolist(), u[1].tolist(),
+             [perm[x] for x in labels]) for w, u, perm in symmetries]
+
+
+def count_fingerprints(s, monkeypatch):
+    """_symmetries(s) and the number of vectors it fingerprinted."""
+    fingerprints, rows = bounds._fingerprints, []
+
+    def counting(moved, stack):
+        rows.append(len(moved))
+        return fingerprints(moved, stack)
+
+    monkeypatch.setattr(bounds, "_fingerprints", counting)
+    symmetries = bounds._symmetries(s)
+    monkeypatch.undo()
+    return symmetries, sum(rows)
+
+
+# (name, scenario builder, fingerprinted vectors at most, including the
+# identity's): the paper's scenarios, where H is everything (meb, example2)
+# or holds no U but the identity (example1, state-mub), random scenarios
+# with no symmetry, and two single tests whose H holds some U's but not all:
+# Z^q for a diagonal input state, X^p for a circulant one.  There H grows
+# across chunks, and the last U's chunk skips its members of H, found by
+# composition: 4 of 36 candidates and 9 of 81
+SEARCHES = [(f"{kind}-{d}", lambda kind=kind, d=d: _build_scenario(kind, d), None)
+            for kind in GEN_KINDS for d in range(2, 7) if kind != "mub-meb-2qubit" or d == 2]
+SEARCHES += [
+    ("meb-7", lambda: _build_scenario("meb", 7), 3 * 49),
+    *[(f"random-{d_in}x{d_out}",
+       lambda seed=seed, d_in=d_in, d_out=d_out: random_scenario(
+           np.random.default_rng(seed), n_tests=2, d_anc=2, d_in=d_in, d_out=d_out,
+           n_outcomes=3), None)
+      for seed, d_in, d_out in [(3, 3, 2), (5, 3, 3), (6, 1, 3), (7, 3, 1), (8, 2, 3)]],
+    ("diagonal-input", lambda: one_test_scenario(np.diag([0.5, 0.3, 0.2]), basis_effects(2)),
+     36 - 4),
+    ("circulant-input", lambda: one_test_scenario(fourier_diagonal([0.5, 0.3, 0.2]),
+                                                  basis_effects(3)), 81 - 9),
+]
+
+
+class TestSymmetrySearch:
+    """The coset-pruned search returns the exhaustive search's list, which
+    fingerprints every candidate on its own (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("build,most", [(b, m) for _, b, m in SEARCHES],
+                             ids=[name for name, _, _ in SEARCHES])
+    def test_matches_exhaustive_search(self, build, most, monkeypatch):
+        s = build()
+        labels = [x for test in s.tests for x in test.labels]
+        symmetries, fingerprinted = count_fingerprints(s, monkeypatch)
+        assert symmetry_list(symmetries, labels) == \
+            symmetry_list(exhaustive_symmetries(s), labels)
+        if most is not None:
+            assert fingerprinted <= most < s.d_in ** 2 * s.d_out ** 2
+
+    def test_meb_fingerprints_three_chunks(self, monkeypatch):
+        # a cost guard: H is every candidate, decided by the identity's chunk,
+        # one chunk of Z's and one of X's: 75 vectors, the identity and 74 of
+        # the 624 candidates
+        symmetries, fingerprinted = count_fingerprints(_build_scenario("meb", 5), monkeypatch)
+        assert len(symmetries) == 624 and fingerprinted <= 75
+
+    def test_equal_elements(self):
+        # the elements come in equal pairs, x0 = x1, x2 = x3, ..., so the
+        # fingerprints tie and a relabelling may map x0 to either of x2, x3;
+        # the composed relabelling and the exhaustive search's rank order can
+        # pick differently, but each maps every element to an equal one, and
+        # the reports built on them are the direct computations'
+        s = one_test_scenario(np.diag([0.6, 0.4]), basis_effects(5, copies=2))
+        labels = list(s.tests[0].labels)
+        element = s.testers()[0].element
+        symmetries, oracle = bounds._symmetries(s), exhaustive_symmetries(s)
+        assert [x[:4] for x in symmetry_list(symmetries, labels)] == \
+            [x[:4] for x in symmetry_list(oracle, labels)]
+        for (_, _, perm), (_, _, expected) in zip(symmetries, oracle):
+            for x in labels:
+                assert np.array_equal(element(perm[x]).mat, element(expected[x]).mat)
+        for r in scenario_report(s, tol=1e-6):
+            direct = tightness_check(s, r.combination)
+            assert r.error is None and 0.0 <= r.gap <= 1e-6
+            assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
+            assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
+            assert abs(r.upper - direct.upper) <= 1e-12
+            assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,48 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             HermitianOperator(np.array([[np.inf, 0], [0, 1.0]]), (2,))
 
+    @pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                       complex(np.inf, 0.0), complex(-np.inf, np.nan)],
+                             ids=["nan", "inf-imag", "inf", "mixed"])
+    @pytest.mark.parametrize("where", [[(1, 1)], [(0, 2)], [(0, 2), (2, 0)]],
+                             ids=["diagonal", "off-diagonal", "mirrored"])
+    def test_non_finite_reported_as_such(self, entry, where):
+        # the skew test fails on any non-finite entry, a Hermitian-looking
+        # mirrored pair included, and the finiteness check names the cause,
+        # with no floating-point warning first
+        mat = np.eye(3, dtype=complex)
+        for i, j in where:
+            mat[i, j] = entry if i <= j else np.conj(entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite entries"):
+                HermitianOperator(mat, (3,))
+
+    @pytest.mark.parametrize("skew", [2e-10, 1.0])
+    def test_skew_above_tolerance_is_not_hermitian(self, skew):
+        mat = np.eye(3, dtype=complex)
+        mat[0, 1] = skew
+        with pytest.raises(ValidationError, match=r"not Hermitian \(residual"):
+            HermitianOperator(mat, (3,))
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 25])
+    def test_mat_is_the_hermitian_average(self, n):
+        # bit for bit (arr + arr^dag) / 2 of the complex input, signs of zeros
+        # included, on Hermitian, near-Hermitian (skew within the tolerance),
+        # real and signed-zero inputs
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = g + g.conj().T
+        signs = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        zeros = np.empty((n, n), dtype=complex)
+        zeros.real, zeros.imag = signs, signs.T
+        for arr in (h, h + 1e-11 * g, h.real, h.real * signs, zeros):
+            c = np.asarray(arr, dtype=complex)
+            expected = ((c + c.conj().T) / 2).view(float)
+            mat = HermitianOperator(arr, (n,)).mat.view(float)
+            assert np.array_equal(mat, expected)
+            assert np.array_equal(np.signbit(mat), np.signbit(expected))
+
     @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(np.inf, 0.0)],
                              ids=["nan-imag", "inf-real"])
     def test_rejects_non_finite_in_one_part(self, entry):
@@ -212,9 +255,12 @@ class TestConstruction:
             Ket([1.0, 1.0], (2,))
 
     def test_matrices_read_only(self):
-        op = HermitianOperator(np.eye(2), (2,))
+        arr = np.array([[1.0, 2.0 + 1e-12j], [2.0, 3.0]])
+        op = HermitianOperator(arr, (2,))
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
+        # the caller's array is neither averaged nor frozen
+        assert arr[0, 1] == 2.0 + 1e-12j and arr.flags.writeable
 
 
 class TestKron:

@@ -4,14 +4,18 @@ compared byte for byte with ``diff``:
 
     python3 tools/output_digests.py > digests.txt
 
-The outputs are ``gen`` of every kind at d = 2, 3 and 5; ``bound`` of each of
-those scenarios at d = 2 and 3, with no flags and with
-``--skip-exact --skip-trivial``; the full ``bound`` of ``meb --d 5``;
-``verify --trials 3 --seed 7``; two channel files written by the package; and
-``simulate`` of ``mub-meb-2qubit`` with the unitary one.  Every command runs
-in-process through ``cli.main``, with the package imported from this
-checkout's ``src/``, and writes to a temporary directory.  A command that does
-not exit 0 gets its exit code after its name.
+The outputs are ``gen`` of every kind at d = 2 to 5, and of ``meb`` and
+``example2`` at d = 6; ``bound`` of each of those scenarios at d = 2 and 3,
+with no flags and with ``--skip-exact --skip-trivial``, and at d = 4 to 6
+with ``--skip-exact --skip-trivial`` only, which covers the symmetry search
+where every candidate is a symmetry (``meb``, ``example2``) and where only
+some are (``example1``, ``state-mub``) at the larger sizes; the full
+``bound`` of ``meb --d 5``; ``verify --trials 3 --seed 7``; two channel
+files written by the package; and ``simulate`` of ``mub-meb-2qubit`` with
+the unitary one.  Every command runs in-process through ``cli.main``, with
+the package imported from this checkout's ``src/``, and writes to a
+temporary directory.  A command that does not exit 0 gets its exit code
+after its name.
 """
 
 from __future__ import annotations
@@ -58,12 +62,12 @@ def print_digests(tmp: Path) -> None:
     scenarios: dict[tuple[str, int], Path] = {}
     for kind in GEN_KINDS:
         # mub-meb-2qubit is one fixed scenario, whatever --d says
-        for d in (2,) if kind == "mub-meb-2qubit" else (2, 3, 5):
+        for d in (2,) if kind == "mub-meb-2qubit" else \
+                (2, 3, 4, 5, 6) if kind in ("meb", "example2") else (2, 3, 4, 5):
             scenarios[kind, d] = _run(tmp, f"gen {kind} --d {d}", "gen", kind, "--d", str(d))
     for (kind, d), path in scenarios.items():
-        if d > 3:
-            continue
-        _run(tmp, f"bound {kind} --d {d}", "bound", str(path))
+        if d <= 3:
+            _run(tmp, f"bound {kind} --d {d}", "bound", str(path))
         _run(tmp, f"bound {kind} --d {d} --skip-exact --skip-trivial",
              "bound", str(path), "--skip-exact", "--skip-trivial")
     _run(tmp, "bound meb --d 5", "bound", str(scenarios["meb", 5]))
