@@ -59,6 +59,12 @@ TRADEOFF_MARGIN = 1e-8
 AGREEMENT_FLOOR = 1e-6
 
 
+class InequalityError(ValidationError):
+    """A report breaks its own inequalities: a bound out of range, the exact
+    bound above the norm cap or the trivial bound, or a certified tightness
+    that the exact bound does not meet."""
+
+
 def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[str, ...]:
     combination = tuple(str(c) for c in combination)
     if len(combination) != len(scenario.tests):
@@ -166,13 +172,16 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
         ranked = np.concatenate([np.sort(prints[:, tier], axis=1) for tier in tiers], axis=1)
         if iu == 0:
             own = ranked[0]
-            own_order = np.concatenate([tier.start + np.argsort(prints[0, tier]) for tier in tiers])
+            own_order = np.concatenate([tier.start + np.argsort(prints[0, tier], kind="stable")
+                                        for tier in tiers])
             in_h[0] = True
         keep = np.abs(ranked - own).max(axis=1) <= EQUALITY_ATOL
         if keep.any():
             # found[i, order[i, j]] = own_order[j]: the element of rank j goes
-            # to the tester's own element of rank j
-            order = np.concatenate([tier.start + np.argsort(prints[keep, tier], axis=1)
+            # to the tester's own element of rank j, equal fingerprints ranked
+            # in element order
+            order = np.concatenate([tier.start + np.argsort(prints[keep, tier], axis=1,
+                                                            kind="stable")
                                     for tier in tiers], axis=1)
             found = np.empty_like(order)
             np.put_along_axis(found, order, own_order[None], axis=1)
@@ -223,34 +232,33 @@ def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
     return {key: table[key] for key in keys}
 
 
-def _moved_channel(channel: Channel, w: tuple[np.ndarray, np.ndarray]) -> Channel:
-    """The channel with Choi matrix J' = W J W^dag for the monomial W, not
-    validated again.  Entry (a, b) of J' is J[index[a], index[b]] times two of
-    W's phases, two complex products averaged with its mirror, so entrywise
-    |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
-    ||J' - W J W^dag||_op <= c u ||J||_F <= c u tr J = c u d_in.  W's phases,
-    entries of the shift-clock matrices, have unit modulus within 4e-15 for
-    d <= 8.  So J' is within 1e-14 d_in of the exact move of J by a unitary,
-    and passes the positivity and trace-preservation checks J passed to within
-    that, far inside their 1e-9."""
-    moved = object.__new__(Channel)
-    object.__setattr__(moved, "choi", HermitianOperator(_conjugated(channel.choi.mat, w),
-                                                        channel.choi.dims))
-    object.__setattr__(moved, "kind", channel.kind)
-    object.__setattr__(moved, "data", None)
-    return moved
-
-
 def _start(res: ChannelOptResult | SolverError | None, moved: np.ndarray, w: tuple, u: tuple,
            ) -> tuple[ChannelOptResult, np.ndarray] | None:
     """The start of an image from its source's result: the result moved to
-    channel W J W^dag and dual certificate U Y U^dag, paired with ``moved``,
-    the source's objective moved to W M W^dag; None when the source has no
-    certified result."""
+    channel J' = W J W^dag and dual certificate U Y U^dag, paired with
+    ``moved``, the source's objective moved to W M W^dag; None when the source
+    has no certified result.
+
+    J' is not validated again.  Entry (a, b) of J' is J[index[a], index[b]]
+    times two of W's phases, two complex products averaged with its mirror,
+    so entrywise |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
+    ||J' - W J W^dag||_op <= c u ||J||_F <= c u tr J = c u d_in.  W's phases,
+    products of two shift-clock entries, are off unit modulus by at most
+    e = 2 delta + 3 u, with delta the largest ||phase| - 1| of
+    ``_monomials(shift_clock(n))`` for n = d_in, d_out: below 2e-15 for
+    n <= 8 and 7.5e-14 for n <= 32.  So W = D W~, with W~ unitary and D
+    diagonal, ||D - I|| <= e, and ||W J W^dag - W~ J W~^dag||_op <=
+    (2 e + e^2) d_in.  In all J' is within (c u + 2 e + e^2) d_in, below
+    4e-13 d_in for n <= 32, of the exact move of J by a unitary, and passes
+    the positivity and trace-preservation checks J passed to within d_out
+    times that, far inside their 1e-9."""
     if not isinstance(res, ChannelOptResult):
         return None
+    j = res.optimizer.choi
+    channel = object.__new__(Channel)
+    object.__setattr__(channel, "choi", HermitianOperator(_conjugated(j.mat, w), j.dims))
     y = HermitianOperator(_conjugated(res.dual_certificate.mat, u), res.dual_certificate.dims)
-    return replace(res, optimizer=_moved_channel(res.optimizer, w), dual_certificate=y), moved
+    return replace(res, optimizer=channel, dual_certificate=y), moved
 
 
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
@@ -445,15 +453,15 @@ class BoundReport:
 
     def __post_init__(self):
         if self.exact is not None and self.exact > self.upper + 1e-8:
-            raise ValidationError(f"exact {self.exact!r} exceeds upper {self.upper!r}")
+            raise InequalityError(f"exact {self.exact!r} exceeds upper {self.upper!r}")
         if None not in (self.exact, self.trivial) and self.exact > self.trivial + 1e-8:
-            raise ValidationError(f"exact {self.exact!r} exceeds trivial {self.trivial!r}")
+            raise InequalityError(f"exact {self.exact!r} exceeds trivial {self.trivial!r}")
         # certified trivial bounds may exceed their true value by up to tol
         hi = max(1.0, self.upper) + max(self.tol, 1e-9)
         for name in ("trivial", "upper", "exact"):
             v = getattr(self, name)
             if v is not None and not -1e-9 <= v <= hi:
-                raise ValidationError(f"{name} bound {v!r} outside [0, {hi!r}]")
+                raise InequalityError(f"{name} bound {v!r} outside [0, {hi!r}]")
 
 
 def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
@@ -473,7 +481,7 @@ def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
         errors.append(f"exact bound failed: {exact}")
         exact = None
     if exact is not None and spectral.tight and not agrees(exact, spectral.upper):
-        raise ValidationError(
+        raise InequalityError(
             f"tightness certified but exact {exact.value!r} != upper {spectral.upper!r}")
     tradeoff = None if exact is None or trivial is None else \
         bool(exact.dual_value < trivial - max(tol, TRADEOFF_MARGIN))

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import all_combinations, report_to_json, scenario_report, upper_bound
+from .bounds import (InequalityError, all_combinations, report_to_json, scenario_report,
+                     upper_bound)
 from .channel_opt import SolverError
 # not called here: bench/tracing.py looks these three names up in this module
 from .bounds import tightness_check  # noqa: F401
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         _err(f"solver failure: {exc}")
         return 3
+    except InequalityError as exc:
+        _err(f"inequality failure: {exc}")
+        return 1
     except (ValidationError, ValueError, OSError) as exc:
         _err(f"error: {exc}")
         return 2

@@ -8,9 +8,9 @@ from the generalized Born rule tr[T(x) J] against the channel's Choi matrix J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,26 +109,17 @@ class Tester:
 
 @dataclass(frozen=True)
 class Channel:
-    """A channel identified with its Choi matrix on in(x)out.
-
-    ``kind`` records provenance ("unitary", "kraus", "constant" or "choi") and
-    ``data`` the generating object (unitary matrix, Kraus list, output state,
-    or None for a raw Choi matrix).
-    """
+    """A channel identified with its Choi matrix on in(x)out."""
 
     choi: HermitianOperator
-    kind: str = "choi"
-    data: Any = field(default=None, compare=False)
 
-    def __init__(self, choi: HermitianOperator, kind: str = "choi", data: Any = None):
+    def __init__(self, choi: HermitianOperator):
         if len(choi.dims) != 2:
             raise DimensionError("Choi matrix must carry dims (d_in, d_out)")
         check_psd(choi, "Choi matrix")
         check_close(partial_trace(choi, keep=[0]).mat, np.eye(choi.dims[0]), EQUALITY_ATOL,
                     "channel is not trace preserving")
         object.__setattr__(self, "choi", choi)
-        object.__setattr__(self, "kind", str(kind))
-        object.__setattr__(self, "data", data)
 
     @property
     def d_in(self) -> int:
@@ -248,7 +239,7 @@ def channel_from_unitary(u: np.ndarray) -> Channel:
     check_close(u.conj().T @ u, np.eye(d), EQUALITY_ATOL, "matrix is not unitary")
     v = u.T.reshape(-1)  # amplitudes of sum_i |i> (x) U|i>
     choi = HermitianOperator(np.outer(v, v.conj()), (d, d))
-    return Channel(choi, kind="unitary", data=u.copy())
+    return Channel(choi)
 
 
 def channel_from_kraus(kraus: Sequence[np.ndarray]) -> Channel:
@@ -265,8 +256,7 @@ def channel_from_kraus(kraus: Sequence[np.ndarray]) -> Channel:
     for k in ks:
         v = k.T.reshape(-1)
         choi += np.outer(v, v.conj())
-    return Channel(HermitianOperator(choi, (d_in, d_out)), kind="kraus",
-                   data=tuple(k.copy() for k in ks))
+    return Channel(HermitianOperator(choi, (d_in, d_out)))
 
 
 def channel_constant(sigma: HermitianOperator, d_in: int) -> Channel:
@@ -276,11 +266,11 @@ def channel_constant(sigma: HermitianOperator, d_in: int) -> Channel:
         raise DimensionError("target state must carry a single subsystem dimension")
     d_in = as_dim(d_in)
     choi = HermitianOperator(np.kron(np.eye(d_in), sigma.mat), (d_in, sigma.dims[0]))
-    return Channel(choi, kind="constant", data=sigma)
+    return Channel(choi)
 
 
 def channel_from_choi(choi: HermitianOperator) -> Channel:
-    return Channel(choi, kind="choi")
+    return Channel(choi)
 
 
 def probability(tester_element: HermitianOperator, ch: Channel) -> float:
@@ -352,7 +342,8 @@ def sample_run(scenario: Scenario, ch: Channel, n: int, seed: int) -> dict[str, 
 # Channel files:
 #   {"kind": "unitary"|"kraus"|"constant"|"choi", "d_in":., "d_out":., "data": ...}
 # where "data" holds raw row-major [re, im] nestings: the unitary matrix, the
-# list of Kraus matrices, the constant output state, or the Choi matrix.
+# list of Kraus matrices, the constant output state, or the Choi matrix.  All
+# four are read; a channel is written as its Choi matrix.
 
 def test_to_json(test: Test) -> dict:
     return {
@@ -383,13 +374,7 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def channel_to_json(ch: Channel) -> dict:
-    if ch.kind in ("unitary", "kraus"):
-        data = np.asarray(ch.data)
-    elif ch.kind in ("constant", "choi"):
-        data = (ch.data if ch.kind == "constant" else ch.choi).mat
-    else:
-        raise ValidationError(f"unknown channel kind {ch.kind!r}")
-    return {"kind": ch.kind, "d_in": ch.d_in, "d_out": ch.d_out, "data": data}
+    return {"kind": "choi", "d_in": ch.d_in, "d_out": ch.d_out, "data": ch.choi.mat}
 
 
 def channel_from_json(obj: dict) -> Channel:

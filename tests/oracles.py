@@ -68,7 +68,7 @@ def exhaustive_symmetries(scenario: Scenario) -> list:
         stack = np.stack([op.mat for _, op in tester.elements])
         prints = np.concatenate([np.einsum("xcm,cm->cx", chunk.conj() @ stack, chunk).real
                                  for chunk in moved])
-        order = np.argsort(prints, axis=1)
+        order = np.argsort(prints, axis=1, kind="stable")
         ranked = np.take_along_axis(prints, order, axis=1)
         keep &= np.abs(ranked - ranked[0]).max(axis=1) <= EQUALITY_ATOL
         orders.append(len(labels) + order)

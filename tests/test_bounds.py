@@ -21,7 +21,7 @@ from testerbounds.bounds import (
     upper_bound,
 )
 from testerbounds.cli import GEN_KINDS, _build_scenario
-from testerbounds.channel_opt import SolverError
+from testerbounds.channel_opt import ChannelOptResult, SolverError
 from testerbounds.linalg import (
     ROUNDING_ATOL,
     DimensionError,
@@ -773,22 +773,42 @@ class TestMonomials:
                 assert np.abs(bounds._conjugated(mat, monomial) - expected).max() <= \
                     1e-15 * np.abs(mat).max()
 
-    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 3), (5, 5), (7, 7)])
+    def test_shift_clock_phases_within_stated_delta(self):
+        # delta of the rounding bound _start states: how far the phases of
+        # the shift-clock monomials are off unit modulus
+        for d in range(2, 33):
+            _, phase = bounds._monomials(shift_clock(d))
+            delta = np.abs(np.abs(phase) - 1).max()
+            assert delta < (2e-15 if d <= 8 else 7.5e-14), d
+
+    @pytest.mark.parametrize("d_in,d_out",
+                             [(1, 3), (3, 1), (2, 3), (3, 3), (5, 5), (7, 7), (9, 9)])
     def test_moved_channel_within_stated_bound(self, d_in, d_out):
-        # the bound _moved_channel states instead of validating again:
-        # ||J' - W J W^dag||_op <= ||.||_F <= 8 u d_in, W the monomial as a
-        # dense matrix and the product taken in extended precision
+        # the bound _start states instead of validating the moved channel
+        # again: ||J' - W~ J W~^dag||_op <= ||.||_F <= (8 u + 2 e + e^2) d_in,
+        # with e = 2 delta + 3 u, W~ the monomial with its phases scaled to
+        # unit modulus, as a dense matrix, and the product taken in extended
+        # precision
         test = Test(HermitianOperator(np.eye(d_in) / d_in, (1, d_in)),
                     [("x", HermitianOperator(np.eye(d_out), (1, d_out)))], 1, d_in, d_out)
         symmetries = bounds._symmetries(Scenario([test], [1.0]))
         us, vs = shift_clock(d_in), shift_clock(d_out)
         channel = random_channel(d_in, d_out, np.random.default_rng(d_in + 10 * d_out))
+        res = ChannelOptResult(value=0.0, optimizer=channel, dual_value=0.0,
+                               dual_certificate=HermitianOperator(np.eye(d_in), (d_in,)),
+                               gap=0.0, tol=1e-6, dual_min_eig=0.0, iterations=0, history=())
+        unit = 2.0 ** -53
+        delta = max(np.abs(np.abs(bounds._monomials(shift_clock(d))[1]) - 1).max()
+                    for d in (d_in, d_out))
+        e = 2 * delta + 3 * unit
         j = channel.choi.mat.astype(np.clongdouble)
         for c in range(1, len(symmetries) + 1, max(1, len(symmetries) // 50)):
             dense = np.kron(us[c // len(vs)], vs[c % len(vs)]).astype(np.clongdouble)
-            moved = bounds._moved_channel(channel, symmetries[c - 1][0])
+            dense[dense != 0] /= np.abs(dense[dense != 0])
+            w, u, _ = symmetries[c - 1]
+            moved = bounds._start(res, None, w, u)[0].optimizer
             err = moved.choi.mat - dense @ j @ dense.conj().T
-            assert np.sqrt((np.abs(err) ** 2).sum()) <= 8 * 2.0 ** -53 * d_in
+            assert np.sqrt((np.abs(err) ** 2).sum()) <= (8 * unit + 2 * e + e * e) * d_in
             channel_from_choi(moved.choi)  # and it passes the checks it skipped
 
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
@@ -921,24 +941,19 @@ class TestSymmetrySearch:
         assert len(symmetries) == 624 and fingerprinted <= 75
 
     def test_equal_elements(self):
-        # the elements come in equal pairs, x0 = x1, x2 = x3, ..., so the
-        # fingerprints tie and a relabelling may map x0 to either of x2, x3;
-        # the composed relabelling and the exhaustive search's rank order can
-        # pick differently, but each maps every element to an equal one, and
-        # the reports built on them are the direct computations'
-        s = one_test_scenario(np.diag([0.6, 0.4]), basis_effects(5, copies=2))
-        labels = list(s.tests[0].labels)
-        element = s.testers()[0].element
-        symmetries, oracle = bounds._symmetries(s), exhaustive_symmetries(s)
-        assert [x[:4] for x in symmetry_list(symmetries, labels)] == \
-            [x[:4] for x in symmetry_list(oracle, labels)]
-        for (_, _, perm), (_, _, expected) in zip(symmetries, oracle):
-            for x in labels:
-                assert np.array_equal(element(perm[x]).mat, element(expected[x]).mat)
-        for r in scenario_report(s, tol=1e-6):
-            direct = tightness_check(s, r.combination)
-            assert r.error is None and 0.0 <= r.gap <= 1e-6
-            assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
-            assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
-            assert abs(r.upper - direct.upper) <= 1e-12
-            assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+        # each effect comes in equal copies, x0 = x1, x2 = x3, ..., so the
+        # fingerprints tie; both searches rank equal fingerprints in element
+        # order, so the composed relabellings are the exhaustive search's,
+        # and the reports built on them are the direct computations'
+        for d, copies in [(5, 2), (4, 3), (3, 2)]:
+            s = one_test_scenario(np.diag([0.6, 0.4]), basis_effects(d, copies))
+            labels = list(s.tests[0].labels)
+            assert symmetry_list(bounds._symmetries(s), labels) == \
+                symmetry_list(exhaustive_symmetries(s), labels)
+            for r in scenario_report(s, tol=1e-6):
+                direct = tightness_check(s, r.combination)
+                assert r.error is None and 0.0 <= r.gap <= 1e-6
+                assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
+                assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
+                assert abs(r.upper - direct.upper) <= 1e-12
+                assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process, via main)."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
 from testerbounds.linalg import dumps_canonical, operator_to_json
 from testerbounds.sampling import haar_unitary
-from testerbounds.testers import channel_from_unitary, channel_to_json, scenario_from_json
+from testerbounds.testers import channel_from_json, scenario_from_json
 
 FULL_KEYS = ["combination", "trivial", "upper", "exact", "gap", "tradeoff", "tight",
              "tight_degenerate", "optimizer"]
@@ -41,11 +42,16 @@ def mub_meb_file(tmp_path):
     return path
 
 
+def unitary_payload(u):
+    """The unitary channel file of ``u``, written out literally."""
+    return {"kind": "unitary", "d_in": len(u), "d_out": len(u), "data": u}
+
+
 @pytest.fixture()
 def unitary_channel_file(tmp_path):
-    ch = channel_from_unitary(haar_unitary(2, np.random.default_rng(7)))
     path = tmp_path / "channel.json"
-    path.write_text(dumps_canonical(channel_to_json(ch)) + "\n")
+    u = haar_unitary(2, np.random.default_rng(7))
+    path.write_text(dumps_canonical(unitary_payload(u)) + "\n")
     return path
 
 
@@ -174,6 +180,35 @@ class TestBound:
         library = bounds.scenario_report(scenario, tol=1e-6)
         written = dumps_canonical({"reports": [bounds.report_to_json(r) for r in library]})
         assert json.loads(written)["reports"] == entries
+
+    @pytest.mark.parametrize("tight,words", [(False, "exceeds upper"), (True, "!= upper")])
+    def test_broken_inequality_exits_one(self, capsys, mub_meb_file, monkeypatch, tight, words):
+        # a norm cap below the exact bound 3/4 breaks the report's own
+        # inequalities: the report's check catches it, or, when the cap is
+        # flagged tight, the check that the exact bound attains it
+        tightness = bounds._tightness
+        monkeypatch.setattr(bounds, "_tightness", lambda mat, dims: dataclasses.replace(
+            tightness(mat, dims), upper=0.5, tight=tight))
+        code, out, err = run_cli(capsys, "bound", str(mub_meb_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("inequality failure: ") and words in err
+
+    def test_image_optimizer_loads_as_channel(self, capsys, tmp_path):
+        # an image's optimizer is its source's moved by W, never validated as
+        # a Channel; written as a Choi file, it loads through the checks
+        scenario_path, report_path = tmp_path / "meb3.json", tmp_path / "report.json"
+        assert main(["gen", "meb", "--d", "3", "--out", str(scenario_path)]) == 0
+        assert main(["bound", str(scenario_path), "--out", str(report_path)]) == 0
+        scenario = scenario_from_json(json.loads(scenario_path.read_text()))
+        images = {r.combination: r.optimizer
+                  for r in bounds.scenario_report(scenario, tol=1e-6) if r.iterations == 0}
+        assert images
+        for entry in json.loads(report_path.read_text())["reports"]:
+            if tuple(entry["combination"]) in images:
+                assert entry["optimizer"]["kind"] == "choi"
+                channel = channel_from_json(entry["optimizer"])
+                assert np.array_equal(channel.choi.mat,
+                                      images[tuple(entry["combination"])].choi.mat)
 
     def test_payloads_hold_matrices_as_arrays(self, mub_meb_file):
         # a cost guard: matrices go to the writer as the arrays they are stored in,
@@ -331,9 +366,9 @@ class TestSimulate:
         assert out1 == out2
 
     def test_dimension_mismatch(self, capsys, mub_meb_file, tmp_path):
-        ch = channel_from_unitary(haar_unitary(3, np.random.default_rng(1)))
         path = tmp_path / "ch3.json"
-        path.write_text(dumps_canonical(channel_to_json(ch)))
+        u = haar_unitary(3, np.random.default_rng(1))
+        path.write_text(dumps_canonical(unitary_payload(u)))
         code, _, err = run_cli(capsys, "simulate", str(mub_meb_file), str(path))
         assert code == 2
 

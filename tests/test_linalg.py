@@ -30,8 +30,7 @@ from testerbounds.linalg import (
     partial_trace,
     write_canonical,
 )
-from testerbounds.sampling import random_channel
-from testerbounds.testers import channel_to_json
+from testerbounds.sampling import haar_isometries
 
 
 def random_hermitian(rng, dims):
@@ -544,8 +543,9 @@ class TestJson:
         assert dumps_canonical(value) == json.dumps(with_lists(value), indent=2)
 
     def test_writer_kraus_channel_matches_json(self):
-        obj = channel_to_json(random_channel(2, 3, np.random.default_rng(23), kraus_rank=3))
-        assert obj["data"].shape == (3, 3, 2)
+        # a Kraus file's data, a stack of matrices, takes the writer's 3-D array path
+        kraus = haar_isometries(np.random.default_rng(23), 1, 9, 2)[0].reshape(3, 3, 2)
+        obj = {"kind": "kraus", "d_in": 2, "d_out": 3, "data": kraus}
         assert dumps_canonical(obj) == json.dumps(with_lists(obj), indent=2)
 
     @pytest.mark.parametrize("n", [0, 1, 3])

@@ -21,6 +21,7 @@ from testerbounds.linalg import (
 )
 from testerbounds.sampling import (
     ginibre_state,
+    haar_isometries,
     haar_unitary,
     random_channel,
     random_ket,
@@ -51,6 +52,27 @@ from testerbounds.testers import (
 )
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
+# (d_in, d_out) of a channel file of each kind the reader takes
+FILE_DIMS = {"unitary": (3, 3), "kraus": (2, 3), "constant": (3, 2), "choi": (2, 2)}
+
+
+def channel_payload(kind, d_in, d_out, rng):
+    """A channel file of ``kind`` acting d_in -> d_out, its data written out
+    literally (a unitary needs d_in = d_out, a Kraus list has two operators),
+    and the channel its constructor builds from the same data."""
+    if kind == "unitary":
+        data = haar_unitary(d_in, rng)
+        ch = channel_from_unitary(data)
+    elif kind == "kraus":
+        data = haar_isometries(rng, 1, 2 * d_out, d_in)[0].reshape(2, d_out, d_in)
+        ch = channel_from_kraus(data)
+    elif kind == "constant":
+        sigma = ginibre_state(d_out, rng)
+        data, ch = sigma.mat, channel_constant(sigma, d_in)
+    else:
+        ch = random_channel(d_in, d_out, rng)
+        data = ch.choi.mat
+    return {"kind": kind, "d_in": d_in, "d_out": d_out, "data": data}, ch
 
 
 def kron_dual_reference(rho, b):
@@ -487,14 +509,9 @@ class TestJsonInterfaces:
     @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "choi"])
     @pytest.mark.parametrize("declared", [(3, 5), (2, 3), (3, 2)])
     def test_channel_declared_dims_enforced(self, kind, declared):
-        # every kind below acts 2 -> 2 and a file declaring other dims is rejected,
+        # every file below acts 2 -> 2 and a file declaring other dims is rejected,
         # except that a constant channel takes its d_in from the file
-        rng = np.random.default_rng(22)
-        ch = {"unitary": lambda: channel_from_unitary(haar_unitary(2, rng)),
-              "kraus": lambda: random_channel(2, 2, rng, kraus_rank=2),
-              "constant": lambda: channel_constant(ginibre_state(2, rng), d_in=2),
-              "choi": lambda: channel_from_choi(random_channel(2, 2, rng).choi)}[kind]()
-        obj = channel_to_json(ch)
+        obj, _ = channel_payload(kind, 2, 2, np.random.default_rng(22))
         assert channel_from_json(obj).choi.dims == (2, 2)
         obj["d_in"], obj["d_out"] = declared
         if kind == "constant" and declared[1] == 2:
@@ -510,40 +527,41 @@ class TestJsonInterfaces:
         with pytest.raises(DimensionError):
             channel_from_json(obj)
 
-    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "choi"])
+    @pytest.mark.parametrize("kind", list(FILE_DIMS))
     def test_channel_round_trip(self, kind):
-        rng = np.random.default_rng(21)
-        if kind == "unitary":
-            ch = channel_from_unitary(haar_unitary(3, rng))
-        elif kind == "kraus":
-            ch = random_channel(2, 3, rng, kraus_rank=2)
-        elif kind == "constant":
-            ch = channel_constant(ginibre_state(2, rng), d_in=3)
-        else:
-            ch = channel_from_choi(random_channel(2, 2, rng).choi)
-        back = channel_from_json(channel_to_json(ch))
-        assert back.kind == ch.kind if kind != "kraus" else True
-        assert np.max(np.abs(back.choi.mat - ch.choi.mat)) < 1e-12
+        # each kind's file loads to the channel its constructor builds, and
+        # that channel is written as its Choi file, which loads back to it
+        d_in, d_out = FILE_DIMS[kind]
+        obj, ch = channel_payload(kind, d_in, d_out, np.random.default_rng(21))
+        back = channel_from_json(obj)
+        assert np.array_equal(back.choi.mat, ch.choi.mat)
+        written = channel_to_json(back)
+        assert (written["kind"], written["d_in"], written["d_out"]) == ("choi", d_in, d_out)
+        assert np.array_equal(channel_from_json(written).choi.mat, back.choi.mat)
 
-    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "choi"])
+    @pytest.mark.parametrize("kind", list(FILE_DIMS))
     def test_channel_round_trip_through_text(self, kind):
-        # each kind's data is written as [re, im] lists and read back to the same bytes
-        rng = np.random.default_rng(24)
-        ch = {"unitary": lambda: channel_from_unitary(haar_unitary(3, rng)),
-              "kraus": lambda: random_channel(2, 3, rng, kraus_rank=3),
-              "constant": lambda: channel_constant(ginibre_state(2, rng), d_in=3),
-              "choi": lambda: channel_from_choi(random_channel(2, 2, rng).choi)}[kind]()
-        text = dumps_canonical(channel_to_json(ch))
-        back = channel_from_json(json.loads(text))
-        assert back.kind == ch.kind
-        assert dumps_canonical(channel_to_json(back)) == text
+        # each kind's data is written as [re, im] lists and read back to the same
+        # channel, and that channel's Choi file is read back to the same bytes
+        obj, ch = channel_payload(kind, *FILE_DIMS[kind], np.random.default_rng(24))
+        back = channel_from_json(json.loads(dumps_canonical(obj)))
+        assert np.array_equal(back.choi.mat, ch.choi.mat)
+        text = dumps_canonical(channel_to_json(back))
+        assert dumps_canonical(channel_to_json(channel_from_json(json.loads(text)))) == text
 
     @pytest.mark.parametrize("kind", ["unitary", "kraus"])
     def test_channel_data_of_wrong_ndim_rejected(self, kind):
-        rng = np.random.default_rng(25)
-        obj = channel_to_json(random_channel(2, 2, rng, kraus_rank=2))
+        obj, _ = channel_payload("kraus", 2, 2, np.random.default_rng(25))
         obj["kind"] = kind  # a unitary given a stack, or a Kraus list given one matrix
         if kind == "kraus":
             obj["data"] = obj["data"][0]
         with pytest.raises(ValidationError, match="expected 2-D"):
             channel_from_json(obj)
+
+    def test_channel_is_its_choi_matrix(self):
+        # a channel keeps no record of how it was built: a unitary channel and
+        # the channel of its Choi matrix are equal and write the same file
+        ch = channel_from_unitary(haar_unitary(3, np.random.default_rng(26)))
+        same = channel_from_choi(ch.choi)
+        assert same == ch
+        assert dumps_canonical(channel_to_json(same)) == dumps_canonical(channel_to_json(ch))

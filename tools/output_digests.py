@@ -11,8 +11,11 @@ with ``--skip-exact --skip-trivial`` only, which covers the symmetry search
 where every candidate is a symmetry (``meb``, ``example2``) and where only
 some are (``example1``, ``state-mub``) at the larger sizes; the full
 ``bound`` of ``meb --d 5``; ``verify --trials 3 --seed 7``; two channel
-files written by the package; and ``simulate`` of ``mub-meb-2qubit`` with
-the unitary one.  Every command runs in-process through ``cli.main``, with
+files, a unitary and a Kraus one, written as literal payloads; ``simulate``
+of ``mub-meb-2qubit`` with the unitary one; and the full ``bound`` of two
+scenarios built in the library: a seeded random one, with no symmetry, and
+one whose POVM repeats each effect, so that symmetries relabel among equal
+tester elements.  Every command runs in-process through ``cli.main``, with
 the package imported from this checkout's ``src/``, and writes to a
 temporary directory.  A command that does not exit 0 gets its exit code
 after its name.
@@ -26,21 +29,41 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from testerbounds.cli import GEN_KINDS, main  # noqa: E402
-from testerbounds.linalg import dumps_canonical  # noqa: E402
-from testerbounds.testers import (  # noqa: E402
-    channel_from_kraus,
-    channel_from_unitary,
-    channel_to_json,
-)
+from testerbounds.linalg import HermitianOperator, dumps_canonical  # noqa: E402
+from testerbounds.sampling import random_scenario  # noqa: E402
+from testerbounds.testers import Scenario, Test, scenario_to_json  # noqa: E402
 
 S = math.sqrt(0.5)
 CHANNELS = {
-    "unitary": channel_from_unitary([[S, 1j * S], [1j * S, S]]),
+    "unitary": {"kind": "unitary", "d_in": 2, "d_out": 2,
+                "data": np.array([[S, 1j * S], [1j * S, S]])},
     # amplitude damping with decay probability 1/4
-    "kraus": channel_from_kraus([[[1, 0], [0, math.sqrt(0.75)]], [[0, 0.5], [0, 0]]]),
+    "kraus": {"kind": "kraus", "d_in": 2, "d_out": 2,
+              "data": np.array([[[1, 0], [0, math.sqrt(0.75)]], [[0, 0.5], [0, 0]]],
+                               dtype=complex)},
+}
+
+
+def _repeated_effects() -> Scenario:
+    """One ancilla-free test of input diag(0.6, 0.4) whose POVM is the
+    computational basis of dimension 5 with each effect split into two equal
+    halves, labelled x0, x1, ..."""
+    effects = [np.diag(np.eye(5)[i]) / 2 for i in range(5) for _ in range(2)]
+    test = Test(HermitianOperator(np.diag([0.6, 0.4]), (1, 2)),
+                [(f"x{i}", HermitianOperator(e, (1, 5))) for i, e in enumerate(effects)],
+                1, 2, 5)
+    return Scenario([test], [1.0])
+
+
+SCENARIOS = {
+    "random-3x2 seed 3": lambda: random_scenario(
+        np.random.default_rng(3), n_tests=2, d_anc=2, d_in=3, d_out=2, n_outcomes=3),
+    "repeated-effects 2x5": _repeated_effects,
 }
 
 
@@ -72,12 +95,16 @@ def print_digests(tmp: Path) -> None:
              "bound", str(path), "--skip-exact", "--skip-trivial")
     _run(tmp, "bound meb --d 5", "bound", str(scenarios["meb", 5]))
     _run(tmp, "verify --trials 3 --seed 7", "verify", "--trials", "3", "--seed", "7")
-    for kind, channel in CHANNELS.items():
+    for kind, payload in CHANNELS.items():
         path = tmp / f"channel-{kind}.json"
-        path.write_text(dumps_canonical(channel_to_json(channel)) + "\n")
+        path.write_text(dumps_canonical(payload) + "\n")
         _digest(f"channel {kind}", path)
     _run(tmp, "simulate mub-meb-2qubit unitary", "simulate",
          str(scenarios["mub-meb-2qubit", 2]), str(tmp / "channel-unitary.json"))
+    for name, build in SCENARIOS.items():
+        path = tmp / (name.replace(" ", "_") + "-scenario.json")
+        path.write_text(dumps_canonical(scenario_to_json(build())) + "\n")
+        _run(tmp, f"bound {name}", "bound", str(path))
 
 
 if __name__ == "__main__":
