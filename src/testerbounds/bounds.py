@@ -23,7 +23,11 @@ coincide.  The orbits are one table per report: the first key of an orbit in
 report order is its source, solved with no start, and each image starts from
 its source's result and objective, both moved by W.  The solver certifies
 such a start by a perturbation bound, with no eigendecomposition and no
-primal-dual iteration, or solves the image as if it had no start.  The images
+primal-dual iteration, or solves the image as if it had no start.  A source
+whose objective has rank one (every per-test maximum of a scenario with
+rank-one tester elements) or lives on d_in = 1 is certified by the solver in
+closed form, so on such scenarios the interior point runs only for exact
+solves of sources of rank two or more.  The images
 of a failed source are solved directly.  Each symmetry is kept as monomials
 (index, phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and
 two phase products.  A report is one walk over the combinations' table: each
@@ -434,8 +438,9 @@ class BoundReport:
 
     A bound that was skipped, or whose solve failed, is None; ``error`` then
     says which solve failed.  ``tradeoff`` needs both ``trivial`` and ``exact``.
-    ``iterations`` counts the primal-dual iterations behind ``exact``, 0 for a
-    certified start.
+    ``path`` says how ``exact`` was produced, as ``ChannelOptResult.path``
+    does, and ``iterations`` counts the primal-dual iterations behind it, 0
+    off the interior point.
     """
 
     combination: tuple[str, ...]
@@ -450,6 +455,7 @@ class BoundReport:
     tol: float = 1e-6
     error: str | None = None
     iterations: int | None = None
+    path: str | None = None
 
     def __post_init__(self):
         if self.exact is not None and self.exact > self.upper + 1e-8:
@@ -498,6 +504,7 @@ def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
         tol=float(tol),
         error="; ".join(errors) or None,
         iterations=None if exact is None else exact.iterations,
+        path=None if exact is None else exact.path,
     )
 
 

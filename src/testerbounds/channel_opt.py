@@ -6,7 +6,25 @@ reported optimum is always bracketed: ``value`` comes from an exactly feasible
 channel, ``dual_value`` from an exactly feasible dual certificate, and ``gap``
 is their difference.
 
-The solver is a feasible-start primal-dual interior-point method, the HKM
+A solve takes one of three paths, recorded as ``ChannelOptResult.path``: a
+certified start, a closed form, or the interior point.
+
+The closed form reads the spectrum of M that the interior point's start
+needs anyway.  At d_in = 1 a channel is a state, so the optimum is
+lambda_max, with primal |v><v| for the top eigenvector v and dual
+Y = lambda_max.  A rank-one M = |t><t| (every other eigenvalue within
+RANK_ONE_RTOL lambda_max) with d_in <= d_out has optimum ||A||_1^2 for t
+reshaped to the d_in x d_out matrix A = U S V^dag: the primal is
+|w><w| for w = vec(U V^dag), a co-isometry, and the dual Y = ||A||_1 U S U^dag
+= ||A||_1 (A A^dag)^(1/2) satisfies Y (x) I >= |t><t|, as tr[A^dag Y^-1 A] = 1
+(Vandenberghe & Boyd, SIAM Review 38, 1996).  t is M's column k over
+sqrt(M[k, k]) for its largest diagonal entry, so no eigenvector is needed.
+Either pair, its dual widened by a rounding allowance, is repaired and
+certified as the interior point's iterates are; a pair that does not
+certify, or a LinAlgError, leaves the interior point to run as it runs
+alone.
+
+The interior point is a feasible-start primal-dual method, the HKM
 direction with Mehrotra's predictor-corrector, from J = I / d_out and a
 multiple of the identity Y with S > 0.  Its directions keep both feasible, so
 the duality gap is n mu = tr[J S].  Each iteration solves
@@ -46,6 +64,9 @@ from .testers import Channel, channel_from_choi
 
 DEFAULT_TOL = 1e-6
 DUAL_FEAS_ATOL = 1e-8
+RANK_ONE_RTOL = 1e-12
+# how a result was produced: a certified start, the closed form, or the interior point
+PATHS = ("start", "closed_form", "interior_point")
 
 _MAX_ITERATIONS = 100
 
@@ -66,7 +87,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChannelOptResult:
-    """Certified bracket [value, dual_value] around the channel optimum."""
+    """Certified bracket [value, dual_value] around the channel optimum.
+
+    ``path`` is how it was produced, one of ``PATHS``; ``iterations`` counts
+    the primal-dual iterations, 0 off the interior point."""
 
     value: float
     optimizer: Channel
@@ -77,8 +101,11 @@ class ChannelOptResult:
     dual_min_eig: float
     iterations: int
     history: tuple[tuple[float, float], ...]
+    path: str
 
     def __post_init__(self):
+        if self.path not in PATHS:
+            raise ValueError(f"unknown solve path {self.path!r}")
         if self.gap < 0 or self.gap > self.tol:
             raise SolverError(f"gap {self.gap:.3e} outside [0, {self.tol:.3e}]",
                               self.value, self.dual_value, self.optimizer)
@@ -183,7 +210,7 @@ def _from_start(m: HermitianOperator, tol: float, start: tuple[ChannelOptResult,
     return ChannelOptResult(value=value, optimizer=res.optimizer, dual_value=dual_value,
                             dual_certificate=HermitianOperator(y, res.dual_certificate.dims),
                             gap=max(gap, 0.0), tol=tol, dual_min_eig=res.dual_min_eig,
-                            iterations=0, history=((value, dual_value),))
+                            iterations=0, history=((value, dual_value),), path="start")
 
 
 def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
@@ -199,63 +226,127 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     ``start``, a pair (result, M_s) of a result certified for the objective
     M_s, certifies ``m`` as the module docstring says: the result then has
     the start's channel, value tr[M J], the dual certificate Y + eps I,
-    ``iterations == 0`` and one ``history`` entry.  Otherwise it counts as no
-    start, and the solve runs exactly as with ``start=None``.
+    ``path == "start"`` and one ``history`` entry.  Otherwise it counts as no
+    start.  Then the closed form of the module docstring is tried, and where
+    it does not apply or does not certify the interior point runs exactly as
+    it runs alone.  ``iterations`` is 0 on the first two paths.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")
     check_tol(tol)
     if start is not None and (res := _from_start(m, tol, start)) is not None:
         return res
-    d_in, d_out = m.dims
-    a = m.mat
-    lift = _lift_index(d_in, d_out)
+    # one decomposition of M; at d_in = 1 its top eigenvector is the closed form's channel
+    spectrum, vecs = np.linalg.eigh(m.mat) if m.dims[0] == 1 else (np.linalg.eigvalsh(m.mat), None)
+    with suppress(np.linalg.LinAlgError, SolverError):
+        if (res := _closed_form(m, tol, spectrum, vecs)) is not None:
+            return res
+    return _interior_point(m, tol, spectrum)
 
-    iterations = 0
-    history: list[tuple[float, float]] = []
-    best_primal: tuple[float, np.ndarray] | None = None
-    best_dual: tuple[float, np.ndarray, float] | None = None
 
-    def failure(message: str) -> SolverError:
+class _Bracket:
+    """The best repaired pair of one solve path and the history of its repairs.
+
+    Each path has its own, so a closed form that does not certify leaves no
+    trace in the interior point that follows it."""
+
+    def __init__(self, m: HermitianOperator, tol: float):
+        self.a, self.dims, self.tol = m.mat, m.dims, tol
+        self.lift = _lift_index(*m.dims)
+        self.history: list[tuple[float, float]] = []
+        self.primal: tuple[float, np.ndarray] | None = None
+        self.dual: tuple[float, np.ndarray, float] | None = None
+
+    def failure(self, message: str) -> SolverError:
         """SolverError carrying the best certified pair, if there is one."""
-        if best_primal is None or best_dual is None:
+        if self.primal is None or self.dual is None:
             return SolverError(message)
-        optimizer = _channel(best_primal[1], m.dims)
-        return SolverError(message, None if optimizer is None else best_primal[0],
-                           best_dual[0], optimizer)
+        optimizer = _channel(self.primal[1], self.dims)
+        return SolverError(message, None if optimizer is None else self.primal[0],
+                           self.dual[0], optimizer)
 
-    def certify(j_cand: np.ndarray, y_cand: np.ndarray) -> ChannelOptResult | None:
+    def certify(self, j_cand: np.ndarray, y_cand: np.ndarray, iterations: int, path: str,
+                ) -> ChannelOptResult | None:
         """Repair a pair into the best pair, whose exactly feasible sides bracket
         the optimum even from different iterates; the result once it certifies."""
-        nonlocal best_primal, best_dual
-        value, jfix = _repair_primal(a, j_cand, d_in, d_out)
-        dual_value, y_feas, dual_min = _repair_dual(a, y_cand, lift)
-        history.append((value, dual_value))
-        if best_primal is None or value > best_primal[0]:
-            best_primal = (value, jfix)
-        if best_dual is None or dual_value < best_dual[0]:
-            best_dual = (dual_value, y_feas, dual_min)
-        gap = best_dual[0] - best_primal[0]
-        if _crossed(gap, best_primal[0], best_dual[0]):
-            raise failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
-        if gap > tol:
+        value, jfix = _repair_primal(self.a, j_cand, *self.dims)
+        dual_value, y_feas, dual_min = _repair_dual(self.a, y_cand, self.lift)
+        self.history.append((value, dual_value))
+        if self.primal is None or value > self.primal[0]:
+            self.primal = (value, jfix)
+        if self.dual is None or dual_value < self.dual[0]:
+            self.dual = (dual_value, y_feas, dual_min)
+        gap = self.dual[0] - self.primal[0]
+        if _crossed(gap, self.primal[0], self.dual[0]):
+            raise self.failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
+        if gap > self.tol:
             return None
-        optimizer = _channel(best_primal[1], m.dims)
+        optimizer = _channel(self.primal[1], self.dims)
         if optimizer is None:
-            raise failure("repaired primal is not a channel")
+            raise self.failure("repaired primal is not a channel")
         return ChannelOptResult(
-            value=best_primal[0],
+            value=self.primal[0],
             optimizer=optimizer,
-            dual_value=best_dual[0],
-            dual_certificate=HermitianOperator(best_dual[1], (d_in,)),
+            dual_value=self.dual[0],
+            dual_certificate=HermitianOperator(self.dual[1], self.dims[:1]),
             gap=max(gap, 0.0),
-            tol=tol,
-            dual_min_eig=best_dual[2],
+            tol=self.tol,
+            dual_min_eig=self.dual[2],
             iterations=iterations,
-            history=tuple(history),
+            history=tuple(self.history),
+            path=path,
         )
 
-    lam_min, lam_max = np.linalg.eigvalsh(a)[[0, -1]].tolist()
+
+def _closed_form(m: HermitianOperator, tol: float, spectrum: np.ndarray,
+                 vecs: np.ndarray | None) -> ChannelOptResult | None:
+    """The closed-form pair of the module docstring, certified, or None where
+    it does not apply or does not certify.  ``spectrum`` is M's, ascending;
+    ``vecs`` its eigenvectors, needed at d_in = 1 only."""
+    d_in, d_out = m.dims
+    lam_max = float(spectrum[-1])
+    # Rounding allowance, so that value <= dual_value holds as computed.
+    # LAPACK's Hermitian eigensolvers are backward stable: the computed
+    # spectrum is exact for M + E with ||E||_2 <= p(n) eps ||M||_2, p(n) a
+    # modest multiple of n, so by Weyl each computed eigenvalue, of M here
+    # and of the slack in the dual repair, is within about n eps ||M||_2 of
+    # the exact one.  The computed value tr[M J], with tr J = d_in, is
+    # within about 2 n^1.5 d_in eps ||M||_2 of the exact one: n products per
+    # diagonal entry of M J, then a sum of n, and sum |M_ik| |J_ki| <=
+    # sqrt(n) d_in ||M||_2.  Y + delta I, with delta = 4 n^2 eps ||M||_2 >=
+    # n eps ||M||_2 + 2 n^1.5 eps ||M||_2, covers both: it adds d_in delta
+    # to tr Y.
+    allowance = 4 * m.size ** 2 * np.finfo(float).eps * max(lam_max, -spectrum[0])
+    if d_in == 1:
+        v = vecs[:, -1]
+        j = np.outer(v, v.conj())
+        y = np.array([[lam_max + allowance]])
+    elif (d_in <= d_out and lam_max > 0
+          and max(spectrum[-2], -spectrum[0]) <= RANK_ONE_RTOL * lam_max):
+        # M = |t><t| up to a phase of t, read off its largest diagonal entry
+        a = m.mat
+        k = int(a.diagonal().real.argmax())
+        t = a[:, k] / np.sqrt(a[k, k].real)
+        u, s, vh = np.linalg.svd(t.reshape(d_in, d_out), full_matrices=False)
+        w = (u @ vh).reshape(-1)
+        j = np.outer(w, w.conj())
+        y = _hermitize(s.sum() * (u * s) @ u.conj().T) + allowance * np.eye(d_in)
+    else:
+        return None
+    res = _Bracket(m, tol).certify(j, y, 0, "closed_form")
+    return res if res is not None and res.value <= res.dual_value else None
+
+
+def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> ChannelOptResult:
+    """The interior point of the module docstring, started from the extreme
+    eigenvalues of ``spectrum``, M's in ascending order."""
+    d_in, d_out = m.dims
+    a = m.mat
+    bracket = _Bracket(m, tol)
+    lift = bracket.lift
+    iterations = 0
+
+    lam_min, lam_max = float(spectrum[0]), float(spectrum[-1])
     y = (lam_max + 0.1 * max(lam_max - lam_min, 1.0, abs(lam_max))) * np.eye(d_in)
     j = np.eye(d_in * d_out, dtype=complex) / d_out
 
@@ -278,7 +369,8 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
         while True:
             s = _slack(y, a, lift)
             gap = np.vdot(j, s).real
-            if gap <= tol / 2 and (res := certify(j, y)) is not None:
+            if gap <= tol / 2 and \
+                    (res := bracket.certify(j, y, iterations, "interior_point")) is not None:
                 return res
             if iterations == _MAX_ITERATIONS:
                 break
@@ -298,5 +390,6 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     except np.linalg.LinAlgError as exc:
         message = f"numerical failure: {exc}"
     with suppress(np.linalg.LinAlgError, SolverError):
-        certify(j, y)  # the error carries the current iterate, repaired
-    raise failure(f"{message} (gap {gap:.3e} before repair)")
+        # the error carries the current iterate, repaired
+        bracket.certify(j, y, iterations, "interior_point")
+    raise bracket.failure(f"{message} (gap {gap:.3e} before repair)")

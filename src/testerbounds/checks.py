@@ -21,6 +21,7 @@ from .bounds import (
     trivial_bound,
     upper_bound,
 )
+from .channel_opt import _interior_point, maximize_over_channels
 from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, STATE_ATOL, HermitianOperator, basis_transpose,
                      partial_trace)
 from .sampling import (
@@ -253,13 +254,42 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
             solve = exact_bound(scenario, r.combination, tol=tol)
             worst = max(worst, abs(r.exact - solve.value),
                         abs(r.trivial - trivial_bound(scenario, r.combination, tol=tol)))
-            if r.iterations == 0:
+            if r.path == "start":
                 starts += 1
                 overlap &= max(r.exact, solve.value) <= \
                     min(r.exact + r.gap, solve.dual_value) + ROUNDING_ATOL
     return CheckResult("orbit_reuse_matches_direct_solve",
                        worst <= tol and starts > 0 and spectral_agrees and overlap, worst,
                        f"{trials} random MEB scenarios (d = 2, 3), {starts} transported entries")
+
+
+def check_closed_form(rng: np.random.Generator, trials: int, tol: float = 1e-6) -> CheckResult:
+    """Each closed-form bracket meets the interior point's, run on its own,
+    within the rounding of their ends, and none is inverted.  Each trial
+    draws a rank-one objective of each shape (d_in, d_out) below, where those
+    with d_in > d_out must take the interior point, and one at d_in = 1 of
+    random rank."""
+    worst, ok, closed = -np.inf, True, 0
+    for _ in range(trials):
+        d = int(rng.integers(1, 6))
+        cases = [(2, 3, 1), (3, 3, 1), (4, 2, 1), (3, 1, 1), (1, 4, 1),
+                 (1, d, int(rng.integers(1, d + 1)))]
+        for d_in, d_out, rank in cases:
+            g = rng.standard_normal((d_in * d_out, rank)) + 1j * rng.standard_normal(
+                (d_in * d_out, rank))
+            m = HermitianOperator(g @ g.conj().T, (d_in, d_out))
+            res = maximize_over_channels(m, tol=tol)
+            oracle = _interior_point(m, tol, np.linalg.eigvalsh(m.mat))
+            # two certified brackets of one optimum overlap
+            apart = max(res.value, oracle.value) - min(res.dual_value, oracle.dual_value)
+            worst = max(worst, apart)
+            ok &= res.path == ("closed_form" if d_in <= d_out else "interior_point") \
+                and apart <= ROUNDING_ATOL * max(1.0, oracle.dual_value) \
+                and res.value <= res.dual_value and 0.0 <= res.gap <= tol
+            closed += res.path == "closed_form"
+    return CheckResult("closed_form_matches_interior_point", ok and closed > 0, worst,
+                       f"{trials} x 6 random objectives, {closed} in closed form, "
+                       "residual = max(higher lower end - lower upper end)")
 
 
 def run_all(seed: int, trials: int, tol: float = 1e-6,
@@ -275,4 +305,5 @@ def run_all(seed: int, trials: int, tol: float = 1e-6,
         check_meb_pair_norm_formula(rng, max(2, trials // 2)),
         check_qubit_meb_optimal(rng, max(2, trials // 2), tol=tol),
         check_orbit_reuse(rng, max(2, trials // 8), tol=tol),
+        check_closed_form(rng, max(2, trials // 4), tol=tol),
     ]

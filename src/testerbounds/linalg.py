@@ -84,6 +84,13 @@ class HermitianOperator:
         object.__setattr__(self, "mat", arr)
         object.__setattr__(self, "dims", _check_dims(dims, arr.shape[0]))
 
+    def __eq__(self, other):
+        """Equal dims and equal matrices, entry by entry; a ``Channel`` and any
+        result that holds operators compares through this."""
+        if not isinstance(other, HermitianOperator):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.mat, other.mat)
+
     @property
     def size(self) -> int:
         return self.mat.shape[0]
@@ -115,6 +122,12 @@ class Ket:
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
         object.__setattr__(self, "dims", _check_dims(dims, arr.shape[0]))
+
+    def __eq__(self, other):
+        """Equal dims and equal amplitudes, entry by entry."""
+        if not isinstance(other, Ket):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.amps, other.amps)
 
     @property
     def size(self) -> int:

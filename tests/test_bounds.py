@@ -395,6 +395,17 @@ class TestReports:
             assert r.tradeoff
             assert r.tight
 
+    def test_equal_reports_compare_equal(self):
+        # two reports of one scenario, and two solves of one objective, build
+        # equal results in separate arrays; == used to raise on their channels
+        s = _build_scenario("meb", 2)
+        first, second = scenario_report(s, tol=1e-6), scenario_report(s, tol=1e-6)
+        assert first[0].optimizer is not second[0].optimizer
+        assert first == second and first[0] != first[1]
+        combo = first[0].combination
+        assert exact_bound(s, combo) == exact_bound(s, combo)
+        assert first[0].optimizer == exact_bound(s, combo).optimizer
+
     def test_single_pvm_scenario_no_tradeoff(self):
         bases = [mub_bases(2, 2)[0]]
         s = state_measurement_scenario(bases, (1.0,))
@@ -540,16 +551,16 @@ class TestOrbitReuse:
 
         def recording(m, tol, start=None):
             res = solve(m, tol=tol, start=start)
-            if id(m) in labels and res.iterations > 0:
+            if id(m) in labels and res.path != "start":
                 newton.append(orbit((labels[id(m)],)))
             return res
 
         monkeypatch.setattr(bounds, "maximize_over_channels", recording)
         reports = scenario_report(s, tol=1e-6)
         monkeypatch.undo()
-        newton += [orbit(r.combination) for r in reports if r.iterations > 0]
+        newton += [orbit(r.combination) for r in reports if r.path != "start"]
         assert len(newton) == len(set(newton))
-        assert any(r.iterations == 0 for r in reports)
+        assert any(r.path == "start" for r in reports)
         for r in reports:
             assert r.error is None and 0.0 <= r.gap <= 1e-6
             assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
@@ -563,18 +574,18 @@ class TestOrbitReuse:
         symmetries = bounds._symmetries(s)
         labels = {id(op): label for tester in s.testers() for label, op in tester.elements}
         solve = bounds.maximize_over_channels
-        iterations = {}
+        paths = {}
 
         def recording(m, tol, start=None):
             res = solve(m, tol=tol, start=start)
-            iterations[labels[id(m)]] = res.iterations
+            paths[labels[id(m)]] = res.path
             return res
 
         monkeypatch.setattr(bounds, "maximize_over_channels", recording)
         maxima = bounds._per_test_maxima(s, 1e-6, symmetries=symmetries)
         orbits = {frozenset([x, *(perm[x] for _, _, perm in symmetries)]) for x in labels.values()}
-        solved = [x for x, n in iterations.items() if n > 0]
-        assert len(iterations) == len(maxima) == 50 and len(orbits) == 2
+        solved = [x for x, path in paths.items() if path != "start"]
+        assert len(paths) == len(maxima) == 50 and len(orbits) == 2
         assert sorted(len([x for x in solved if x in orbit]) for orbit in orbits) == [1, 1]
 
     def test_failed_source_images_solved_directly(self, monkeypatch):
@@ -591,7 +602,7 @@ class TestOrbitReuse:
             res = solve(m, tol=tol, start=start)
             if id(m) in labels:
                 starts[labels[id(m)]] = start
-            runs.append(res.iterations > 0)
+            runs.append(res.path != "start")
             return res
 
         monkeypatch.setattr(bounds, "maximize_over_channels", failing)
@@ -610,23 +621,24 @@ class TestOrbitReuse:
 
     def test_images_make_no_repair(self, monkeypatch):
         # a cost guard: an image is certified by the perturbation bound, with
-        # no eigendecomposition, so the primal repair runs once per
-        # interior-point solve and never for an image
+        # no eigendecomposition, so the primal repair runs once per source
+        # solve, in the closed form or the interior point, and never for an
+        # image
         s = _build_scenario("meb", 3)
         repair, solve = channel_opt._repair_primal, bounds.maximize_over_channels
-        repairs, iterations = [], []
+        repairs, paths = [], []
 
         def solving(m, tol, start=None):
             res = solve(m, tol=tol, start=start)
-            iterations.append(res.iterations)
+            paths.append(res.path)
             return res
 
         monkeypatch.setattr(channel_opt, "_repair_primal",
                             lambda *args: repairs.append(args) or repair(*args))
         monkeypatch.setattr(bounds, "maximize_over_channels", solving)
         reports = scenario_report(s)
-        assert len(iterations) == len(reports) + 18
-        assert len(repairs) == sum(n > 0 for n in iterations) == 3
+        assert len(paths) == len(reports) + 18
+        assert len(repairs) == sum(path != "start" for path in paths) == 3
 
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
@@ -725,7 +737,7 @@ class TestOrbitReuse:
             sources = [c for c, origin in bounds._orbits(all_combinations(s),
                                                          [(w, u, false)]).items()
                        if origin is None]
-            assert sum(r.iterations > 0 for r in reports) > len(sources)
+            assert sum(r.path != "start" for r in reports) > len(sources)
             for r in reports:
                 assert r.error is None
                 assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
@@ -796,7 +808,8 @@ class TestMonomials:
         channel = random_channel(d_in, d_out, np.random.default_rng(d_in + 10 * d_out))
         res = ChannelOptResult(value=0.0, optimizer=channel, dual_value=0.0,
                                dual_certificate=HermitianOperator(np.eye(d_in), (d_in,)),
-                               gap=0.0, tol=1e-6, dual_min_eig=0.0, iterations=0, history=())
+                               gap=0.0, tol=1e-6, dual_min_eig=0.0, iterations=0, history=(),
+                               path="interior_point")
         unit = 2.0 ** -53
         delta = max(np.abs(np.abs(bounds._monomials(shift_clock(d))[1]) - 1).max()
                     for d in (d_in, d_out))

@@ -1,5 +1,7 @@
 """Tests for the certified channel optimizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,8 +204,10 @@ class TestDampedStep:
             for tol in (1e-6, 1e-9):
                 cases += [(kind(np.random.default_rng(seed), d_in, d_out), tol)
                           for seed in range(3)]
+        # the interior point itself: at d_in = 1 the solver takes the closed
+        # form, whose dual lies on the boundary of the cone
         for m, tol in cases:
-            res = maximize_over_channels(m, tol=tol)
+            res = channel_opt._interior_point(m, tol, np.linalg.eigvalsh(m.mat))
             assert 0.0 <= res.gap <= tol
         assert not indefinite
 
@@ -276,7 +280,8 @@ class TestStart:
         image = HermitianOperator(image + size * noise / np.abs(noise).max(), (d_in, d_out))
         res = maximize_over_channels(image, tol=1e-6, start=start)
         eps = image.size * np.abs(image.mat - start[1]).max()
-        assert res.iterations == 0 and len(res.history) == 1 and eps <= ROUNDING_ATOL
+        assert res.path == "start" and res.iterations == 0 and len(res.history) == 1
+        assert eps <= ROUNDING_ATOL
         assert np.trace(image.mat @ res.optimizer.choi.mat).real == \
             pytest.approx(res.value, abs=1e-14)
         assert res.dual_value - source.dual_value == \
@@ -321,14 +326,12 @@ class TestStart:
                              ids=["wrong-image", "past-guard", "wide-gap", "shape-mismatch"])
     def test_uncertified_start_is_no_start(self, case):
         # a start that does not certify leaves no trace: the solve is the
-        # start=None solve, bracket, iterations and history alike
+        # start=None solve, bracket, iterations, history and path alike
         m = random_psd(np.random.default_rng(2), 2, 2)
         image, tol, start = case(m, maximize_over_channels(m, tol=1e-6))
         direct = maximize_over_channels(image, tol=tol)
         res = maximize_over_channels(image, tol=tol, start=start)
-        assert res.iterations > 0
-        assert (res.value, res.dual_value, res.iterations, res.history) == \
-            (direct.value, direct.dual_value, direct.iterations, direct.history)
+        assert res.path != "start" and same_solve(res, direct)
 
 
 class TestNumericalFailure:
@@ -386,6 +389,106 @@ class TestNumericalFailure:
             assert err.value > start_value and err.dual_value - err.value < 1e-5
         else:
             assert err.value == pytest.approx(start_value, abs=1e-15)
+
+
+def random_rank(rng, d_in, d_out, rank, scale=1.0):
+    """scale G G^dag for a complex Gaussian G of size n x rank."""
+    g = rng.standard_normal((d_in * d_out, rank)) + 1j * rng.standard_normal((d_in * d_out, rank))
+    h = g @ g.conj().T
+    return HermitianOperator(scale * (h + h.conj().T) / 2, (d_in, d_out))
+
+
+def interior_point(m, tol):
+    """The interior point on its own: the closed form's oracle."""
+    return channel_opt._interior_point(m, tol, np.linalg.eigvalsh(m.mat))
+
+
+def same_solve(res, other):
+    return (res.value, res.dual_value, res.iterations, res.history, res.path) == \
+        (other.value, other.dual_value, other.iterations, other.history, other.path)
+
+
+class TestClosedForm:
+    """Rank-one objectives with d_in <= d_out, and every objective at d_in = 1,
+    certify in closed form with no iteration; the interior point run on its
+    own is the oracle, and every other objective is solved by it alone."""
+
+    @staticmethod
+    def check(m, tol, path):
+        res = maximize_over_channels(m, tol=tol)
+        oracle = interior_point(m, tol)
+        assert res.path == path
+        assert res.value <= res.dual_value and 0.0 <= res.gap <= tol
+        # two certified brackets of one optimum overlap, within the rounding of their ends
+        assert max(res.value, oracle.value) <= \
+            min(res.dual_value, oracle.dual_value) + ROUNDING_ATOL * max(1.0, oracle.dual_value)
+        if path == "closed_form":
+            assert res.iterations == 0 and len(res.history) == 1
+        else:
+            assert same_solve(res, oracle)
+        return res
+
+    # at scale 1e7 the closed-form dual, a product of SVD factors, is off
+    # Hermitian by more than HERMITICITY_ATOL unless averaged with its adjoint
+    @pytest.mark.parametrize("scale,tol", [(1.0, 1e-6), (1.0, 1e-9), (1e7, 1e-6 * 1e7)])
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 3), (4, 2), (3, 1), (1, 4)])
+    def test_rank_one_matches_interior_point(self, d_in, d_out, scale, tol):
+        for seed in range(5):
+            m = random_rank(np.random.default_rng(seed), d_in, d_out, 1, scale)
+            res = self.check(m, tol, "closed_form" if d_in <= d_out else "interior_point")
+            # the optimum is ||A||_1^2 for the element |t><t|, t reshaped to A
+            w, v = np.linalg.eigh(m.mat)
+            a = np.sqrt(w[-1]) * v[:, -1].reshape(d_in, d_out)
+            norm = np.linalg.svd(a, compute_uv=False).sum() ** 2
+            assert res.value - 1e-12 * norm <= norm <= res.dual_value + 1e-12 * norm
+
+    @pytest.mark.parametrize("d_out", [1, 2, 4, 6])
+    def test_state_measurement_matches_interior_point(self, d_out):
+        rng = np.random.default_rng(d_out)
+        for rank in range(1, d_out + 1):
+            self.check(random_rank(rng, 1, d_out, rank), 1e-6, "closed_form")
+        self.check(random_hermitian(rng, 1, d_out), 1e-6, "closed_form")
+
+    def test_other_objectives_take_the_interior_point(self):
+        # full rank, rank two, and the zero objective, which has no top eigenvector
+        # to build a channel from
+        rng = np.random.default_rng(8)
+        for m in (random_psd(rng, 2, 3), random_hermitian(rng, 3, 2), random_rank(rng, 3, 3, 2),
+                  HermitianOperator(np.zeros((4, 4)), (2, 2))):
+            self.check(m, 1e-6, "interior_point")
+
+    def test_uncertified_closed_form_leaves_no_trace(self, monkeypatch):
+        # a rank-two objective taken for rank one: its closed-form dual is
+        # repaired by about the second eigenvalue, past tol, and the interior
+        # point that follows starts from a bracket of its own
+        m = random_rank(np.random.default_rng(9), 2, 3, 1)
+        m = HermitianOperator(m.mat + 0.1 * random_rank(np.random.default_rng(10), 2, 3, 1).mat,
+                              m.dims)
+        oracle = interior_point(m, 1e-6)
+        repair = channel_opt._repair_primal
+        repairs = []
+        monkeypatch.setattr(channel_opt, "_repair_primal",
+                            lambda *args: repairs.append(args) or repair(*args))
+        monkeypatch.setattr(channel_opt, "RANK_ONE_RTOL", 1.0)
+        res = maximize_over_channels(m, tol=1e-6)
+        assert len(repairs) == len(oracle.history) + 1
+        assert same_solve(res, oracle)
+
+    def test_unknown_path_rejected(self):
+        res = maximize_over_channels(random_rank(np.random.default_rng(12), 1, 3, 2), tol=1e-6)
+        assert res.path in channel_opt.PATHS
+        with pytest.raises(ValueError, match="unknown solve path"):
+            dataclasses.replace(res, path="newton")
+
+    def test_linear_algebra_failure_falls_back(self, monkeypatch):
+        m = random_rank(np.random.default_rng(11), 2, 3, 1)
+        oracle = interior_point(m, 1e-6)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert same_solve(maximize_over_channels(m, tol=1e-6), oracle)
 
 
 class TestNewtonSystem:

@@ -201,7 +201,7 @@ class TestBound:
         assert main(["bound", str(scenario_path), "--out", str(report_path)]) == 0
         scenario = scenario_from_json(json.loads(scenario_path.read_text()))
         images = {r.combination: r.optimizer
-                  for r in bounds.scenario_report(scenario, tol=1e-6) if r.iterations == 0}
+                  for r in bounds.scenario_report(scenario, tol=1e-6) if r.path == "start"}
         assert images
         for entry in json.loads(report_path.read_text())["reports"]:
             if tuple(entry["combination"]) in images:
@@ -336,7 +336,7 @@ class TestVerify:
         def shifted(scenario, tol):
             entries = [SimpleNamespace(**vars(r)) for r in report(scenario, tol=tol)]
             for r in entries:
-                if r.iterations == 0:
+                if r.path == "start":
                     r.exact = bounds.exact_bound(scenario, r.combination, tol).value \
                         - r.gap - tol / 4
             return entries
@@ -345,6 +345,23 @@ class TestVerify:
         monkeypatch.setattr(checks, "scenario_report", shifted)
         res = checks.check_orbit_reuse(np.random.default_rng(5), 1)
         assert not res.passed and res.worst_residual <= 1e-6
+
+    def test_closed_form_check_requires_overlapping_brackets(self, monkeypatch):
+        # each closed-form bracket moved 2 tol down: its upper end falls below
+        # the interior point's lower end
+        solve = checks.maximize_over_channels
+
+        def shifted(m, tol):
+            res = solve(m, tol=tol)
+            if res.path != "closed_form":
+                return res
+            return dataclasses.replace(res, value=res.value - 2 * tol,
+                                       dual_value=res.dual_value - 2 * tol)
+
+        assert checks.check_closed_form(np.random.default_rng(5), 1).passed
+        monkeypatch.setattr(checks, "maximize_over_channels", shifted)
+        res = checks.check_closed_form(np.random.default_rng(5), 1)
+        assert not res.passed and res.worst_residual > 0
 
 
 class TestSimulate:

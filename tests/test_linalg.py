@@ -253,6 +253,18 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             Ket([1.0, 1.0], (2,))
 
+    def test_equality_compares_dims_and_entries(self):
+        # equal matrices held in separate arrays compare equal; == used to raise
+        mat = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
+        op = HermitianOperator(mat, (2,))
+        assert op == HermitianOperator(mat.copy(), (2,))
+        assert op != HermitianOperator(mat, (1, 2))
+        assert op != HermitianOperator(mat + np.eye(2), (2,))
+        ket = Ket([0.6, 0.8j, 0.0, 0.0], (2, 2))
+        assert ket == Ket(np.array([0.6, 0.8j, 0.0, 0.0]), (2, 2))
+        assert ket != Ket([0.6, 0.8j, 0.0, 0.0], (4,))
+        assert ket != Ket([0.8j, 0.6, 0.0, 0.0], (2, 2))
+
     def test_matrices_read_only(self):
         arr = np.array([[1.0, 2.0 + 1e-12j], [2.0, 3.0]])
         op = HermitianOperator(arr, (2,))

@@ -1,0 +1,59 @@
+"""tools/report_diff.py on reports written by the CLI and edited by hand."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from testerbounds.cli import main
+
+_SPEC = importlib.util.spec_from_file_location(
+    "report_diff", Path(__file__).resolve().parent.parent / "tools" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_diff)
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory) -> dict:
+    tmp = tmp_path_factory.mktemp("report")
+    assert main(["gen", "state-mub", "--d", "2", "--out", str(tmp / "s.json")]) == 0
+    assert main(["bound", str(tmp / "s.json"), "--out", str(tmp / "r.json")]) == 0
+    return json.loads((tmp / "r.json").read_text())
+
+
+def run(tmp_path, before: dict, after: dict) -> int:
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, payload in zip(paths, (before, after)):
+        path.write_text(json.dumps(payload))
+    return report_diff.main([str(p) for p in paths])
+
+
+def test_identical_reports_pass(report, tmp_path, capsys):
+    assert run(tmp_path, report, report) == 0
+    assert "0 flags changed; largest change 0.000e+00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shift,code", [(4e-7, 0), (2e-6, 1)])
+def test_moved_value_within_tol(report, tmp_path, capsys, shift, code):
+    after = json.loads(json.dumps(report))
+    after["reports"][2]["trivial"] += shift
+    after["reports"][3]["optimizer"]["data"][0][1][1] -= shift / 2
+    assert run(tmp_path, report, after) == code
+    out = capsys.readouterr().out
+    assert f"trivial    {shift:.3e}  at x1_1,x2_0" in out
+    assert f"optimizer  {shift / 2:.3e}  at x1_1,x2_1" in out
+
+
+@pytest.mark.parametrize("edit,words", [
+    (lambda r: r["reports"][1].update(tight=not r["reports"][1]["tight"]), "flag tight at x1_0,x2_1"),
+    (lambda r: r["reports"][0].pop("exact"), "flag exact at x1_0,x2_0: present -> absent"),
+    (lambda r: r["reports"][0].update(error="exact bound failed"), "flag error at x1_0,x2_0"),
+    (lambda r: r.update(tol=1e-7), "flag tol: 1e-06 -> 1e-07"),
+    (lambda r: r["reports"].pop(), "flag entries: 4 -> 3"),
+], ids=["tight", "missing-bound", "error", "tol", "entries"])
+def test_changed_flag_fails(report, tmp_path, capsys, edit, words):
+    after = json.loads(json.dumps(report))
+    edit(after)
+    assert run(tmp_path, report, after) == 1
+    assert words in capsys.readouterr().out
