@@ -8,6 +8,7 @@ the left factor is the slow index, i.e. the composite basis index of
 
 from __future__ import annotations
 
+import base64
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,10 +46,15 @@ def as_dim(d) -> int:
     return int(d)
 
 
-def _check_dims(dims: Iterable[int], size: int) -> tuple[int, ...]:
+def _positive_dims(dims: Iterable[int]) -> tuple[int, ...]:
     dims = tuple(as_dim(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
+    return dims
+
+
+def _check_dims(dims: Iterable[int], size: int) -> tuple[int, ...]:
+    dims = _positive_dims(dims)
     if math.prod(dims) != size:
         raise DimensionError(f"product of dims {dims} does not match size {size}")
     return dims
@@ -252,9 +258,12 @@ def check_povm(effects: Sequence[HermitianOperator]) -> None:
                 "POVM effects do not sum to the identity (completeness)")
 
 
-# JSON encoding shared by every module: matrices are
+# JSON encoding shared by every module.  A matrix of a format-2 scenario file is
+#   {"dims": [d1, d2, ...], "b64": "..."}
+# the base64 of its entries as little-endian complex128, row-major, with no -0.0; a
+# matrix of a format-1 scenario file, of a channel file or of a report is
 #   {"dims": [d1, d2, ...], "data": [[[re, im], ...], ...]}   (row-major)
-# in files, and complex ndarrays in the payloads built for ``dumps_canonical``.
+# and a complex ndarray in the payloads built for ``dumps_canonical``.
 
 def _entries_from_json(data, ndim: int) -> np.ndarray:
     if isinstance(data, np.ndarray) and data.dtype.kind == "c":  # a payload's own array
@@ -268,19 +277,39 @@ def _entries_from_json(data, ndim: int) -> np.ndarray:
 
 
 def operator_to_json(op: HermitianOperator) -> dict:
-    return {"dims": list(op.dims), "data": op.mat}
+    """The format-2 form of ``op``: ``+ 0.0`` writes no -0.0, as the array writer."""
+    raw = (op.mat + 0.0).astype("<c16", copy=False).tobytes()
+    return {"dims": list(op.dims), "b64": base64.b64encode(raw).decode("ascii")}
 
 
-def operator_from_json(obj: dict) -> HermitianOperator:
-    return HermitianOperator(_entries_from_json(obj["data"], 2), obj["dims"])
+def operator_from_json(obj: dict, fmt: int = 2) -> HermitianOperator:
+    """The operator of a matrix of a format-``fmt`` scenario file: ``b64`` in format 2,
+    ``data`` rows in format 1."""
+    key = "b64" if fmt == 2 else "data"
+    if key not in obj:
+        raise ValidationError(f"a format {fmt} matrix needs {key!r}, got keys {list(obj)}")
+    if fmt == 1:
+        return HermitianOperator(_entries_from_json(obj["data"], 2), obj["dims"])
+    text = obj["b64"]
+    n = math.prod(_positive_dims(obj["dims"]))  # dims checked before the size is used
+    if not isinstance(text, str):
+        raise ValidationError(f"b64 must be a string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValidationError(f"b64 is not base64: {exc}") from None
+    if len(raw) != 16 * n * n:
+        raise ValidationError(f"b64 holds {len(raw)} bytes, a {n}x{n} matrix {16 * n * n}")
+    return HermitianOperator(np.frombuffer(raw, dtype="<c16").reshape(n, n), obj["dims"])
 
 
 def dumps_canonical(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2)``: ASCII-escaped text, a 2-space indent, key
     order as built.  Two values ``json.dumps`` rejects are written as their JSON forms: a
-    non-empty complex ndarray (every matrix of a ``*_to_json`` payload) as the ``[re, im]``
-    nestings of a file, with no -0.0, and an iterator (a generator or ``map``) as the list
-    of its items.  This is ``write_canonical`` kept in memory."""
+    non-empty complex ndarray (the matrix of a channel or report payload) as the
+    ``[re, im]`` nestings of a file, with no -0.0, and an iterator (a generator or ``map``)
+    as the list of its items.  A scenario payload's matrices are base64 strings already.
+    This is ``write_canonical`` kept in memory."""
     chunks: list[str] = []
     write_canonical(obj, chunks.append)
     return "".join(chunks)

@@ -337,13 +337,18 @@ def sample_run(scenario: Scenario, ch: Channel, n: int, seed: int) -> dict[str, 
 # --- JSON interfaces -------------------------------------------------------
 #
 # Scenario files:
-#   {"weights": [...], "tests": [{"d_anc":., "d_in":., "d_out":.,
+#   {"format": 2, "weights": [...], "tests": [{"d_anc":., "d_in":., "d_out":.,
 #       "input_state": <matrix>, "povm": [{"label": "x1_0", "effect": <matrix>}, ...]}, ...]}
+# where each <matrix> is {"dims", "b64"}.  Format 1, a file with no "format" key or
+# "format": 1, holds {"dims", "data"} rows instead; both are read, format 2 is written.
 # Channel files:
 #   {"kind": "unitary"|"kraus"|"constant"|"choi", "d_in":., "d_out":., "data": ...}
 # where "data" holds raw row-major [re, im] nestings: the unitary matrix, the
 # list of Kraus matrices, the constant output state, or the Choi matrix.  All
 # four are read; a channel is written as its Choi matrix.
+
+SCENARIO_FORMAT = 2  # the format scenario files are written in
+
 
 def test_to_json(test: Test) -> dict:
     return {
@@ -356,21 +361,26 @@ def test_to_json(test: Test) -> dict:
     }
 
 
-def test_from_json(obj: dict) -> Test:
+def test_from_json(obj: dict, fmt: int = SCENARIO_FORMAT) -> Test:
+    """The test of a format-``fmt`` scenario file's entry."""
     return Test(
-        input_state=operator_from_json(obj["input_state"]),
-        povm=[(entry["label"], operator_from_json(entry["effect"])) for entry in obj["povm"]],
+        input_state=operator_from_json(obj["input_state"], fmt),
+        povm=[(entry["label"], operator_from_json(entry["effect"], fmt))
+              for entry in obj["povm"]],
         d_anc=obj["d_anc"], d_in=obj["d_in"], d_out=obj["d_out"],
     )
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    return {"weights": [float(w) for w in scenario.weights],
+    return {"format": SCENARIO_FORMAT, "weights": [float(w) for w in scenario.weights],
             "tests": [test_to_json(t) for t in scenario.tests]}
 
 
 def scenario_from_json(obj: dict) -> Scenario:
-    return Scenario([test_from_json(t) for t in obj["tests"]], obj["weights"])
+    fmt = obj["format"] if "format" in obj else 1
+    if type(fmt) is not int or fmt not in (1, SCENARIO_FORMAT):
+        raise ValidationError(f"unknown scenario format {fmt!r}")
+    return Scenario([test_from_json(t, fmt) for t in obj["tests"]], obj["weights"])
 
 
 def channel_to_json(ch: Channel) -> dict:

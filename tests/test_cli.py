@@ -19,12 +19,14 @@ from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
 from testerbounds.linalg import dumps_canonical, operator_to_json
 from testerbounds.sampling import haar_unitary
-from testerbounds.testers import channel_from_json, scenario_from_json
+from testerbounds.testers import channel_from_json, scenario_from_json, scenario_to_json
 
 FULL_KEYS = ["combination", "trivial", "upper", "exact", "gap", "tradeoff", "tight",
              "tight_degenerate", "optimizer"]
 # json.loads raises RecursionError, not ValueError, on deep nesting
 DEEP = "[" * 100_000 + "]" * 100_000
+# scenario files gen wrote before format 2, with [re, im] rows and no "format" key
+FORMAT1_FILES = sorted((Path(__file__).parent / "fixtures" / "format1").glob("*.json"))
 BAD_SCENARIOS = ['{"tests": 5, "weights": [1.0]}', '{"tests": [], "weights": null}',
                  pytest.param(DEEP, id="deep-nesting")]
 
@@ -212,12 +214,12 @@ class TestBound:
 
     def test_payloads_hold_matrices_as_arrays(self, mub_meb_file):
         # a cost guard: matrices go to the writer as the arrays they are stored in,
-        # never copied into nested [re, im] lists
+        # or a scenario's as one base64 string, never copied into nested [re, im] lists
         scenario = scenario_from_json(json.loads(mub_meb_file.read_text()))
         report = bounds.scenario_report(scenario, tol=1e-6)[0]
         assert bounds.report_to_json(report)["optimizer"]["data"] is report.optimizer.choi.mat
         op = scenario.tests[0].input_state
-        assert operator_to_json(op)["data"] is op.mat
+        assert isinstance(operator_to_json(op)["b64"], str)
 
     def test_report_streams_entries(self, mub_meb_file, monkeypatch):
         # stdout is looked up when the report is written, and gets each entry
@@ -282,6 +284,7 @@ class TestBound:
                                              ("d_anc", 2.0), ("d_in", True)])
     def test_non_integer_dimension_rejected(self, capsys, mub_meb_file, tmp_path,
                                             field, value):
+        # the file is format 2, so dims are checked before they size the b64 bytes
         obj = json.loads(mub_meb_file.read_text())
         test = obj["tests"][0]
         if field == "dims":
@@ -296,6 +299,26 @@ class TestBound:
         assert "cannot load scenario" in err
         assert "must be an integer" in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda obj, m: m.update(b64="!" + m["b64"][1:]), "b64 is not base64"),
+        (lambda obj, m: m.update(b64=m["b64"][:-4]), "b64 holds 255 bytes, a 4x4 matrix 256"),
+        (lambda obj, m: obj.update(format=3), "unknown scenario format 3"),
+        (lambda obj, m: obj.update(format=2.0), "unknown scenario format 2.0"),
+        (lambda obj, m: obj.update(format=True), "unknown scenario format True"),
+        (lambda obj, m: m.update(data=[[[1.0, 0.0]]]) or m.pop("b64"), "needs 'b64'"),
+        (lambda obj, m: obj.pop("format"), "needs 'data'"),
+    ], ids=["bad-character", "wrong-length", "format-3", "format-float", "format-bool",
+            "rows-in-format-2", "b64-in-format-1"])
+    def test_malformed_format2_rejected(self, capsys, mub_meb_file, tmp_path, edit, message):
+        obj = json.loads(mub_meb_file.read_text())
+        edit(obj, obj["tests"][0]["povm"][0]["effect"])  # a 4x4 effect, 256 bytes
+        path = tmp_path / "bad-format.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot load scenario" in err and message in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", str(tmp_path / "nope.json"))
         assert code == 2
@@ -305,6 +328,49 @@ class TestBound:
         bad.write_text("{not json")
         code, _, _ = run_cli(capsys, "bound", str(bad))
         assert code == 2
+
+
+class TestScenarioFormats:
+    """gen writes format 2; the committed format-1 files, gen's output before it,
+    load to the same matrices bit for bit and report the same bytes."""
+
+    @pytest.fixture(params=FORMAT1_FILES, ids=lambda path: path.stem)
+    def twins(self, request, tmp_path):
+        """A format-1 file and its format-2 twin, written from what it loads."""
+        old = request.param
+        twin = tmp_path / f"{old.stem}-format2.json"
+        loaded = scenario_from_json(json.loads(old.read_bytes()))
+        twin.write_text(dumps_canonical(scenario_to_json(loaded)) + "\n")
+        return old, twin
+
+    @staticmethod
+    def bits(path):
+        obj = json.loads(path.read_bytes())
+        scenario = scenario_from_json(obj)
+        ops = [(label, op.dims, op.mat.tobytes()) for test in scenario.tests
+               for label, op in [("input", test.input_state), *test.povm]]
+        return obj.get("format"), scenario.weights, ops
+
+    def test_fixtures_are_format_1(self):
+        assert [path.name for path in FORMAT1_FILES] == ["meb-d3.json", "mub-meb-2qubit.json"]
+        for path in FORMAT1_FILES:
+            assert '"data"' in path.read_text() and '"b64"' not in path.read_text()
+
+    def test_twins_load_the_same_bits(self, twins):
+        (fmt_old, *old), (fmt_new, *new) = map(self.bits, twins)
+        assert (fmt_old, fmt_new) == (None, 2)
+        assert old == new
+
+    def test_twins_report_alike_but_for_the_digest(self, capsys, twins):
+        texts = []
+        for path in twins:
+            code, out, _ = run_cli(capsys, "bound", str(path))
+            assert code == 0
+            texts.append(out)
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in twins]
+        assert digests[0] != digests[1]
+        assert [json.loads(text)["scenario_digest"] for text in texts] == digests
+        assert texts[0].replace(digests[0], "") == texts[1].replace(digests[1], "")
 
 
 class TestVerify:

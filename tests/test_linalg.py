@@ -1,5 +1,6 @@
 """Tests for the dense multi-partite operator algebra."""
 
+import base64
 import json
 import math
 import warnings
@@ -533,8 +534,44 @@ class TestJson:
         arr = np.ones(shape, dtype=complex)
         with pytest.raises(ValidationError, match="expected 2-D"):
             _entries_from_json(arr, 2)
-        with pytest.raises(ValidationError):
-            operator_from_json({"dims": [2], "data": arr})
+        with pytest.raises(ValidationError, match="expected 2-D"):
+            operator_from_json({"dims": [2], "data": arr}, 1)
+
+    def test_b64_is_little_endian_complex128_without_negative_zero(self):
+        mat = np.array([[0.5, complex(-0.0, 0.25)], [complex(-0.0, -0.25), -0.0]])
+        op = HermitianOperator(mat, (2,))
+        assert np.signbit(op.mat.view(float)).any()  # the average keeps -0.0
+        obj = operator_to_json(op)
+        assert list(obj) == ["dims", "b64"] and obj["dims"] == [2]
+        parts = np.frombuffer(base64.b64decode(obj["b64"]), dtype="<f8")
+        assert np.array_equal(parts, op.mat.view(float).ravel())  # row-major, re then im
+        assert not np.signbit(parts[parts == 0]).any()
+
+    def test_formats_read_their_own_form(self):
+        op = random_hermitian(np.random.default_rng(14), (2, 2))
+        rows = json.loads(dumps_canonical({"dims": [2, 2], "data": op.mat}))
+        assert np.array_equal(operator_from_json(rows, 1).mat, op.mat)
+        with pytest.raises(ValidationError, match="needs 'b64'"):
+            operator_from_json(rows)
+        with pytest.raises(ValidationError, match="needs 'data'"):
+            operator_from_json(operator_to_json(op), 1)
+
+    @pytest.mark.parametrize("dims,text,error,match", [
+        ([2], "AAAA!AAA", ValidationError, "not base64"),
+        ([2], "AAAA\nAAA", ValidationError, "not base64"),
+        ([2], "AAAAAAA", ValidationError, "not base64"),  # bad padding
+        ([2], "\u00e9", ValidationError, "not base64"),
+        ([2], base64.b64encode(bytes(48)).decode(), ValidationError, "48 bytes"),
+        ([1, 2], base64.b64encode(bytes(80)).decode(), ValidationError, "80 bytes"),
+        ([2], ["AAAA"], ValidationError, "must be a string"),
+        ([2.9, 2], "AAAA", DimensionError, "must be an integer"),
+        ([2, True], "AAAA", DimensionError, "must be an integer"),
+        ([-2, 2], "AAAA", DimensionError, "positive"),
+        ([], "", DimensionError, "positive"),
+    ])
+    def test_malformed_b64_rejected(self, dims, text, error, match):
+        with pytest.raises(error, match=match):
+            operator_from_json({"dims": dims, "b64": text})
 
     @pytest.mark.parametrize("value", JSON_CASES, ids=repr)
     def test_writer_cases_match_json(self, value):
@@ -579,5 +616,5 @@ class TestJson:
                 dumps_canonical(value)
 
     def test_malformed_entries(self):
-        with pytest.raises(ValidationError):
-            operator_from_json({"dims": [2], "data": [[1.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(ValidationError, match="malformed complex entries"):
+            operator_from_json({"dims": [2], "data": [[1.0, 0.0], [0.0, 1.0]]}, 1)

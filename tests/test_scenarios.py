@@ -223,6 +223,7 @@ class TestSerialization:
     def test_scenario_file_round_trip_bytes(self):
         meb1, meb2 = mub_meb_pair_2qubit()
         text = dumps_canonical(scenario_to_json(meb_scenario(meb1, meb2)))
+        assert text.startswith('{\n  "format": 2,\n')
         loaded = scenario_from_json(json.loads(text))
         assert dumps_canonical(scenario_to_json(loaded)) == text
 

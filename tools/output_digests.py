@@ -12,10 +12,12 @@ where every candidate is a symmetry (``meb``, ``example2``) and where only
 some are (``example1``, ``state-mub``) at the larger sizes; the full
 ``bound`` of ``meb --d 5``; ``verify --trials 3 --seed 7``; two channel
 files, a unitary and a Kraus one, written as literal payloads; ``simulate``
-of ``mub-meb-2qubit`` with the unitary one; and the full ``bound`` of two
+of ``mub-meb-2qubit`` with the unitary one; the full ``bound`` of two
 scenarios built in the library: a seeded random one, with no symmetry, and
 one whose POVM repeats each effect, so that symmetries relabel among equal
-tester elements.  Every command runs in-process through ``cli.main``, with
+tester elements; and the full ``bound`` of the committed format-1 scenario
+files in ``tests/fixtures/format1``, so that a change to how those are read
+shows.  Every command runs in-process through ``cli.main``, with
 the package imported from this checkout's ``src/``, and writes to a
 temporary directory.  A command that does not exit 0 gets its exit code
 after its name.
@@ -38,6 +40,8 @@ from testerbounds.linalg import HermitianOperator, dumps_canonical  # noqa: E402
 from testerbounds.sampling import random_scenario  # noqa: E402
 from testerbounds.testers import Scenario, Test, scenario_to_json  # noqa: E402
 
+FORMAT1 = sorted((Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+                  / "format1").glob("*.json"))
 S = math.sqrt(0.5)
 CHANNELS = {
     "unitary": {"kind": "unitary", "d_in": 2, "d_out": 2,
@@ -105,6 +109,8 @@ def print_digests(tmp: Path) -> None:
         path = tmp / (name.replace(" ", "_") + "-scenario.json")
         path.write_text(dumps_canonical(scenario_to_json(build())) + "\n")
         _run(tmp, f"bound {name}", "bound", str(path))
+    for path in FORMAT1:
+        _run(tmp, f"bound format-1 {path.stem}", "bound", str(path))
 
 
 if __name__ == "__main__":
