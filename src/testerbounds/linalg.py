@@ -65,7 +65,9 @@ class HermitianOperator:
     """A Hermitian matrix on a tensor product of subsystems.
 
     The stored matrix is the Hermitian average of the input; construction
-    rejects inputs whose anti-Hermitian part exceeds ``HERMITICITY_ATOL``.
+    rejects inputs whose anti-Hermitian part exceeds ``HERMITICITY_ATOL`` times
+    ``max(1, max|M|)``, so a product formed at a large scale, off Hermitian by
+    rounding relative to its entries, is accepted.
     """
 
     mat: np.ndarray
@@ -83,7 +85,8 @@ class HermitianOperator:
         if not skew <= HERMITICITY_ATOL:
             if not np.isfinite(arr).all():
                 raise ValidationError("matrix contains non-finite entries")
-            raise ValidationError(f"matrix is not Hermitian (residual {skew:.3e})")
+            if not skew <= HERMITICITY_ATOL * np.abs(arr).max():
+                raise ValidationError(f"matrix is not Hermitian (residual {skew:.3e})")
         arr = arr + h
         arr /= 2  # complex division, so the bits, signed zeros too, of (arr + h) / 2
         arr.setflags(write=False)

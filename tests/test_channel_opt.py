@@ -429,7 +429,7 @@ class TestClosedForm:
         return res
 
     # at scale 1e7 the closed-form dual, a product of SVD factors, is off
-    # Hermitian by more than HERMITICITY_ATOL unless averaged with its adjoint
+    # Hermitian by rounding relative to its entries, more than 1e-10 absolute
     @pytest.mark.parametrize("scale,tol", [(1.0, 1e-6), (1.0, 1e-9), (1e7, 1e-6 * 1e7)])
     @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 3), (4, 2), (3, 1), (1, 4)])
     def test_rank_one_matches_interior_point(self, d_in, d_out, scale, tol):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from testerbounds.linalg import (
     _entries_from_json,
+    HERMITICITY_ATOL,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -195,6 +196,23 @@ class TestConstruction:
         mat[0, 1] = skew
         with pytest.raises(ValidationError, match=r"not Hermitian \(residual"):
             HermitianOperator(mat, (3,))
+
+    def test_skew_scales_with_the_largest_entry(self):
+        # a product at scale 1e7, off Hermitian by rounding relative to its
+        # entries, is accepted; up to entries of 1 the tolerance stays absolute
+        t = np.random.default_rng(0).standard_normal((6, 2)) @ [1.0, 1.0j]
+        big = 1e7 * np.outer(t, t.conj())
+        assert np.abs(big - big.conj().T).max() > HERMITICITY_ATOL
+        op = HermitianOperator(big, (2, 3))
+        assert np.array_equal(op.mat, (big + big.conj().T) / 2)
+        big[0, 1] += 2e-10 * np.abs(big).max()
+        with pytest.raises(ValidationError, match=r"not Hermitian \(residual"):
+            HermitianOperator(big, (2, 3))
+        for scale in (1.0, 1e-3):
+            mat = scale * np.eye(3, dtype=complex)
+            mat[0, 1] = 2e-10
+            with pytest.raises(ValidationError, match=r"not Hermitian \(residual"):
+                HermitianOperator(mat, (3,))
 
     @pytest.mark.parametrize("n", [1, 4, 9, 25])
     def test_mat_is_the_hermitian_average(self, n):
