@@ -249,11 +249,11 @@ def _start(res: ChannelOptResult | SolverError | None, moved: np.ndarray, w: tup
     ||J' - W J W^dag||_op <= c u ||J||_F <= c u tr J = c u d_in.  W's phases,
     products of two shift-clock entries, are off unit modulus by at most
     e = 2 delta + 3 u, with delta the largest ||phase| - 1| of
-    ``_monomials(shift_clock(n))`` for n = d_in, d_out: below 2e-15 for
-    n <= 8 and 7.5e-14 for n <= 32.  So W = D W~, with W~ unitary and D
+    ``_monomials(shift_clock(n))`` for n = d_in, d_out: below 2.5e-16 for
+    n <= 32, each phase being one ``exp``.  So W = D W~, with W~ unitary and D
     diagonal, ||D - I|| <= e, and ||W J W^dag - W~ J W~^dag||_op <=
     (2 e + e^2) d_in.  In all J' is within (c u + 2 e + e^2) d_in, below
-    4e-13 d_in for n <= 32, of the exact move of J by a unitary, and passes
+    3e-15 d_in for n <= 32, of the exact move of J by a unitary, and passes
     the positivity and trace-preservation checks J passed to within d_out
     times that, far inside their 1e-9."""
     if not isinstance(res, ChannelOptResult):

@@ -206,11 +206,15 @@ def operator_norm(op: HermitianOperator, require_psd: bool = False) -> float:
 
 def shift_clock(d: int) -> np.ndarray:
     """The d^2 shift-clock unitaries X^p Z^q, X|j> = |j+1 mod d> and Z|j> = omega^j |j>,
-    ordered by (p, q) from the identity, as a (d^2, d, d) stack."""
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
-    return np.stack([np.linalg.matrix_power(shift, p) @ np.linalg.matrix_power(clock, q)
-                     for p in range(d) for q in range(d)])
+    ordered by (p, q) from the identity, as a (d^2, d, d) stack.  Each phase
+    omega^(j q) is one ``exp`` of 2 pi i ((j q) mod d) / d, so it is off unit
+    modulus by rounding only, not by an error that grows with the power."""
+    j = np.arange(d)
+    phase = np.exp(2j * np.pi * (np.outer(j, j) % d) / d)  # phase[q, j] = omega^(j q)
+    p, q = j[:, None, None], j[None, :, None]
+    stack = np.zeros((d, d, d, d), dtype=complex)  # (p, q, row, column)
+    stack[p, q, (j + p) % d, j] = phase[q, j]
+    return stack.reshape(d * d, d, d)
 
 
 def maximally_entangled_ket(d: int) -> Ket:

@@ -791,7 +791,7 @@ class TestMonomials:
         for d in range(2, 33):
             _, phase = bounds._monomials(shift_clock(d))
             delta = np.abs(np.abs(phase) - 1).max()
-            assert delta < (2e-15 if d <= 8 else 7.5e-14), d
+            assert delta < 2.5e-16, d
 
     @pytest.mark.parametrize("d_in,d_out",
                              [(1, 3), (3, 1), (2, 3), (3, 3), (5, 5), (7, 7), (9, 9)])
