@@ -66,7 +66,7 @@ AGREEMENT_FLOOR = 1e-6
 class InequalityError(ValidationError):
     """A report breaks its own inequalities: a bound out of range, the exact
     bound above the norm cap or the trivial bound, or a certified tightness
-    that the exact bound does not meet."""
+    that the exact bound does not meet.  ``BoundReport`` checks them all."""
 
 
 def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[str, ...]:
@@ -360,9 +360,9 @@ def _tightness(mat: np.ndarray, dims: tuple[int, int]) -> TightnessResult:
                            upper=d_in * float(np.max(np.abs(vals))))
 
 
-def agrees(result: ChannelOptResult, value: float) -> bool:
-    """Whether a certified optimum is within max(AGREEMENT_FLOOR, 10 gaps) of ``value``."""
-    return abs(result.value - value) <= max(AGREEMENT_FLOOR, 10 * result.gap)
+def agrees(value: float, gap: float, target: float) -> bool:
+    """Whether ``value`` is within max(AGREEMENT_FLOOR, 10 ``gap``) of ``target``."""
+    return abs(value - target) <= max(AGREEMENT_FLOOR, 10 * gap)
 
 
 def unitary_from_max_entangled(ket: Ket) -> np.ndarray:
@@ -458,6 +458,9 @@ class BoundReport:
     path: str | None = None
 
     def __post_init__(self):
+        if self.exact is not None and self.tight and not agrees(self.exact, self.gap, self.upper):
+            raise InequalityError(
+                f"tightness certified but exact {self.exact!r} != upper {self.upper!r}")
         if self.exact is not None and self.exact > self.upper + 1e-8:
             raise InequalityError(f"exact {self.exact!r} exceeds upper {self.upper!r}")
         if None not in (self.exact, self.trivial) and self.exact > self.trivial + 1e-8:
@@ -486,9 +489,6 @@ def _report(scenario: Scenario, combination: tuple[str, ...], tol: float,
     if isinstance(exact, SolverError):
         errors.append(f"exact bound failed: {exact}")
         exact = None
-    if exact is not None and spectral.tight and not agrees(exact, spectral.upper):
-        raise InequalityError(
-            f"tightness certified but exact {exact.value!r} != upper {spectral.upper!r}")
     tradeoff = None if exact is None or trivial is None else \
         bool(exact.dual_value < trivial - max(tol, TRADEOFF_MARGIN))
     return BoundReport(

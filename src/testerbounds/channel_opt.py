@@ -89,25 +89,32 @@ class SolverError(RuntimeError):
 class ChannelOptResult:
     """Certified bracket [value, dual_value] around the channel optimum.
 
-    ``path`` is how it was produced, one of ``PATHS``; ``iterations`` counts
-    the primal-dual iterations, 0 off the interior point."""
+    Construction raises SolverError carrying the pair unless value <=
+    dual_value as computed and gap = dual_value - value <= tol, so each solve
+    path only proposes pairs.  ``path`` is how it was produced, one of
+    ``PATHS``; ``iterations`` counts the primal-dual iterations, 0 off the
+    interior point."""
 
     value: float
     optimizer: Channel
     dual_value: float
     dual_certificate: HermitianOperator
-    gap: float
     tol: float
     dual_min_eig: float
     iterations: int
     history: tuple[tuple[float, float], ...]
     path: str
 
+    @property
+    def gap(self) -> float:
+        return self.dual_value - self.value
+
     def __post_init__(self):
         if self.path not in PATHS:
             raise ValueError(f"unknown solve path {self.path!r}")
-        if self.gap < 0 or self.gap > self.tol:
-            raise SolverError(f"gap {self.gap:.3e} outside [0, {self.tol:.3e}]",
+        if not (self.value <= self.dual_value and self.gap <= self.tol):
+            raise SolverError(f"bracket [{self.value!r}, {self.dual_value!r}] not certified "
+                              f"(gap {self.gap:.3e}, tol {self.tol:.3e})",
                               self.value, self.dual_value, self.optimizer)
         if self.dual_min_eig < -DUAL_FEAS_ATOL:
             raise SolverError(f"dual certificate infeasible (min eig {self.dual_min_eig:.3e})",
@@ -188,11 +195,6 @@ def _channel(jfix: np.ndarray, dims: tuple[int, ...]) -> Channel | None:
         return None
 
 
-def _crossed(gap: float, value: float, dual_value: float) -> bool:
-    """Whether a bracket is inverted beyond the rounding of its two ends."""
-    return gap < -1e-10 * max(1.0, abs(value), abs(dual_value))
-
-
 def _from_start(m: HermitianOperator, tol: float, start: tuple[ChannelOptResult, np.ndarray],
                 ) -> ChannelOptResult | None:
     """The result for ``m`` that a start (result, M_s) certifies by the
@@ -201,16 +203,17 @@ def _from_start(m: HermitianOperator, tol: float, start: tuple[ChannelOptResult,
     if res.optimizer.choi.dims != m.dims or objective.shape != m.mat.shape:
         return None
     eps = m.size * float(np.abs(m.mat - objective).max())
+    if not eps <= ROUNDING_ATOL:
+        return None
     value = float(np.vdot(res.optimizer.choi.mat, m.mat).real)
     dual_value = res.dual_value + m.dims[0] * eps
-    gap = dual_value - value
-    if not eps <= ROUNDING_ATOL or gap > tol or _crossed(gap, value, dual_value):
-        return None
     y = res.dual_certificate.mat + eps * np.eye(m.dims[0])
-    return ChannelOptResult(value=value, optimizer=res.optimizer, dual_value=dual_value,
-                            dual_certificate=HermitianOperator(y, res.dual_certificate.dims),
-                            gap=max(gap, 0.0), tol=tol, dual_min_eig=res.dual_min_eig,
-                            iterations=0, history=((value, dual_value),), path="start")
+    with suppress(SolverError):
+        return ChannelOptResult(value=value, optimizer=res.optimizer, dual_value=dual_value,
+                                dual_certificate=HermitianOperator(y, res.dual_certificate.dims),
+                                tol=tol, dual_min_eig=res.dual_min_eig, iterations=0,
+                                history=((value, dual_value),), path="start")
+    return None
 
 
 def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
@@ -220,8 +223,9 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
 
     ``m`` must be Hermitian on in(x)out (positivity is not required).  Raises
     SolverError, carrying the best bracket with the current iterate repaired
-    into it, if the linear algebra fails, a step collapses, or no pair
-    certifies within the iteration cap.  A non-channel primal is never reported.
+    into it, if the linear algebra fails, a step collapses, no pair
+    certifies within the iteration cap, or the best pair is inverted.  A
+    non-channel primal is never reported.
 
     ``start``, a pair (result, M_s) of a result certified for the objective
     M_s, certifies ``m`` as the module docstring says: the result then has
@@ -276,10 +280,7 @@ class _Bracket:
             self.primal = (value, jfix)
         if self.dual is None or dual_value < self.dual[0]:
             self.dual = (dual_value, y_feas, dual_min)
-        gap = self.dual[0] - self.primal[0]
-        if _crossed(gap, self.primal[0], self.dual[0]):
-            raise self.failure(f"certificates crossed (gap {gap:.3e}); numerical failure")
-        if gap > self.tol:
+        if self.dual[0] - self.primal[0] > self.tol:
             return None
         optimizer = _channel(self.primal[1], self.dims)
         if optimizer is None:
@@ -289,7 +290,6 @@ class _Bracket:
             optimizer=optimizer,
             dual_value=self.dual[0],
             dual_certificate=HermitianOperator(self.dual[1], self.dims[:1]),
-            gap=max(gap, 0.0),
             tol=self.tol,
             dual_min_eig=self.dual[2],
             iterations=iterations,
@@ -333,8 +333,7 @@ def _closed_form(m: HermitianOperator, tol: float, spectrum: np.ndarray,
         y = _hermitize(s.sum() * (u * s) @ u.conj().T) + allowance * np.eye(d_in)
     else:
         return None
-    res = _Bracket(m, tol).certify(j, y, 0, "closed_form")
-    return res if res is not None and res.value <= res.dual_value else None
+    return _Bracket(m, tol).certify(j, y, 0, "closed_form")
 
 
 def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> ChannelOptResult:

@@ -159,7 +159,7 @@ def check_exact_below_norm_cap(rng: np.random.Generator, trials: int,
         if ex.value > ub + 1e-8:
             ok = False
         tight = tightness_check(scenario, combo)
-        if tight.tight and not agrees(ex, ub):
+        if tight.tight and not agrees(ex.value, ex.gap, ub):
             ok = False
     return CheckResult("exact_below_norm_cap", ok, worst,
                        f"{trials} random scenarios, residual = max(exact - upper)")
@@ -221,7 +221,7 @@ def check_qubit_meb_optimal(rng: np.random.Generator, trials: int,
         combo = (scenario.tests[0].labels[i], scenario.tests[1].labels[j])
         ex = exact_bound(scenario, combo, tol=tol)
         worst = max(worst, abs(ex.value - expected))
-        if not agrees(ex, expected):
+        if not agrees(ex.value, ex.gap, expected):
             ok = False
         _u, value = qubit_meb_optimizer(psi1, psi2)
         worst = max(worst, abs(value - expected))

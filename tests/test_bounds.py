@@ -6,6 +6,7 @@ import pytest
 from testerbounds import bounds, channel_opt
 from testerbounds.bounds import (
     BoundReport,
+    InequalityError,
     all_combinations,
     bound_report,
     closed_form_state_bound,
@@ -502,6 +503,14 @@ class TestReports:
                         tight=r.tight, tight_degenerate=r.tight_degenerate,
                         optimizer=r.optimizer, tol=r.tol)
 
+    def test_tight_report_must_attain_upper(self):
+        # a tight flag needs exact within max(AGREEMENT_FLOOR, 10 gaps) of upper
+        fields = dict(combination=("x1_0", "x2_0"), trivial=None, upper=1.0, gap=1e-8,
+                      tradeoff=None, tight=True, tight_degenerate=False, optimizer=None)
+        BoundReport(exact=1.0 - 5e-7, **fields)
+        with pytest.raises(InequalityError, match="tightness certified"):
+            BoundReport(exact=1.0 - 2e-6, **fields)
+
     def test_larger_dimension_norm_cap_gap_reported(self):
         # whether the norm cap is attained for d = 3 entangled-basis pairs is
         # left open; record the observed gap without asserting either way
@@ -808,7 +817,7 @@ class TestMonomials:
         channel = random_channel(d_in, d_out, np.random.default_rng(d_in + 10 * d_out))
         res = ChannelOptResult(value=0.0, optimizer=channel, dual_value=0.0,
                                dual_certificate=HermitianOperator(np.eye(d_in), (d_in,)),
-                               gap=0.0, tol=1e-6, dual_min_eig=0.0, iterations=0, history=(),
+                               tol=1e-6, dual_min_eig=0.0, iterations=0, history=(),
                                path="interior_point")
         unit = 2.0 ** -53
         delta = max(np.abs(np.abs(bounds._monomials(shift_clock(d))[1]) - 1).max()

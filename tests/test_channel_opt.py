@@ -174,6 +174,24 @@ class TestCertificates:
         assert np.trace(m.mat @ err.optimizer.choi.mat).real == pytest.approx(err.value)
         assert len(repairs) == 1
 
+    def test_gap_is_the_difference_of_the_ends(self):
+        # on each path, bit for bit: the result derives its gap
+        rng = np.random.default_rng(2)
+        m = random_psd(rng, 2, 2)
+        source = maximize_over_channels(m, tol=1e-6)
+        for res in (source, maximize_over_channels(random_rank(rng, 2, 3, 1), tol=1e-6),
+                    maximize_over_channels(m, tol=1e-6, start=(source, m.mat))):
+            assert res.gap == res.dual_value - res.value
+
+    def test_inverted_result_is_refused(self):
+        # one ulp of inversion is no certified bracket, whatever its size
+        res = maximize_over_channels(random_psd(np.random.default_rng(2), 2, 2), tol=1e-6)
+        above = np.nextafter(res.dual_value, np.inf)
+        with pytest.raises(SolverError) as exc_info:
+            dataclasses.replace(res, value=above)
+        err = exc_info.value
+        assert (err.value, err.dual_value, err.optimizer) == (above, res.dual_value, res.optimizer)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(Exception):
             maximize_over_channels(HermitianOperator(np.eye(2), (2,)))
@@ -317,13 +335,22 @@ class TestStart:
         return HermitianOperator(image, (2, 2)), source.gap / 2, start
 
     @staticmethod
+    def inverted(m, source):
+        """A start on its own objective whose dual value lies 1e-13 below
+        tr[M J]: eps is 0, and the pair it proposes is inverted."""
+        value = float(np.vdot(source.optimizer.choi.mat, m.mat).real)
+        start = dataclasses.replace(source, value=value - 1e-12, dual_value=value - 1e-13)
+        return m, 1e-6, (start, m.mat)
+
+    @staticmethod
     def shape_mismatch(m, source):
         """The objective as one of shape (1, 4): eps is 0, but the channels differ."""
         start, _ = shift_clock_start(source, m, 2, 2, 0)
         return HermitianOperator(m.mat, (1, 4)), 1e-6, start
 
-    @pytest.mark.parametrize("case", [wrong_image, past_guard, wide_gap, shape_mismatch],
-                             ids=["wrong-image", "past-guard", "wide-gap", "shape-mismatch"])
+    @pytest.mark.parametrize("case", [wrong_image, past_guard, wide_gap, shape_mismatch, inverted],
+                             ids=["wrong-image", "past-guard", "wide-gap", "shape-mismatch",
+                                  "inverted"])
     def test_uncertified_start_is_no_start(self, case):
         # a start that does not certify leaves no trace: the solve is the
         # start=None solve, bracket, iterations, history and path alike
@@ -350,6 +377,19 @@ class TestNumericalFailure:
         err = exc_info.value
         assert err.dual_value is not None
         assert (err.optimizer is None) == (err.value is None)
+
+    def test_inverted_bracket_raises(self):
+        # the indefinite objective of tools/stress_grid.py for seed 29 at
+        # (1, 3), scaled by 1e8: the interior point's best pair ends with
+        # value two ulps, 6e-8, above dual_value, which no result may carry
+        rng = np.random.default_rng([29, 1, 3, 1])
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = HermitianOperator(1e8 * ((g + g.conj().T) / 2), (1, 3))
+        with pytest.raises(SolverError) as exc_info:
+            maximize_over_channels(m, tol=1e-6)
+        err = exc_info.value
+        assert err.value is not None and err.dual_value is not None
+        assert np.trace(m.mat @ err.optimizer.choi.mat).real == pytest.approx(err.value)
 
     @pytest.mark.parametrize("seed,shape,scale", [(5, (4, 4), 1e6), (20, (3, 3), 1e8),
                                                   (31, (3, 2), 1e8)])

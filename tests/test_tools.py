@@ -1,4 +1,5 @@
-"""tools/report_diff.py on reports written by the CLI and edited by hand."""
+"""tools/report_diff.py on reports written by the CLI and edited by hand, and
+tools/stress_grid.py on one seed."""
 
 import importlib.util
 import json
@@ -8,10 +9,17 @@ import pytest
 
 from testerbounds.cli import main
 
-_SPEC = importlib.util.spec_from_file_location(
-    "report_diff", Path(__file__).resolve().parent.parent / "tools" / "report_diff.py")
-report_diff = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(report_diff)
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_diff = _load("report_diff")
+stress_grid = _load("stress_grid")
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +65,13 @@ def test_changed_flag_fails(report, tmp_path, capsys, edit, words):
     edit(after)
     assert run(tmp_path, report, after) == 1
     assert words in capsys.readouterr().out
+
+
+def test_stress_grid_one_seed():
+    # solve_grid lets every exception but SolverError escape; the table's
+    # last column counts returned results with value > dual_value
+    outcomes = stress_grid.solve_grid(1)
+    assert len(outcomes) == 240
+    errors = {(1.0, 1e-12): 3, (1e6, 1e-6): 3, (1e8, 1e-6): 11}
+    assert stress_grid.table(outcomes) == {
+        pair: (24, errors.get(pair, 0), 0) for pair in stress_grid.PAIRS}
