@@ -13,28 +13,28 @@ A combination exhibits an unavoidable trade-off when the exact bound sits
 strictly below the trivial one.
 
 ``scenario_report`` is the one pipeline behind every report: it solves each
-per-test maximum once per outcome, takes the norm cap and its tightness from one
-eigendecomposition, and records a failed solve as ``error``.  It works once
-per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes each
-tester's elements maps the objective M of an outcome or a combination to
+per-test maximum once per outcome, takes the norm cap and its tightness from
+one eigendecomposition, and records a failed solve as ``error``.  It works
+once per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes
+each tester's elements maps the objective M of an outcome or a combination to
 W M W^dag, that of its image, and a certified result with channel J and dual
 certificate Y to one with W J W^dag and U Y U^dag, so bounds within an orbit
 coincide.  The orbits are one table per report: the first key of an orbit in
 report order is its source, solved with no start, and each image starts from
-its source's result and objective, both moved by W.  The solver certifies
-such a start by a perturbation bound, with no eigendecomposition and no
-primal-dual iteration, or solves the image as if it had no start.  A source
-whose objective has rank one (every per-test maximum of a scenario with
-rank-one tester elements) or lives on d_in = 1 is certified by the solver in
-closed form, so on such scenarios the interior point runs only for exact
-solves of sources of rank two or more.  The images
-of a failed source are solved directly.  Each symmetry is kept as monomials
-(index, phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and
-two phase products.  A report is one walk over the combinations' table: each
+its source's result, its source's objective moved by W, W and U.  The solver
+moves the result and certifies it by a perturbation bound, with no
+eigendecomposition and no primal-dual iteration, or solves the image as if it
+had no start.  A source whose objective has rank one (every per-test maximum
+of a scenario with rank-one tester elements) or lives on d_in = 1 is certified
+by the solver in closed form, so on such scenarios the interior point runs
+only for exact solves of sources of rank two or more.  The images of a failed
+source are solved directly.  Each symmetry is kept as monomials (index,
+phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and two
+phase products.  A report is one walk over the combinations' table: each
 objective is built once, as the plain matrix that ``objective_operator``
-wraps, and validated as an operator only for an exact solve.  Each source
-that has images keeps its objective M; an image moves it once, to W M W^dag,
-for both its spectral step and its start.  It takes its source's norm cap and
+wraps, and validated as an operator only for an exact solve.  Each source that
+has images keeps its objective M; an image moves it once, to W M W^dag, for
+both its spectral step and its start.  It takes its source's norm cap and
 tightness once its own objective is checked to equal W M W^dag (a source with
 a degenerate top eigenspace hands them to no image), and its exact solve
 follows at once.
@@ -46,14 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .channel_opt import ChannelOptResult, SolverError, check_tol, maximize_over_channels
 from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, DimensionError, HermitianOperator, Ket,
-                     ValidationError, check_close, operator_norm, shift_clock)
+                     ValidationError, _conjugated, check_close, operator_norm, shift_clock)
 # not called here: bench/tracing.py looks this name up in this module
 from .linalg import eig_hermitian  # noqa: F401
 from .testers import Channel, Scenario, Tester, channel_to_json
@@ -214,13 +214,6 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
             for i, row in enumerate(rows)]
 
 
-def _conjugated(m: np.ndarray, monomial: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """W m W^dag for the monomial W = (index, phase): entry (a, b) is
-    phase[a] m[index[a], index[b]] conj(phase[b])."""
-    index, phase = monomial
-    return phase[:, None] * m.take(index, 0).take(index, 1) * phase.conj()
-
-
 def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
     """The orbit table of ``keys`` (tuples of labels), in their order: the first
     key of each orbit is its source and maps to None, every other key to
@@ -236,51 +229,22 @@ def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
     return {key: table[key] for key in keys}
 
 
-def _start(res: ChannelOptResult | SolverError | None, moved: np.ndarray, w: tuple, u: tuple,
-           ) -> tuple[ChannelOptResult, np.ndarray] | None:
-    """The start of an image from its source's result: the result moved to
-    channel J' = W J W^dag and dual certificate U Y U^dag, paired with
-    ``moved``, the source's objective moved to W M W^dag; None when the source
-    has no certified result.
-
-    J' is not validated again.  Entry (a, b) of J' is J[index[a], index[b]]
-    times two of W's phases, two complex products averaged with its mirror,
-    so entrywise |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
-    ||J' - W J W^dag||_op <= c u ||J||_F <= c u tr J = c u d_in.  W's phases,
-    products of two shift-clock entries, are off unit modulus by at most
-    e = 2 delta + 3 u, with delta the largest ||phase| - 1| of
-    ``_monomials(shift_clock(n))`` for n = d_in, d_out: below 2.5e-16 for
-    n <= 32, each phase being one ``exp``.  So W = D W~, with W~ unitary and D
-    diagonal, ||D - I|| <= e, and ||W J W^dag - W~ J W~^dag||_op <=
-    (2 e + e^2) d_in.  In all J' is within (c u + 2 e + e^2) d_in, below
-    3e-15 d_in for n <= 32, of the exact move of J by a unitary, and passes
-    the positivity and trace-preservation checks J passed to within d_out
-    times that, far inside their 1e-9."""
-    if not isinstance(res, ChannelOptResult):
-        return None
-    j = res.optimizer.choi
-    channel = object.__new__(Channel)
-    object.__setattr__(channel, "choi", HermitianOperator(_conjugated(j.mat, w), j.dims))
-    y = HermitianOperator(_conjugated(res.dual_certificate.mat, u), res.dual_certificate.dims)
-    return replace(res, optimizer=channel, dual_certificate=y), moved
-
-
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
                      symmetries: Sequence = ()) -> dict[str, float | str]:
     """Dual value of max_channel p(x) (an upper estimate within ``tol``) for each
     outcome x of each test of nonzero weight, restricted to ``labels`` if given;
     a failed solve is kept as its error message.  One walk over the label
-    orbit table: an image starts from its source's result and element, moved
-    to T' = W T W^dag."""
+    orbit table: an image starts from its source's result and its source's
+    element moved to T' = W T W^dag, with W and U."""
     elements = {(label,): element
                 for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
                 for label, element in tester.elements if labels is None or label in labels}
     results: dict = {}
     for key, origin in _orbits(list(elements), symmetries).items():
         start = None
-        if origin is not None:
+        if origin is not None and isinstance(results[origin[0]], ChannelOptResult):
             source, w, u = origin
-            start = _start(results[source], _conjugated(elements[source].mat, w), w, u)
+            start = results[source], _conjugated(elements[source].mat, w), w, u
         try:
             results[key] = maximize_over_channels(elements[key], tol=tol, start=start)
         except SolverError as exc:
@@ -542,9 +506,9 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     The report is one walk over the combinations' orbit table, in report
     order, and builds each objective once.  An image takes its source's
     ``upper``, ``tight`` and ``tight_degenerate`` once its objective matches
-    the transported one, and its exact solve starts from the transported
-    result and objective; only a source that has images keeps its objective
-    and results.
+    the transported one, and its exact solve starts from its source's result
+    and the transported objective; only a source that has images keeps its
+    objective and results.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
@@ -579,7 +543,7 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
             moved = _conjugated(m, w)
             if handed is not None and np.abs(mat - moved).max() <= ROUNDING_ATOL:
                 spectral = handed
-            start = _start(solved, moved, w, u)
+            start = (solved, moved, w, u) if isinstance(solved, ChannelOptResult) else None
         if spectral is None:
             spectral = _tightness(mat, dims)
         exact = None if skip_exact else exact_bound(HermitianOperator(mat, dims), start)

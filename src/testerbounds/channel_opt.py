@@ -42,14 +42,16 @@ factored, their factors inverted and both directions whitened as one stacked
 pair, so S^-1 comes from the inverted factor.  Once n mu <= tol / 2 both
 iterates are repaired to exact feasibility and the gap is measured.
 
-A start is a result certified for another objective M_s, such as that of a
-unitarily equivalent objective moved by the same unitary.  eps =
-n max|M - M_s| bounds ||M - M_s||_op, so the start's channel J is feasible
-with value tr[M J], and Y + eps I is a dual certificate of M, since
-(Y + eps I) (x) I - M >= Y (x) I - M_s: its value is tr Y + d_in eps and its
-slack's smallest eigenvalue is at least the start's.  No eigendecomposition
-is needed.  A start certifies when eps <= ROUNDING_ATOL and that widened gap
-is at most tol (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007).
+A start (result, M_s, W, U) is a result (J, Y) certified for an objective,
+that objective moved to M_s by a monomial unitary W = U (x) V, and W and U
+as (index, phase), W[a, index[a]] = phase[a].  eps = n max|M - M_s| bounds
+||M - M_s||_op, so J' = W J W^dag is feasible with value tr[M J'], and
+U Y U^dag + eps I is a dual certificate of M of value tr Y + d_in eps: its
+slack is at least U Y U^dag (x) I - M_s, the start's slack moved by W, so its
+smallest eigenvalue is at least the start's.  No eigendecomposition is needed.
+A start certifies when eps <= ROUNDING_ATOL and that widened gap is at most
+tol (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007); only then are
+J and Y moved.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ROUNDING_ATOL, DimensionError, HermitianOperator, ValidationError
+from .linalg import ROUNDING_ATOL, DimensionError, HermitianOperator, ValidationError, _conjugated
 from .testers import Channel, channel_from_choi
 
 DEFAULT_TOL = 1e-6
@@ -195,30 +197,47 @@ def _channel(jfix: np.ndarray, dims: tuple[int, ...]) -> Channel | None:
         return None
 
 
-def _from_start(m: HermitianOperator, tol: float, start: tuple[ChannelOptResult, np.ndarray],
-                ) -> ChannelOptResult | None:
-    """The result for ``m`` that a start (result, M_s) certifies by the
-    perturbation bound eps = n max|M - M_s|, or None."""
-    res, objective = start
-    if res.optimizer.choi.dims != m.dims or objective.shape != m.mat.shape:
+def _from_start(m: HermitianOperator, tol: float, start: tuple) -> ChannelOptResult | None:
+    """The result for ``m`` that a start (result, M_s, W, U) certifies by the
+    perturbation bound eps = n max|M - M_s|, with the channel J' = W J W^dag
+    and the dual U Y U^dag + eps I, or None.  J' is not validated again.
+    Entry (a, b) of J' is J[index[a], index[b]] times two of W's phases, two
+    complex products averaged with its mirror, so entrywise
+    |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
+    ||J' - W J W^dag||_op <= c u ||J||_F <= c u tr J = c u d_in.  W's phases,
+    products of two shift-clock entries, are off unit modulus by at most
+    e = 2 delta + 3 u, with delta the largest ||phase| - 1| of
+    ``_monomials(shift_clock(n))`` for n = d_in, d_out: below 2.5e-16 for
+    n <= 32, each phase being one ``exp``.  So W = D W~, with W~ unitary and D
+    diagonal, ||D - I|| <= e, and ||W J W^dag - W~ J W~^dag||_op <=
+    (2 e + e^2) d_in.  In all J' is within (c u + 2 e + e^2) d_in, below
+    3e-15 d_in for n <= 32, of the exact move of J by a unitary, and passes
+    the positivity and trace-preservation checks J passed to within d_out
+    times that, far inside their 1e-9."""
+    res, objective, w, u = start
+    d_in = m.dims[0]
+    if (res.optimizer.choi.dims != m.dims or objective.shape != m.mat.shape
+            or any(len(x) != m.size for x in w) or any(len(x) != d_in for x in u)):
         return None
     eps = m.size * float(np.abs(m.mat - objective).max())
     if not eps <= ROUNDING_ATOL:
         return None
-    value = float(np.vdot(res.optimizer.choi.mat, m.mat).real)
-    dual_value = res.dual_value + m.dims[0] * eps
-    y = res.dual_certificate.mat + eps * np.eye(m.dims[0])
+    optimizer = object.__new__(Channel)
+    object.__setattr__(optimizer, "choi",
+                       HermitianOperator(_conjugated(res.optimizer.choi.mat, w), m.dims))
+    value = float(np.vdot(optimizer.choi.mat, m.mat).real)
+    dual_value = res.dual_value + d_in * eps
+    y = _conjugated(res.dual_certificate.mat, u) + eps * np.eye(d_in)
     with suppress(SolverError):
-        return ChannelOptResult(value=value, optimizer=res.optimizer, dual_value=dual_value,
-                                dual_certificate=HermitianOperator(y, res.dual_certificate.dims),
+        return ChannelOptResult(value=value, optimizer=optimizer, dual_value=dual_value,
+                                dual_certificate=HermitianOperator(y, m.dims[:1]),
                                 tol=tol, dual_min_eig=res.dual_min_eig, iterations=0,
                                 history=((value, dual_value),), path="start")
     return None
 
 
 def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
-                           start: tuple[ChannelOptResult, np.ndarray] | None = None,
-                           ) -> ChannelOptResult:
+                           start: tuple | None = None) -> ChannelOptResult:
     """Maximize tr[M J] over channels, certified to the requested duality gap.
 
     ``m`` must be Hermitian on in(x)out (positivity is not required).  Raises
@@ -227,13 +246,13 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     certifies within the iteration cap, or the best pair is inverted.  A
     non-channel primal is never reported.
 
-    ``start``, a pair (result, M_s) of a result certified for the objective
-    M_s, certifies ``m`` as the module docstring says: the result then has
-    the start's channel, value tr[M J], the dual certificate Y + eps I,
-    ``path == "start"`` and one ``history`` entry.  Otherwise it counts as no
-    start.  Then the closed form of the module docstring is tried, and where
-    it does not apply or does not certify the interior point runs exactly as
-    it runs alone.  ``iterations`` is 0 on the first two paths.
+    ``start``, a tuple (result, M_s, W, U) as the module docstring says,
+    certifies ``m`` there: the result then has the channel J' = W J W^dag,
+    value tr[M J'], the dual certificate U Y U^dag + eps I, ``path ==
+    "start"`` and one ``history`` entry.  Otherwise, monomials of another size
+    included, it counts as no start.  Then the closed form of the module
+    docstring is tried, and where it does not apply or does not certify the
+    interior point runs exactly as it runs alone.  ``iterations`` is 0 on the first two paths.
     """
     if len(m.dims) != 2:
         raise DimensionError("objective must carry dims (d_in, d_out)")

@@ -15,13 +15,14 @@ import numpy as np
 from .bounds import (
     agrees,
     exact_bound,
+    objective_operator,
     qubit_meb_optimizer,
     scenario_report,
     tightness_check,
     trivial_bound,
     upper_bound,
 )
-from .channel_opt import _interior_point, maximize_over_channels
+from .channel_opt import _channel, _interior_point, maximize_over_channels
 from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, STATE_ATOL, HermitianOperator, basis_transpose,
                      partial_trace)
 from .sampling import (
@@ -238,8 +239,10 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
     its ``tight`` and ``tight_degenerate`` equal to it, and some entry came
     from a transported start.  Two certified brackets of one optimum overlap,
     so each transported bracket [exact, exact + gap] must meet the direct
-    solve's [value, dual_value], within the rounding of its ends."""
-    worst, starts, spectral_agrees, overlap = 0.0, 0, True, True
+    solve's [value, dual_value], within the rounding of its ends.  The solver
+    builds a transported entry's channel J' unchecked: J' must pass the
+    channel checks, and tr[M J'] be its ``exact`` within rounding."""
+    worst, starts, spectral_agrees, starts_hold = 0.0, 0, True, True
     for _ in range(trials):
         d, w = int(rng.integers(2, 4)), float(rng.uniform(0.1, 0.9))
         scenario = meb_scenario(_random_meb(d, rng), _random_meb(d, rng), (w, 1.0 - w))
@@ -256,10 +259,13 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
                         abs(r.trivial - trivial_bound(scenario, r.combination, tol=tol)))
             if r.path == "start":
                 starts += 1
-                overlap &= max(r.exact, solve.value) <= \
-                    min(r.exact + r.gap, solve.dual_value) + ROUNDING_ATOL
+                m, j = objective_operator(scenario, r.combination), r.optimizer.choi.mat
+                starts_hold &= max(r.exact, solve.value) <= \
+                    min(r.exact + r.gap, solve.dual_value) + ROUNDING_ATOL \
+                    and _channel(j, m.dims) is not None \
+                    and abs(float(np.vdot(j, m.mat).real) - r.exact) <= ROUNDING_ATOL
     return CheckResult("orbit_reuse_matches_direct_solve",
-                       worst <= tol and starts > 0 and spectral_agrees and overlap, worst,
+                       worst <= tol and starts > 0 and spectral_agrees and starts_hold, worst,
                        f"{trials} random MEB scenarios (d = 2, 3), {starts} transported entries")
 
 

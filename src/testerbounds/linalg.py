@@ -217,6 +217,13 @@ def shift_clock(d: int) -> np.ndarray:
     return stack.reshape(d * d, d, d)
 
 
+def _conjugated(m: np.ndarray, monomial: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """W m W^dag for the monomial W = (index, phase): entry (a, b) is
+    phase[a] m[index[a], index[b]] conj(phase[b])."""
+    index, phase = monomial
+    return phase[:, None] * m.take(index, 0).take(index, 1) * phase.conj()
+
+
 def maximally_entangled_ket(d: int) -> Ket:
     """The ket (1/sqrt(d)) * sum_i |i,i> on two d-dimensional factors."""
     if d < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -139,6 +140,8 @@ class Scenario:
 
     def __init__(self, tests: Sequence[Test], weights: Sequence[float]):
         tests = tuple(tests)
+        if not all(isinstance(w, Real) and not isinstance(w, bool) for w in weights):
+            raise ValidationError(f"weights must be numbers, got {list(weights)}")
         weights = tuple(float(w) for w in weights)
         if not tests:
             raise ValidationError("scenario needs at least one test")

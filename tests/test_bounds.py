@@ -649,6 +649,27 @@ class TestOrbitReuse:
         assert len(paths) == len(reports) + 18
         assert len(repairs) == sum(path != "start" for path in paths) == 3
 
+    def test_one_result_per_solve(self, monkeypatch):
+        # a cost guard: the solver moves an image's start and certifies it
+        # into the image's one result, so a report builds one result per
+        # solver call: 8 per-test maxima and 16 exact solves
+        post_init, solve = ChannelOptResult.__post_init__, bounds.maximize_over_channels
+        built, solves = [], []
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        def solving(m, tol, start=None):
+            solves.append(start)
+            return solve(m, tol=tol, start=start)
+
+        monkeypatch.setattr(ChannelOptResult, "__post_init__", counting)
+        monkeypatch.setattr(bounds, "maximize_over_channels", solving)
+        scenario_report(meb_scenario(*mub_meb_pair_2qubit()), tol=1e-6)
+        assert len(built) == len(solves) == 24
+        assert sum(start is not None for start in solves) > 0
+
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
     def test_orbit_table(self, kind, d):
@@ -795,7 +816,7 @@ class TestMonomials:
                     1e-15 * np.abs(mat).max()
 
     def test_shift_clock_phases_within_stated_delta(self):
-        # delta of the rounding bound _start states: how far the phases of
+        # delta of the rounding bound _from_start states: how far the phases of
         # the shift-clock monomials are off unit modulus
         for d in range(2, 33):
             _, phase = bounds._monomials(shift_clock(d))
@@ -805,8 +826,8 @@ class TestMonomials:
     @pytest.mark.parametrize("d_in,d_out",
                              [(1, 3), (3, 1), (2, 3), (3, 3), (5, 5), (7, 7), (9, 9)])
     def test_moved_channel_within_stated_bound(self, d_in, d_out):
-        # the bound _start states instead of validating the moved channel
-        # again: ||J' - W~ J W~^dag||_op <= ||.||_F <= (8 u + 2 e + e^2) d_in,
+        # the bound channel_opt._from_start states instead of validating the
+        # Choi matrix it builds again: ||J' - W~ J W~^dag||_op <= ||.||_F <= (8 u + 2 e + e^2) d_in,
         # with e = 2 delta + 3 u, W~ the monomial with its phases scaled to
         # unit modulus, as a dense matrix, and the product taken in extended
         # precision
@@ -815,10 +836,6 @@ class TestMonomials:
         symmetries = bounds._symmetries(Scenario([test], [1.0]))
         us, vs = shift_clock(d_in), shift_clock(d_out)
         channel = random_channel(d_in, d_out, np.random.default_rng(d_in + 10 * d_out))
-        res = ChannelOptResult(value=0.0, optimizer=channel, dual_value=0.0,
-                               dual_certificate=HermitianOperator(np.eye(d_in), (d_in,)),
-                               tol=1e-6, dual_min_eig=0.0, iterations=0, history=(),
-                               path="interior_point")
         unit = 2.0 ** -53
         delta = max(np.abs(np.abs(bounds._monomials(shift_clock(d))[1]) - 1).max()
                     for d in (d_in, d_out))
@@ -827,11 +844,11 @@ class TestMonomials:
         for c in range(1, len(symmetries) + 1, max(1, len(symmetries) // 50)):
             dense = np.kron(us[c // len(vs)], vs[c % len(vs)]).astype(np.clongdouble)
             dense[dense != 0] /= np.abs(dense[dense != 0])
-            w, u, _ = symmetries[c - 1]
-            moved = bounds._start(res, None, w, u)[0].optimizer
-            err = moved.choi.mat - dense @ j @ dense.conj().T
+            w, _, _ = symmetries[c - 1]
+            moved = HermitianOperator(bounds._conjugated(channel.choi.mat, w), (d_in, d_out))
+            err = moved.mat - dense @ j @ dense.conj().T
             assert np.sqrt((np.abs(err) ** 2).sum()) <= (8 * unit + 2 * e + e * e) * d_in
-            channel_from_choi(moved.choi)  # and it passes the checks it skipped
+            channel_from_choi(moved)  # and it passes the checks it skipped
 
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])

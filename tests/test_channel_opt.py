@@ -180,7 +180,8 @@ class TestCertificates:
         m = random_psd(rng, 2, 2)
         source = maximize_over_channels(m, tol=1e-6)
         for res in (source, maximize_over_channels(random_rank(rng, 2, 3, 1), tol=1e-6),
-                    maximize_over_channels(m, tol=1e-6, start=(source, m.mat))):
+                    maximize_over_channels(m, tol=1e-6,
+                                           start=(source, m.mat, identity(4), identity(2)))):
             assert res.gap == res.dual_value - res.value
 
     def test_inverted_result_is_refused(self):
@@ -266,15 +267,21 @@ class TestDampedStep:
         assert sum(steps) <= budget
 
 
+def identity(n):
+    """The identity of size n as a monomial (index, phase)."""
+    return np.arange(n), np.ones(n)
+
+
 def shift_clock_start(res, m, d_in, d_out, c):
-    """The start of the image of ``m`` under shift-clock candidate c, made by
-    the report walk's own ``bounds._start``, and that image, W M W^dag from
-    the dense W."""
+    """The start of the image of ``m`` under shift-clock candidate c, made as
+    the report walk makes it: (res, M moved by the monomial W, W, U), W and U
+    read off by ``bounds._monomials``; and that image, W M W^dag from the
+    dense W."""
     u = shift_clock(d_in)[c // d_out ** 2]
     w = np.kron(u, shift_clock(d_out)[c % d_out ** 2])
     w_mono, u_mono = ((index[0], phase[0]) for index, phase in
                       (bounds._monomials(w[None]), bounds._monomials(u[None])))
-    start = bounds._start(res, bounds._conjugated(m.mat, w_mono), w_mono, u_mono)
+    start = res, bounds._conjugated(m.mat, w_mono), w_mono, u_mono
     return start, w @ m.mat @ w.conj().T
 
 
@@ -304,9 +311,11 @@ class TestStart:
             pytest.approx(res.value, abs=1e-14)
         assert res.dual_value - source.dual_value == \
             pytest.approx(d_in * eps, abs=2 * np.spacing(max(1.0, source.dual_value)))
-        # the widened certificate is feasible for the image itself
-        assert np.array_equal(res.dual_certificate.mat,
-                              start[0].dual_certificate.mat + eps * np.eye(d_in))
+        # the widened certificate is feasible for the image itself, and has
+        # the bits of the moved certificate, validated, widened by eps
+        moved = HermitianOperator(bounds._conjugated(source.dual_certificate.mat, start[3]),
+                                  (d_in,))
+        assert np.array_equal(res.dual_certificate.mat, moved.mat + eps * np.eye(d_in))
         assert dual_min_eig(image, res.dual_certificate) >= source.dual_min_eig - 1e-14
         # two certified brackets of one optimum overlap
         direct = maximize_over_channels(image, tol=1e-6)
@@ -340,7 +349,7 @@ class TestStart:
         tr[M J]: eps is 0, and the pair it proposes is inverted."""
         value = float(np.vdot(source.optimizer.choi.mat, m.mat).real)
         start = dataclasses.replace(source, value=value - 1e-12, dual_value=value - 1e-13)
-        return m, 1e-6, (start, m.mat)
+        return m, 1e-6, (start, m.mat, identity(4), identity(2))
 
     @staticmethod
     def shape_mismatch(m, source):
@@ -348,9 +357,20 @@ class TestStart:
         start, _ = shift_clock_start(source, m, 2, 2, 0)
         return HermitianOperator(m.mat, (1, 4)), 1e-6, start
 
-    @pytest.mark.parametrize("case", [wrong_image, past_guard, wide_gap, shape_mismatch, inverted],
+    @staticmethod
+    def long_w(m, source):
+        """The identity start with a W of size 5 for an objective of size 4."""
+        return m, 1e-6, (source, m.mat, identity(5), identity(2))
+
+    @staticmethod
+    def short_u(m, source):
+        """The identity start with a U of size 1 for d_in = 2."""
+        return m, 1e-6, (source, m.mat, identity(4), identity(1))
+
+    @pytest.mark.parametrize("case", [wrong_image, past_guard, wide_gap, shape_mismatch, inverted,
+                                      long_w, short_u],
                              ids=["wrong-image", "past-guard", "wide-gap", "shape-mismatch",
-                                  "inverted"])
+                                  "inverted", "long-w", "short-u"])
     def test_uncertified_start_is_no_start(self, case):
         # a start that does not certify leaves no trace: the solve is the
         # start=None solve, bracket, iterations, history and path alike
@@ -359,6 +379,18 @@ class TestStart:
         direct = maximize_over_channels(image, tol=tol)
         res = maximize_over_channels(image, tol=tol, start=start)
         assert res.path != "start" and same_solve(res, direct)
+
+    def test_identity_start_certifies_unwidened(self):
+        # the start on its own objective: eps is 0, so the result keeps the
+        # source's channel and its dual, unwidened
+        m = random_psd(np.random.default_rng(3), 2, 3)
+        source = maximize_over_channels(m, tol=1e-6)
+        res = maximize_over_channels(m, tol=1e-6, start=(source, m.mat, identity(6), identity(2)))
+        assert res.path == "start" and res.iterations == 0
+        assert res.dual_value == source.dual_value
+        assert np.array_equal(res.dual_certificate.mat, source.dual_certificate.mat)
+        assert np.array_equal(res.optimizer.choi.mat, source.optimizer.choi.mat)
+        assert res.value == float(np.vdot(source.optimizer.choi.mat, m.mat).real)
 
 
 class TestNumericalFailure:

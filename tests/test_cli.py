@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import testerbounds
-from testerbounds import bounds, checks
+from testerbounds import bounds, channel_opt, checks
 from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
-from testerbounds.linalg import dumps_canonical, operator_to_json
+from testerbounds.linalg import HermitianOperator, dumps_canonical, operator_to_json
 from testerbounds.sampling import haar_unitary
-from testerbounds.testers import channel_from_json, scenario_from_json, scenario_to_json
+from testerbounds.testers import (Channel, channel_from_json, scenario_from_json,
+                                 scenario_to_json)
 
 FULL_KEYS = ["combination", "trivial", "upper", "exact", "gap", "tradeoff", "tight",
              "tight_degenerate", "optimizer"]
@@ -262,6 +263,18 @@ class TestBound:
         assert "weights must be finite" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, False]], ids=["str", "bool"])
+    def test_non_number_weight_rejected(self, capsys, mub_meb_file, tmp_path, weights):
+        # each sums to 1 once passed through float(), which accepted both
+        obj = json.loads(mub_meb_file.read_text())
+        obj["weights"] = weights
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "bound", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot load scenario" in err and "weights must be numbers" in err
+
     def test_state_mub_values(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         assert main(["gen", "state-mub", "--d", "2", "--out", str(path)]) == 0
@@ -411,6 +424,28 @@ class TestVerify:
         monkeypatch.setattr(checks, "scenario_report", shifted)
         res = checks.check_orbit_reuse(np.random.default_rng(5), 1)
         assert not res.passed and res.worst_residual <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1.1, None], ids=["scaled", "other-channel"])
+    def test_orbit_reuse_checks_moved_channels(self, scale, monkeypatch):
+        # each moved channel J' replaced after its start certified: scaled by
+        # 1.1, it is no channel, and tr[M J'] is 1.1 exact; the maximally
+        # mixed channel is one, but tr[M J'] is not exact either
+        from_start = channel_opt._from_start
+
+        def replaced(m, tol, start):
+            res = from_start(m, tol, start)
+            if res is None:
+                return None
+            choi = np.eye(m.size) / m.dims[1] if scale is None else scale * res.optimizer.choi.mat
+            channel = object.__new__(Channel)
+            object.__setattr__(channel, "choi", HermitianOperator(choi, m.dims))
+            return dataclasses.replace(res, optimizer=channel)
+
+        assert checks.check_orbit_reuse(np.random.default_rng(5), 1).passed
+        monkeypatch.setattr(channel_opt, "_from_start", replaced)
+        res = checks.check_orbit_reuse(np.random.default_rng(5), 1)
+        assert not res.passed and res.worst_residual <= 1e-6
+        assert " 0 transported" not in res.detail
 
     def test_closed_form_check_requires_overlapping_brackets(self, monkeypatch):
         # each closed-form bracket moved 2 tol down: its upper end falls below

@@ -446,6 +446,24 @@ class TestScenarioAndSampling:
         with pytest.raises(ValidationError):
             Scenario([t1], [-1.0, 2.0])
 
+    @pytest.mark.parametrize("weights", [("0.5", "0.5"), (True, False), (None, 1.0),
+                                         (np.bool_(True), 0.0)],
+                             ids=["str", "bool", "none", "numpy-bool"])
+    def test_non_number_weight_rejected(self, weights):
+        rng = np.random.default_rng(16)
+        tests = [random_test(1, 2, 2, 2, rng, prefix=p) for p in ("x1", "x2")]
+        with pytest.raises(ValidationError, match="weights must be numbers"):
+            Scenario(tests, weights)
+
+    @pytest.mark.parametrize("weights", [(1, 0), (np.int64(0), np.int32(1)), (0.25, 0.75),
+                                         (np.float32(0.5), np.float64(0.5)),
+                                         np.random.default_rng(3).dirichlet(np.ones(2))],
+                             ids=["int", "numpy-int", "float", "numpy-float", "dirichlet"])
+    def test_number_weights_accepted(self, weights):
+        rng = np.random.default_rng(16)
+        tests = [random_test(1, 2, 2, 2, rng, prefix=p) for p in ("x1", "x2")]
+        assert Scenario(tests, weights).weights == tuple(float(w) for w in weights)
+
     @pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.nan)])
     def test_nan_weight_rejected(self, weights):
         rng = np.random.default_rng(16)

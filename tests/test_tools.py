@@ -69,9 +69,14 @@ def test_changed_flag_fails(report, tmp_path, capsys, edit, words):
 
 def test_stress_grid_one_seed():
     # solve_grid lets every exception but SolverError escape; the table's
-    # last column counts returned results with value > dual_value
+    # third column counts returned results with value > dual_value, its last
+    # the certified results whose moved start certifies their image: all
+    # below scale 1e3, where eps = n max|M - M_s| stays within the absolute
+    # guard, and about half at 1e6 and 1e8, where it does not
     outcomes = stress_grid.solve_grid(1)
     assert len(outcomes) == 240
     errors = {(1.0, 1e-12): 3, (1e6, 1e-6): 3, (1e8, 1e-6): 11}
+    starts = {(1e3, 1e-6): 23, (1e6, 1e-6): 11, (1e8, 1e-6): 7}
     assert stress_grid.table(outcomes) == {
-        pair: (24, errors.get(pair, 0), 0) for pair in stress_grid.PAIRS}
+        pair: (24, errors.get(pair, 0), 0, starts.get(pair, 24 - errors.get(pair, 0)))
+        for pair in stress_grid.PAIRS}

@@ -1,6 +1,7 @@
 """Solve a fixed grid of random objectives at hard scales and tolerances and
-count, per (scale, tol) class, the solves, the ``SolverError``s and the
-returned brackets with ``value > dual_value``, then print the wall time:
+count, per (scale, tol) class, the solves, the ``SolverError``s, the
+returned brackets with ``value > dual_value`` and the moved starts that
+certify, then print the wall time:
 
     python3 tools/stress_grid.py
 
@@ -9,10 +10,16 @@ objectives in ``KINDS`` x the (scale, tol) pairs in ``PAIRS``, 7200 solves.
 Each objective is drawn from its own ``default_rng([seed, d_in, d_out,
 kind])``, for G a complex Gaussian n x n matrix: the trace-normalized
 G G^dag, the indefinite (G + G^dag) / 2, minus the trace-normalized
-G G^dag, and zero; it is scaled by ``scale`` and solved at ``tol``.  The
-exit code is 1 when a returned result has an inverted bracket; an exception
-other than ``SolverError`` is not caught, so it also ends the run with exit
-code 1.  The package is imported from this checkout's ``src/``.
+G G^dag, and zero; it is scaled by ``scale`` and solved at ``tol``.  Each
+certified result is then the start of the objective's image W M W^dag, for
+the shift-clock W = U (x) V of a candidate other than the identity drawn
+from ``default_rng(seed)``, as a report starts an orbit image: the image is
+the dense product, the start the result, M moved by W's monomial, and the
+monomials of W and U.  The image is solved from that start at ``tol``, and
+the start counts when the solve takes it.  The exit code is 1 when a
+returned result has an inverted bracket; an exception other than
+``SolverError`` is not caught, so it also ends the run with exit code 1.
+The package is imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from testerbounds.channel_opt import (ChannelOptResult, SolverError,  # noqa: E402
                                       maximize_over_channels)
-from testerbounds.linalg import HermitianOperator  # noqa: E402
+from testerbounds.bounds import _monomials  # noqa: E402
+from testerbounds.linalg import HermitianOperator, _conjugated, shift_clock  # noqa: E402
 
 SEEDS = 30
 SHAPES = ((1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3))
@@ -48,32 +56,53 @@ def objective(seed: int, d_in: int, d_out: int, kind: int) -> np.ndarray:
     return {"psd": psd, "negative": -psd, "zero": np.zeros((n, n), dtype=complex)}[KINDS[kind]]
 
 
-def solve_grid(seeds: int = SEEDS) -> list[tuple[tuple, ChannelOptResult | SolverError]]:
-    """((seed, shape, kind, scale, tol), result or SolverError) for each solve,
-    in grid order."""
+def started(seed: int, res: ChannelOptResult, m: HermitianOperator, tol: float) -> bool:
+    """Whether the image of ``m`` under the seed's shift-clock candidate is
+    solved from the start that ``res`` makes, as the module docstring says."""
+    d_in, d_out = m.dims
+    c = int(np.random.default_rng(seed).integers(1, m.size ** 2))
+    u = shift_clock(d_in)[c // d_out ** 2]
+    w = np.kron(u, shift_clock(d_out)[c % d_out ** 2])
+    (iw, pw), (iu, pu) = _monomials(w[None]), _monomials(u[None])
+    start = res, _conjugated(m.mat, (iw[0], pw[0])), (iw[0], pw[0]), (iu[0], pu[0])
+    try:
+        image = maximize_over_channels(HermitianOperator(w @ m.mat @ w.conj().T, m.dims),
+                                       tol=tol, start=start)
+    except SolverError:
+        return False
+    return image.path == "start"
+
+
+def solve_grid(seeds: int = SEEDS) -> list[tuple[tuple, ChannelOptResult | SolverError, bool]]:
+    """((seed, shape, kind, scale, tol), result or SolverError, whether its
+    moved start certified) for each solve, in grid order."""
     outcomes = []
     for seed in range(seeds):
         for shape in SHAPES:
             for kind in range(len(KINDS)):
                 base = objective(seed, *shape, kind)
                 for scale, tol in PAIRS:
+                    m = HermitianOperator(scale * base, shape)
                     try:
-                        out = maximize_over_channels(HermitianOperator(scale * base, shape),
-                                                     tol=tol)
+                        out = maximize_over_channels(m, tol=tol)
                     except SolverError as exc:
-                        out = exc
-                    outcomes.append(((seed, shape, KINDS[kind], scale, tol), out))
+                        out, moved = exc, False
+                    else:
+                        moved = started(seed, out, m, tol)
+                    outcomes.append(((seed, shape, KINDS[kind], scale, tol), out, moved))
     return outcomes
 
 
-def table(outcomes) -> dict[tuple[float, float], tuple[int, int, int]]:
-    """(solves, SolverErrors, inverted brackets) for each (scale, tol) class."""
-    rows = {pair: [0, 0, 0] for pair in PAIRS}
-    for (*_, scale, tol), out in outcomes:
+def table(outcomes) -> dict[tuple[float, float], tuple[int, int, int, int]]:
+    """(solves, SolverErrors, inverted brackets, certified moved starts) for
+    each (scale, tol) class."""
+    rows = {pair: [0, 0, 0, 0] for pair in PAIRS}
+    for (*_, scale, tol), out, moved in outcomes:
         row = rows[scale, tol]
         row[0] += 1
         row[1] += isinstance(out, SolverError)
         row[2] += isinstance(out, ChannelOptResult) and out.value > out.dual_value
+        row[3] += moved
     return {pair: tuple(row) for pair, row in rows.items()}
 
 
@@ -81,11 +110,11 @@ def main() -> int:
     began = time.perf_counter()
     rows = table(solve_grid())
     wall = time.perf_counter() - began
-    print(f"{'scale':>6} {'tol':>6} {'solves':>7} {'errors':>7} {'inverted':>9}")
-    for (scale, tol), (solves, errors, inverted) in rows.items():
-        print(f"{scale:6.0e} {tol:6.0e} {solves:7d} {errors:7d} {inverted:9d}")
+    print(f"{'scale':>6} {'tol':>6} {'solves':>7} {'errors':>7} {'inverted':>9} {'starts':>7}")
+    for (scale, tol), (solves, errors, inverted, starts) in rows.items():
+        print(f"{scale:6.0e} {tol:6.0e} {solves:7d} {errors:7d} {inverted:9d} {starts:7d}")
     totals = [sum(column) for column in zip(*rows.values())]
-    print(f"{'all':>13} {totals[0]:7d} {totals[1]:7d} {totals[2]:9d}")
+    print(f"{'all':>13} {totals[0]:7d} {totals[1]:7d} {totals[2]:9d} {totals[3]:7d}")
     print(f"wall {wall:.1f} s")
     return 1 if totals[2] else 0
 
