@@ -32,7 +32,7 @@ source are solved directly.  Each symmetry is kept as monomials (index,
 phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and two
 phase products.  A report is one walk over the combinations' table: each
 objective is built once, as the plain matrix that ``objective_operator``
-wraps, and validated as an operator only for an exact solve.  Each source that
+wraps, and wrapped, unchecked, only for an exact solve.  Each source that
 has images keeps its objective M; an image moves it once, to W M W^dag, for
 both its spectral step and its start.  It takes its source's norm cap and
 tightness once its own objective is checked to equal W M W^dag (a source with
@@ -82,8 +82,8 @@ def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[
 def _objective(scenario: Scenario, testers: Sequence[Tester],
                combination: tuple[str, ...]) -> np.ndarray:
     """The matrix of sum_l r_l T_l(x_l), summed one test at a time.  A sum of
-    exactly Hermitian elements is exactly Hermitian, so wrapping it in a
-    ``HermitianOperator`` leaves its bits as they are."""
+    validated, exactly Hermitian elements is finite and exactly Hermitian, so
+    it is wrapped unchecked, and the wrap leaves its bits as they are."""
     total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
     for weight, tester, label in zip(scenario.weights, testers, combination):
         total += weight * tester.element(label).mat
@@ -91,10 +91,10 @@ def _objective(scenario: Scenario, testers: Sequence[Tester],
 
 
 def objective_operator(scenario: Scenario, combination: Sequence[str]) -> HermitianOperator:
-    """Weighted tester-element sum sum_l r_l T_l(x_l) for one combination."""
+    """sum_l r_l T_l(x_l) for one combination, built unchecked as ``_objective`` allows."""
     combination = _check_combination(scenario, combination)
-    return HermitianOperator(_objective(scenario, scenario.testers(), combination),
-                             (scenario.d_in, scenario.d_out))
+    return HermitianOperator._unchecked(_objective(scenario, scenario.testers(), combination),
+                                        (scenario.d_in, scenario.d_out))
 
 
 class _Relabelling:
@@ -546,7 +546,8 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
             start = (solved, moved, w, u) if isinstance(solved, ChannelOptResult) else None
         if spectral is None:
             spectral = _tightness(mat, dims)
-        exact = None if skip_exact else exact_bound(HermitianOperator(mat, dims), start)
+        # validated testers' elements, summed as _objective says
+        exact = None if skip_exact else exact_bound(HermitianOperator._unchecked(mat, dims), start)
         if combo in sources:
             kept[combo] = (mat, None if spectral.degenerate else spectral, exact)
         reports.append(_report(scenario, combo, tol, spectral, maxima, exact))

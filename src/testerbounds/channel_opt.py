@@ -49,9 +49,9 @@ as (index, phase), W[a, index[a]] = phase[a].  eps = n max|M - M_s| bounds
 U Y U^dag + eps I is a dual certificate of M of value tr Y + d_in eps: its
 slack is at least U Y U^dag (x) I - M_s, the start's slack moved by W, so its
 smallest eigenvalue is at least the start's.  No eigendecomposition is needed.
-A start certifies when eps <= ROUNDING_ATOL and that widened gap is at most
-tol (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007); only then are
-J and Y moved.
+A start certifies when eps <= ROUNDING_ATOL max(1, max|M|) and that widened
+gap is at most tol (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007);
+only then are J and Y moved.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _channel(jfix: np.ndarray, dims: tuple[int, ...]) -> Channel | None:
 def _from_start(m: HermitianOperator, tol: float, start: tuple) -> ChannelOptResult | None:
     """The result for ``m`` that a start (result, M_s, W, U) certifies by the
     perturbation bound eps = n max|M - M_s|, with the channel J' = W J W^dag
-    and the dual U Y U^dag + eps I, or None.  J' is not validated again.
+    and the dual U Y U^dag + eps I, or None; all three are built unchecked.
     Entry (a, b) of J' is J[index[a], index[b]] times two of W's phases, two
     complex products averaged with its mirror, so entrywise
     |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
@@ -220,17 +220,16 @@ def _from_start(m: HermitianOperator, tol: float, start: tuple) -> ChannelOptRes
             or any(len(x) != m.size for x in w) or any(len(x) != d_in for x in u)):
         return None
     eps = m.size * float(np.abs(m.mat - objective).max())
-    if not eps <= ROUNDING_ATOL:
+    if not eps <= ROUNDING_ATOL * max(1.0, float(np.abs(m.mat).max())):
         return None
-    optimizer = object.__new__(Channel)
-    object.__setattr__(optimizer, "choi",
-                       HermitianOperator(_conjugated(res.optimizer.choi.mat, w), m.dims))
+    optimizer = Channel._unchecked(
+        HermitianOperator._unchecked(_conjugated(res.optimizer.choi.mat, w), m.dims))
     value = float(np.vdot(optimizer.choi.mat, m.mat).real)
     dual_value = res.dual_value + d_in * eps
     y = _conjugated(res.dual_certificate.mat, u) + eps * np.eye(d_in)
     with suppress(SolverError):
         return ChannelOptResult(value=value, optimizer=optimizer, dual_value=dual_value,
-                                dual_certificate=HermitianOperator(y, m.dims[:1]),
+                                dual_certificate=HermitianOperator._unchecked(y, m.dims[:1]),
                                 tol=tol, dual_min_eig=res.dual_min_eig, iterations=0,
                                 history=((value, dual_value),), path="start")
     return None

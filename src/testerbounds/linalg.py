@@ -77,21 +77,27 @@ class HermitianOperator:
         arr = np.asarray(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-        h = arr.conj().T
         # a non-finite entry makes the skew NaN or inf, which fails the test
         # below and is reported as such; inf - inf warrants no warning first
         with np.errstate(invalid="ignore"):
-            skew = np.abs(arr - h).max(initial=0.0)
+            skew = np.abs(arr - arr.conj().T).max(initial=0.0)
         if not skew <= HERMITICITY_ATOL:
             if not np.isfinite(arr).all():
                 raise ValidationError("matrix contains non-finite entries")
             if not skew <= HERMITICITY_ATOL * np.abs(arr).max():
                 raise ValidationError(f"matrix is not Hermitian (residual {skew:.3e})")
-        arr = arr + h
-        arr /= 2  # complex division, so the bits, signed zeros too, of (arr + h) / 2
+        vars(self).update(vars(HermitianOperator._unchecked(arr, _check_dims(dims, arr.shape[0]))))
+
+    @classmethod
+    def _unchecked(cls, mat: np.ndarray, dims: tuple[int, ...]) -> HermitianOperator:
+        """``cls(mat, dims)``, untested: for a finite ``mat`` Hermitian to rounding, of ``dims``."""
+        op = object.__new__(cls)
+        arr = np.asarray(mat, dtype=complex)
+        arr = arr + arr.conj().T
+        arr /= 2  # complex division, so the bits, signed zeros too, of (arr + arr^dag) / 2
         arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-        object.__setattr__(self, "dims", _check_dims(dims, arr.shape[0]))
+        vars(op).update(mat=arr, dims=dims)
+        return op
 
     def __eq__(self, other):
         """Equal dims and equal matrices, entry by entry; a ``Channel`` and any
@@ -143,8 +149,8 @@ class Ket:
         return self.amps.shape[0]
 
     def projector(self) -> HermitianOperator:
-        """Rank-1 operator |v><v| with the same subsystem dims."""
-        return HermitianOperator(np.outer(self.amps, self.amps.conj()), self.dims)
+        """Rank-1 operator |v><v| with the same subsystem dims, a unit ket's, so unchecked."""
+        return HermitianOperator._unchecked(np.outer(self.amps, self.amps.conj()), self.dims)
 
     def overlap(self, other: "Ket") -> complex:
         """Inner product <self|other>."""
@@ -156,7 +162,7 @@ class Ket:
 def kron(a, b):
     """Tensor product of two operators or two kets; dims concatenate."""
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.mat, b.mat), a.dims + b.dims)
+        return HermitianOperator._unchecked(np.kron(a.mat, b.mat), a.dims + b.dims)  # validated
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket(np.kron(a.amps, b.amps), a.dims + b.dims)
     raise TypeError("kron expects two HermitianOperator or two Ket operands")
@@ -181,12 +187,13 @@ def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperat
     kept_dims = tuple(op.dims[i] for i in keep) or (1,)
     kept_size = int(np.prod(kept_dims))
     result = np.einsum("".join(row) + "".join(col) + "->" + out, reshaped)
-    return HermitianOperator(result.reshape(kept_size, kept_size), kept_dims)
+    # sums of a validated operator's entries, mirrored sums conjugate to each other
+    return HermitianOperator._unchecked(result.reshape(kept_size, kept_size), kept_dims)
 
 
 def basis_transpose(op: HermitianOperator) -> HermitianOperator:
     """Transpose in the fixed computational basis (involutive)."""
-    return HermitianOperator(op.mat.T, op.dims)
+    return HermitianOperator._unchecked(op.mat.T, op.dims)  # a validated operator's transpose
 
 
 def eig_hermitian(op: HermitianOperator) -> tuple[np.ndarray, list[Ket]]:

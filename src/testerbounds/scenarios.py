@@ -184,8 +184,6 @@ def state_measurement_scenario(povms: Sequence[Sequence], weights: Sequence[floa
                 eff = item
             else:
                 raise ValidationError("measurements must consist of Ket or HermitianOperator")
-            if len(eff.dims) != 1:
-                eff = HermitianOperator(eff.mat, (eff.size,))
             effects.append((f"x{l + 1}_{i}", HermitianOperator(eff.mat, (1, eff.size))))
         d_out = effects[0][1].dims[1]
         state = HermitianOperator(np.array([[1.0]]), (1, 1))

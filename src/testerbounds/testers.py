@@ -122,6 +122,13 @@ class Channel:
                     "channel is not trace preserving")
         object.__setattr__(self, "choi", choi)
 
+    @classmethod
+    def _unchecked(cls, choi: HermitianOperator) -> Channel:
+        """``cls(choi)`` with none of its tests, for a channel's ``choi``; callers say why."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "choi", choi)
+        return ch
+
     @property
     def d_in(self) -> int:
         return self.choi.dims[0]
@@ -203,7 +210,7 @@ def upsilon_dual_apply(rho: HermitianOperator, b: HermitianOperator,
     factors are left untouched.  The result does not depend on which convex
     pure-state decomposition is used; by default the eigendecomposition is
     taken.  An explicit ``decomposition`` of (weight, vector) pairs may be
-    supplied instead.
+    supplied instead; it is trusted, not checked, to be one of rho.
     """
     if len(rho.dims) != 2:
         raise DimensionError("state must carry dims (d_anc, d_in)")
@@ -221,7 +228,10 @@ def upsilon_dual_apply(rho: HermitianOperator, b: HermitianOperator,
     blocks = b.mat.reshape(d_anc, r, d_anc, r).transpose(1, 3, 0, 2)
     per_ket = kraus.conj().swapaxes(-1, -2) @ blocks @ kraus
     out = np.tensordot(weights, per_ket, axes=1).transpose(2, 0, 3, 1)
-    return HermitianOperator(out.reshape(d_in * r, d_in * r), (d_in, *b.dims[1:]))
+    if not np.isfinite(out).all():  # a caller's decomposition may hold non-finite values
+        raise ValidationError("decomposition gives non-finite entries")
+    # w_n K_n^dag b_xy K_n for a validated b and real w_n: Hermitian up to rounding
+    return HermitianOperator._unchecked(out.reshape(d_in * r, d_in * r), (d_in, *b.dims[1:]))
 
 
 def tester_from_test(test: Test) -> Tester:

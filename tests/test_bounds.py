@@ -1,5 +1,7 @@
 """Tests for the scenario-level uncertainty bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,8 @@ from testerbounds.scenarios import (
     mub_meb_pair_2qubit,
     state_measurement_scenario,
 )
-from testerbounds.testers import Scenario, Test, channel_from_choi, channel_from_unitary
+from testerbounds.testers import (Scenario, Test, channel_from_choi, channel_from_unitary,
+                                  scenario_from_json, scenario_to_json)
 
 from oracles import exhaustive_symmetries
 
@@ -877,17 +880,56 @@ class TestMonomials:
             assert np.array_equal(mat, oracle.mat) and np.array_equal(m.mat, oracle.mat)
             assert m.dims == oracle.dims
 
-    def test_closed_form_report_builds_no_operator(self, monkeypatch):
-        # a cost guard: the walk builds plain matrices, and an operator is
-        # validated only when an exact solve follows
-        s = _build_scenario("meb", 3)
+    @pytest.mark.parametrize("kind,d", [("meb", 3), ("mub-meb-2qubit", 2)])
+    def test_checks_run_only_at_the_boundary(self, kind, d, monkeypatch):
+        # a boundary guard: on a loaded scenario with its testers built, a full
+        # report runs the checked HermitianOperator.__init__ twice in each solve
+        # that is not a start, for the repaired primal and the dual, and nowhere
+        # else; every other operator comes from validated ones, unchecked
+        payload = dumps_canonical(scenario_to_json(_build_scenario(kind, d)))
+        s = scenario_from_json(json.loads(payload))
         s.testers()
+        checked, solves = [], []
+        init, solve = HermitianOperator.__init__, bounds.maximize_over_channels
+        monkeypatch.setattr(HermitianOperator, "__init__",
+                            lambda self, *args: checked.append(args) or init(self, *args))
+
+        def counted(m, tol, start=None):
+            before = len(checked)
+            res = solve(m, tol=tol, start=start)
+            solves.append((res.path, len(checked) - before))
+            return res
+
+        monkeypatch.setattr(bounds, "maximize_over_channels", counted)
+        reports = scenario_report(s)
+        assert all(r.error is None for r in reports)
+        assert {path for path, _ in solves} >= {"start", "interior_point"}
+        assert [n for _, n in solves] == [0 if path == "start" else 2 for path, _ in solves]
+        assert len(checked) == sum(n for _, n in solves)
+
+    @pytest.mark.parametrize("kind,d", [
+        *((kind, d) for kind in GEN_KINDS for d in ((2,) if kind == "mub-meb-2qubit" else (2, 3))),
+        ("random", 0), ("random", 1)])
+    def test_every_unchecked_operator_passes_the_checks(self, kind, d, monkeypatch):
+        # the oracle of the boundary: each operator built unchecked, from the
+        # scenario's construction through its testers to a full report, passes
+        # the checks of the public constructor, which gives it the same bits
         built = []
-        operator = bounds.HermitianOperator
-        monkeypatch.setattr(bounds, "HermitianOperator",
-                            lambda *args: built.append(args) or operator(*args))
-        reports = scenario_report(s, skip_exact=True, skip_trivial=True)
-        assert len(reports) == 81 and len(built) < len(reports)
+        unchecked = HermitianOperator._unchecked.__func__
+
+        def recorded(cls, mat, dims):
+            op = unchecked(cls, mat, dims)
+            built.append((np.array(mat), dims, op))
+            return op
+
+        monkeypatch.setattr(HermitianOperator, "_unchecked", classmethod(recorded))
+        s = random_scenario(np.random.default_rng(d), d_anc=2, d_in=2, d_out=2) \
+            if kind == "random" else _build_scenario(kind, d)
+        assert all(r.error is None for r in scenario_report(s))
+        monkeypatch.undo()
+        assert built
+        for mat, dims, op in built:
+            assert HermitianOperator(mat, dims) == op
 
 
 def one_test_scenario(rho, effects):

@@ -437,8 +437,7 @@ class TestVerify:
             if res is None:
                 return None
             choi = np.eye(m.size) / m.dims[1] if scale is None else scale * res.optimizer.choi.mat
-            channel = object.__new__(Channel)
-            object.__setattr__(channel, "choi", HermitianOperator(choi, m.dims))
+            channel = Channel._unchecked(HermitianOperator(choi, m.dims))
             return dataclasses.replace(res, optimizer=channel)
 
         assert checks.check_orbit_reuse(np.random.default_rng(5), 1).passed

@@ -218,7 +218,8 @@ class TestConstruction:
     def test_mat_is_the_hermitian_average(self, n):
         # bit for bit (arr + arr^dag) / 2 of the complex input, signs of zeros
         # included, on Hermitian, near-Hermitian (skew within the tolerance),
-        # real and signed-zero inputs
+        # real and signed-zero inputs, from the checked constructor and from
+        # the unchecked one alike
         rng = np.random.default_rng(n)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = g + g.conj().T
@@ -228,9 +229,10 @@ class TestConstruction:
         for arr in (h, h + 1e-11 * g, h.real, h.real * signs, zeros):
             c = np.asarray(arr, dtype=complex)
             expected = ((c + c.conj().T) / 2).view(float)
-            mat = HermitianOperator(arr, (n,)).mat.view(float)
-            assert np.array_equal(mat, expected)
-            assert np.array_equal(np.signbit(mat), np.signbit(expected))
+            for build in (HermitianOperator, HermitianOperator._unchecked):
+                mat = build(arr, (n,)).mat.view(float)
+                assert np.array_equal(mat, expected)
+                assert np.array_equal(np.signbit(mat), np.signbit(expected))
 
     @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(np.inf, 0.0)],
                              ids=["nan-imag", "inf-real"])

@@ -162,6 +162,16 @@ class TestUpsilonDual:
         with pytest.raises(ValidationError):
             upsilon_dual_apply(rho, HermitianOperator(np.eye(6), (3, 2)))
 
+    @pytest.mark.parametrize("weight,vector", [(np.nan, np.ones(4) / 2),
+                                               (1.0, np.array([np.nan, 0, 0, 1]))],
+                             ids=["nan-weight", "nan-vector"])
+    def test_non_finite_decomposition_rejected(self, weight, vector):
+        # the result is built unchecked, so a caller's decomposition is
+        # checked for finiteness instead
+        rho, b = maximally_entangled_state(2), HermitianOperator(np.eye(4), (2, 2))
+        with pytest.raises(ValidationError, match="non-finite"):
+            upsilon_dual_apply(rho, b, decomposition=[(weight, vector)])
+
 
 class TestScenarioTesters:
     def test_built_once_fresh_list(self, monkeypatch):

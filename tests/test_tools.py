@@ -1,8 +1,9 @@
-"""tools/report_diff.py on reports written by the CLI and edited by hand, and
-tools/stress_grid.py on one seed."""
+"""tools/report_diff.py on reports written by the CLI and edited by hand,
+tools/stress_grid.py on one seed, and tools/output_digests.py once."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ def _load(name: str):
 
 report_diff = _load("report_diff")
 stress_grid = _load("stress_grid")
+output_digests = _load("output_digests")
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +72,24 @@ def test_changed_flag_fails(report, tmp_path, capsys, edit, words):
 def test_stress_grid_one_seed():
     # solve_grid lets every exception but SolverError escape; the table's
     # third column counts returned results with value > dual_value, its last
-    # the certified results whose moved start certifies their image: all
-    # below scale 1e3, where eps = n max|M - M_s| stays within the absolute
-    # guard, and about half at 1e6 and 1e8, where it does not
+    # the certified results whose moved start certifies their image: on this
+    # seed all of them at every scale, as the guard on eps = n max|M - M_s|
+    # scales with max(1, max|M|)
     outcomes = stress_grid.solve_grid(1)
     assert len(outcomes) == 240
     errors = {(1.0, 1e-12): 3, (1e6, 1e-6): 3, (1e8, 1e-6): 11}
-    starts = {(1e3, 1e-6): 23, (1e6, 1e-6): 11, (1e8, 1e-6): 7}
     assert stress_grid.table(outcomes) == {
-        pair: (24, errors.get(pair, 0), 0, starts.get(pair, 24 - errors.get(pair, 0)))
+        pair: (24, errors.get(pair, 0), 0, 24 - errors.get(pair, 0))
         for pair in stress_grid.PAIRS}
+
+
+def test_output_digests_lines(tmp_path, capsys):
+    # every command exits 0 and prints one "<sha256>  <name>" line under a
+    # name of its own, so two checkouts' lines pair up under diff
+    output_digests.print_digests(tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    matches = [re.fullmatch(r"[0-9a-f]{64}  (\S.*)", line) for line in lines]
+    assert lines and all(matches), lines
+    names = [m.group(1) for m in matches]
+    assert not [name for name in names if re.search(r"\(exit \d+\)$", name)]
+    assert len(set(names)) == len(names)
