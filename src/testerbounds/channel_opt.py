@@ -31,15 +31,14 @@ the duality gap is n mu = tr[J S].  Each iteration solves
 herm tr_out(J (dY (x) I) S^-1) = herm tr_out(T S^-1) - I  for a Hermitian dY
 and sets dS = dY (x) I, dJ = herm(T S^-1 - J - J dS S^-1): T = 0 is the
 predictor, T = sigma mu I - dJ_aff dS_aff with sigma = (mu_aff / mu)^3 the
-corrector.  The Schur matrix, (A + B) / 2 with A[(i,l),(j,k)] =
-sum_{o,p} J[i,o,j,p] R[k,p,l,o] for R = S^-1 and B the same with J and R
-swapped, is two matmuls of reshaped views, O(d_in^4 d_out^2), inverted once
-per iteration for both right-hand sides.  Each solve is refined once, as the
-residual of the inverse alone is primal infeasibility later iterates inherit.
-Each side steps to 0.95 of its boundary, capped at 1, found from the smallest
-eigenvalue of L^-1 dX L^-H for the Cholesky factor L of X; J and S are
-factored, their factors inverted and both directions whitened as one stacked
-pair, so S^-1 comes from the inverted factor.  Once n mu <= tol / 2 both
+corrector.  An iteration runs one Cholesky of the stacked pair (J, S), two
+inverses, of the factor pair, whence S^-1, and of the Schur matrix (A + B) / 2,
+one batched O(d_in^4 d_out^2) product for A[(i,l),(j,k)] = sum_{o,p}
+J[i,o,j,p] R[k,p,l,o], R = S^-1, and B, A with J and R swapped, and two
+stacked eigvalsh: each side steps to 0.95 of its boundary, capped at 1, found
+from the smallest eigenvalue of L^-1 dX L^-H for the Cholesky factor L of X.
+Each Schur solve is refined once, as the residual of the inverse alone is
+primal infeasibility later iterates inherit.  Once n mu <= tol / 2 both
 iterates are repaired to exact feasibility and the gap is measured.
 
 A start (result, M_s, W, U) is a result (J, Y) certified for an objective,
@@ -139,15 +138,12 @@ def _slack(y: np.ndarray, a: np.ndarray, lift: np.ndarray) -> np.ndarray:
 
 def _schur(j: np.ndarray, sinv: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """Matrix of dY -> herm tr_out(J (dY (x) I) S^-1) on row-major vec(dY)."""
-
-    def product(first, second):
-        # [(i,l),(j,k)] -> sum_{o,p} first[i,o,j,p] second[k,p,l,o]
-        left = first.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
-        right = second.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0)
-        out = left.reshape(d_in * d_in, -1) @ right.reshape(-1, d_in * d_in)
-        return out.reshape((d_in,) * 4).transpose(0, 2, 1, 3)
-
-    return ((product(j, sinv) + product(sinv, j)) / 2).reshape(d_in * d_in, -1)
+    # [(i,l),(j,k)] -> sum_{o,p} first[i,o,j,p] second[k,p,l,o] for both (J, S^-1), (S^-1, J)
+    pair = np.concatenate((j, sinv)).reshape(2, d_in, d_out, d_in, d_out)
+    left = pair.transpose(0, 1, 3, 2, 4).reshape(2, d_in * d_in, -1)
+    right = pair[::-1].transpose(0, 4, 2, 3, 1).reshape(2, -1, d_in * d_in)
+    out = (left @ right).sum(0) / 2
+    return out.reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(d_in * d_in, -1)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -358,33 +354,35 @@ def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> C
     """The interior point of the module docstring, started from the extreme
     eigenvalues of ``spectrum``, M's in ascending order."""
     d_in, d_out = m.dims
-    a = m.mat
+    a, n = m.mat, m.size
     bracket = _Bracket(m, tol)
     lift = bracket.lift
     iterations = 0
 
     lam_min, lam_max = float(spectrum[0]), float(spectrum[-1])
     y = (lam_max + 0.1 * max(lam_max - lam_min, 1.0, abs(lam_max))) * np.eye(d_in)
-    j = np.eye(d_in * d_out, dtype=complex) / d_out
+    # (J, S) and (dJ, dS) stacked in place; ``put`` repeats dY into dS, zero elsewhere
+    pair = np.array([np.eye(n) / d_out, np.zeros((n, n))], dtype=complex)
+    step = np.zeros((2, n, n), dtype=complex)
+    (j, s), (dj, ds), to_ds = pair, step, lift.transpose(1, 0, 2).reshape(-1)
+    minus_eye = -np.eye(d_in, dtype=complex).reshape(-1)
 
     def direction(ts: np.ndarray | None) -> tuple:
-        """(dJ, dS, dY, dS S^-1) and both step lengths for ts = T S^-1, None if T = 0."""
-        rhs = -np.eye(d_in, dtype=complex) if ts is None else _hermitize(
-            np.einsum("iojo->ij", ts.reshape(d_in, d_out, d_in, d_out))) - np.eye(d_in)
-        dy = schur_inv @ rhs.reshape(-1)
-        dy = _hermitize((dy + schur_inv @ (rhs.reshape(-1) - schur @ dy)).reshape(d_in, d_in))
-        ds = np.zeros_like(a)
-        ds.reshape(-1)[lift] = dy[:, None, :]
+        """dY, dS S^-1 and both step lengths for ts = T S^-1, None if T = 0; dJ, dS in ``step``."""
+        rhs = minus_eye if ts is None else minus_eye + _hermitize(
+            np.einsum("iojo->ij", ts.reshape(d_in, d_out, d_in, d_out))).reshape(-1)
+        dy = schur_inv @ rhs
+        dy = _hermitize((dy + schur_inv @ (rhs - schur @ dy)).reshape(d_in, d_in))
+        ds.put(to_ds, dy)
         dss = ds @ sinv
-        dj = _hermitize(-(j @ dss) if ts is None else ts - j @ dss) - j
-        whitened = inv_l @ np.stack([dj, ds]) @ inv_l.conj().transpose(0, 2, 1)
-        lo = np.linalg.eigvalsh(whitened)[:, 0].tolist()
-        return dj, ds, dy, dss, [1.0 / max(1.0, -x / 0.95) for x in lo]
+        np.subtract(_hermitize(-(j @ dss) if ts is None else ts - j @ dss), j, out=dj)
+        lo = np.linalg.eigvalsh(inv_l @ step @ inv_lh)[:, 0].tolist()
+        return dy, dss, [1.0 / max(1.0, -x / 0.95) for x in lo]
 
     message = f"not certified in {_MAX_ITERATIONS} iterations"
     try:
         while True:
-            s = _slack(y, a, lift)
+            pair[1] = _slack(y, a, lift)
             gap = np.vdot(j, s).real
             if gap <= tol / 2 and \
                     (res := bracket.certify(j, y, iterations, "interior_point")) is not None:
@@ -392,18 +390,20 @@ def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> C
             if iterations == _MAX_ITERATIONS:
                 break
             iterations += 1
-            inv_l = np.linalg.inv(np.linalg.cholesky(np.stack([j, s])))
-            sinv = inv_l[1].conj().T @ inv_l[1]
+            inv_l = np.linalg.inv(np.linalg.cholesky(pair))
+            inv_lh = inv_l.conj().transpose(0, 2, 1)
+            sinv = inv_lh[1] @ inv_l[1]
             schur = _schur(j, sinv, d_in, d_out)
             schur_inv = np.linalg.inv(schur)
-            dj, ds, dy, dss, (tp, td) = direction(None)
+            dy, dss, (tp, td) = direction(None)
             mu_aff = np.vdot(j + tp * dj, s + td * ds).real
-            ts = (mu_aff / gap) ** 3 * gap / (d_in * d_out) * sinv - dj @ dss
-            dj, ds, dy, dss, (tp, td) = direction(ts)
+            ts = (mu_aff / gap) ** 3 * gap / n * sinv - dj @ dss
+            dy, dss, (tp, td) = direction(ts)
             if max(tp, td) < np.finfo(float).eps:
                 message = "step collapsed"
                 break
-            j, y = j + tp * dj, y + td * dy
+            j += tp * dj
+            y = y + td * dy
     except np.linalg.LinAlgError as exc:
         message = f"numerical failure: {exc}"
     with suppress(np.linalg.LinAlgError, SolverError):

@@ -48,6 +48,20 @@ def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
     return value, channel
 
 
+def two_product_schur(j: np.ndarray, sinv: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """``channel_opt._schur`` as two separate products, (A + B) / 2: the
+    reference that the batched product must equal bit for bit."""
+
+    def product(first, second):
+        # [(i,l),(j,k)] -> sum_{o,p} first[i,o,j,p] second[k,p,l,o]
+        left = first.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+        right = second.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0)
+        out = left.reshape(d_in * d_in, -1) @ right.reshape(-1, d_in * d_in)
+        return out.reshape((d_in,) * 4).transpose(0, 2, 1, 3)
+
+    return ((product(j, sinv) + product(sinv, j)) / 2).reshape(d_in * d_in, -1)
+
+
 def exhaustive_symmetries(scenario: Scenario) -> list:
     """``bounds._symmetries`` by fingerprinting every candidate on its own, with
     no use of the group structure: the list, in the same order, that the

@@ -28,7 +28,7 @@ from testerbounds.linalg import (
 from testerbounds.sampling import haar_unitary, random_scenario
 from testerbounds.scenarios import meb_scenario, mub_meb_pair_2qubit
 
-from oracles import random_channel_lower_bound
+from oracles import random_channel_lower_bound, two_product_schur
 
 
 def random_psd(rng, d_in, d_out, scale=1.0):
@@ -207,10 +207,11 @@ class TestDampedStep:
     @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
     def test_every_slack_is_positive_definite(self, d_in, d_out, monkeypatch):
         slack = channel_opt._slack
-        indefinite = []
+        slacks, indefinite = [], []
 
         def checked(y, a, lift):
             s = slack(y, a, lift)
+            slacks.append(s)
             try:
                 np.linalg.cholesky(s)
             except np.linalg.LinAlgError:
@@ -226,8 +227,11 @@ class TestDampedStep:
         # the interior point itself: at d_in = 1 the solver takes the closed
         # form, whose dual lies on the boundary of the cone
         for m, tol in cases:
+            slacks.clear()
             res = channel_opt._interior_point(m, tol, np.linalg.eigvalsh(m.mat))
             assert 0.0 <= res.gap <= tol
+            # the slack of each of the iterations + 1 iterates reached the wrapper
+            assert len(slacks) >= res.iterations + 1
         assert not indefinite
 
     # a refined Schur solve keeps the primal feasible enough that both certify;
@@ -580,6 +584,15 @@ class TestNewtonSystem:
             expected = (out + out.conj().T) / 2
             predicted = (schur @ delta.reshape(-1)).reshape(d_in, d_in)
             assert np.max(np.abs(predicted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
+    def test_batched_schur_equals_two_products(self, d_in, d_out):
+        # one batched matmul does the arithmetic of two, so every entry is the same
+        rng = np.random.default_rng(60 + 10 * d_in + d_out)
+        j = random_psd(rng, d_in, d_out).mat + 0.1 * np.eye(d_in * d_out)
+        sinv = np.linalg.inv(random_psd(rng, d_in, d_out).mat + 0.1 * np.eye(d_in * d_out))
+        assert np.array_equal(_schur(j, sinv, d_in, d_out),
+                              two_product_schur(j, sinv, d_in, d_out))
 
     @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
     def test_hessian_matches_gradient_difference(self, d_in, d_out):

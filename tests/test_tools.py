@@ -1,5 +1,6 @@
 """tools/report_diff.py on reports written by the CLI and edited by hand,
-tools/stress_grid.py on one seed, and tools/output_digests.py once."""
+tools/stress_grid.py on one seed, its table and its iteration sums, and
+tools/output_digests.py once."""
 
 import importlib.util
 import json
@@ -81,6 +82,15 @@ def test_stress_grid_one_seed():
     assert stress_grid.table(outcomes) == {
         pair: (24, errors.get(pair, 0), 0, 24 - errors.get(pair, 0))
         for pair in stress_grid.PAIRS}
+
+
+def test_stress_grid_iterations_one_seed():
+    # iteration counts do not depend on the machine, so the sums per class pin
+    # the solver's iterates at every scale and tolerance of the grid
+    assert stress_grid.iterations(stress_grid.solve_grid(1)) == {
+        (1.0, 1e-6): 126, (1.0, 1e-9): 178, (1.0, 1e-12): 250, (1e-6, 1e-12): 212,
+        (1e-3, 1e-9): 163, (1e3, 1e-6): 167, (1e6, 1e-6): 213, (1e8, 1e-6): 86,
+        (1e2, 1e-9): 243, (1e-6, 1e-9): 157}
 
 
 def test_output_digests_lines(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Solve a fixed grid of random objectives at hard scales and tolerances and
 count, per (scale, tol) class, the solves, the ``SolverError``s, the
-returned brackets with ``value > dual_value`` and the moved starts that
-certify, then print the wall time:
+returned brackets with ``value > dual_value``, the moved starts that
+certify and the primal-dual iterations of the certified results, then print
+the wall time:
 
     python3 tools/stress_grid.py
 
@@ -106,15 +107,29 @@ def table(outcomes) -> dict[tuple[float, float], tuple[int, int, int, int]]:
     return {pair: tuple(row) for pair, row in rows.items()}
 
 
+def iterations(outcomes) -> dict[tuple[float, float], int]:
+    """The sum of ``iterations`` over the certified results of each (scale,
+    tol) class: machine-independent, so it pins the solver's iterates."""
+    sums = dict.fromkeys(PAIRS, 0)
+    for (*_, scale, tol), out, _ in outcomes:
+        if isinstance(out, ChannelOptResult):
+            sums[scale, tol] += out.iterations
+    return sums
+
+
 def main() -> int:
     began = time.perf_counter()
-    rows = table(solve_grid())
+    outcomes = solve_grid()
     wall = time.perf_counter() - began
-    print(f"{'scale':>6} {'tol':>6} {'solves':>7} {'errors':>7} {'inverted':>9} {'starts':>7}")
+    rows, steps = table(outcomes), iterations(outcomes)
+    print(f"{'scale':>6} {'tol':>6} {'solves':>7} {'errors':>7} {'inverted':>9} {'starts':>7} "
+          f"{'iterations':>10}")
     for (scale, tol), (solves, errors, inverted, starts) in rows.items():
-        print(f"{scale:6.0e} {tol:6.0e} {solves:7d} {errors:7d} {inverted:9d} {starts:7d}")
+        print(f"{scale:6.0e} {tol:6.0e} {solves:7d} {errors:7d} {inverted:9d} {starts:7d} "
+              f"{steps[scale, tol]:10d}")
     totals = [sum(column) for column in zip(*rows.values())]
-    print(f"{'all':>13} {totals[0]:7d} {totals[1]:7d} {totals[2]:9d} {totals[3]:7d}")
+    print(f"{'all':>13} {totals[0]:7d} {totals[1]:7d} {totals[2]:9d} {totals[3]:7d} "
+          f"{sum(steps.values()):10d}")
     print(f"wall {wall:.1f} s")
     return 1 if totals[2] else 0
 
