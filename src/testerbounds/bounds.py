@@ -302,11 +302,17 @@ class TightnessResult:
 def tightness_check(scenario: Scenario, combination: Sequence[str]) -> TightnessResult:
     """Check whether the operator-norm bound is provably attained.
 
-    True when some checked top eigenvector of the objective has a maximally
-    mixed marginal on the channel input.  One ``eigh`` gives both the norm cap
-    and the top eigenspace; each top eigenvector v, reshaped to a d_in x d_out
-    matrix V, has input marginal V V^dag.  A degenerate top eigenspace is
-    checked only on its basis vectors and the degeneracy is reported.
+    The cap d_in ||M|| is attained exactly when some channel's Choi matrix
+    J = V X V^dag, X >= 0, lives on the top eigenspace V of the objective M
+    and has tr_out J = I.  That is linear in the k x k matrix X, so one
+    ``lstsq`` gives its minimum-norm solution, the witness; the cap is
+    certified when the witness's residual and its most negative eigenvalue
+    are both within ``TIGHTNESS_ATOL``.  The residual is reported as
+    ``marginal_residual``.  The test is sufficient, not complete: a
+    combination whose witness is not positive may still reach the cap.  It
+    runs no optimization and depends on the projector V V^dag only, not on
+    the basis that ``eigh`` returns for a degenerate top eigenspace, whose
+    degeneracy is reported.
     """
     objective = objective_operator(scenario, combination)
     return _tightness(objective.mat, objective.dims)
@@ -316,11 +322,17 @@ def _tightness(mat: np.ndarray, dims: tuple[int, int]) -> TightnessResult:
     """``tightness_check`` of a built objective matrix on in(x)out of ``dims``."""
     vals, vecs = np.linalg.eigh(mat)
     d_in, d_out = dims
-    top = vecs[:, vals >= vals[-1] - TIGHTNESS_ATOL].T.reshape(-1, d_in, d_out)
-    marginals = top @ top.conj().transpose(0, 2, 1) - np.eye(d_in) / d_in
-    best = float(np.abs(np.linalg.eigvalsh(marginals)).max(axis=1).min())
-    return TightnessResult(tight=best <= TIGHTNESS_ATOL, degenerate=len(top) > 1,
-                           marginal_residual=best,
+    top = vecs[:, vals >= vals[-1] - TIGHTNESS_ATOL].reshape(d_in, d_out, -1)
+    k = top.shape[2]
+    # tr_out(V X V^dag)[i, j] = sum_{a, b} X[a, b] sum_o V[i, o, a] conj(V[j, o, b])
+    system = np.einsum("ioa,job->ijab", top, top.conj()).reshape(d_in * d_in, k * k)
+    eye = np.eye(d_in).reshape(-1)
+    x = np.linalg.lstsq(system, eye, rcond=None)[0]
+    residual = float(np.linalg.norm(system @ x - eye))
+    x = x.reshape(k, k)
+    lowest = float(np.linalg.eigvalsh((x + x.conj().T) / 2)[0])
+    return TightnessResult(tight=residual <= TIGHTNESS_ATOL and lowest >= -TIGHTNESS_ATOL,
+                           degenerate=k > 1, marginal_residual=residual,
                            upper=d_in * float(np.max(np.abs(vals))))
 
 
@@ -527,9 +539,6 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
         except SolverError as exc:
             return exc
 
-    # a degenerate top eigenspace is checked on the basis eigh happens to
-    # return, which W does not carry over, so such a result is handed on to
-    # no image
     kept: dict = {}
     reports = []
     testers = scenario.testers()
@@ -541,7 +550,7 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
             source, w, u = origin
             m, handed, solved = kept[source]
             moved = _conjugated(m, w)
-            if handed is not None and np.abs(mat - moved).max() <= ROUNDING_ATOL:
+            if np.abs(mat - moved).max() <= ROUNDING_ATOL:
                 spectral = handed
             start = (solved, moved, w, u) if isinstance(solved, ChannelOptResult) else None
         if spectral is None:
@@ -549,7 +558,7 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
         # validated testers' elements, summed as _objective says
         exact = None if skip_exact else exact_bound(HermitianOperator._unchecked(mat, dims), start)
         if combo in sources:
-            kept[combo] = (mat, None if spectral.degenerate else spectral, exact)
+            kept[combo] = (mat, spectral, exact)
         reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
     return reports
 

@@ -4,9 +4,10 @@ from math import ceil
 
 import numpy as np
 
-from testerbounds.bounds import _monomials, _Relabelling
-from testerbounds.linalg import EQUALITY_ATOL, HermitianOperator, shift_clock
-from testerbounds.sampling import haar_isometries
+from testerbounds.bounds import TIGHTNESS_ATOL, TightnessResult, _monomials, _Relabelling
+from testerbounds.linalg import (EQUALITY_ATOL, HermitianOperator, eig_hermitian, partial_trace,
+                                 shift_clock)
+from testerbounds.sampling import haar_isometries, haar_unitary
 from testerbounds.testers import Channel, Scenario, channel_from_kraus
 
 
@@ -101,3 +102,41 @@ def exhaustive_symmetries(scenario: Scenario) -> list:
     pw = (pu[:, :, None] * pv[:, None, :]).reshape(len(c), d_in * d_out)
     return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
             for i, row in enumerate(rows)]
+
+
+def hermitian_basis(k: int) -> list[np.ndarray]:
+    """The k^2 Hermitian k x k matrices E_aa, (E_ab + E_ba) / sqrt 2 and
+    i (E_ab - E_ba) / sqrt 2 (a < b), orthonormal under Re tr[A^dag B]."""
+    basis = []
+    for a in range(k):
+        for b in range(a, k):
+            for phase in ((1,) if a == b else (1, 1j)):
+                h = np.zeros((k, k), dtype=complex)
+                h[a, b] = phase
+                h[b, a] = np.conj(phase)
+                basis.append(h / np.linalg.norm(h))
+    return basis
+
+
+def tightness_witness(objective: HermitianOperator, rng: np.random.Generator,
+                      atol: float = TIGHTNESS_ATOL) -> TightnessResult:
+    """``bounds.tightness_check`` of an objective as a real least-squares
+    problem: the coefficients c of X = sum_h c_h h over ``hermitian_basis(k)``
+    with tr_out(V X V^dag) = I, each column the validated ``partial_trace`` of
+    one V h V^dag, split into real and imaginary rows.  The top eigenvectors
+    V of ``eig_hermitian`` are first mixed by a Haar unitary, so the answer
+    cannot rest on the basis of a degenerate top eigenspace."""
+    vals, kets = eig_hermitian(objective)
+    top = [ket.amps for v, ket in zip(vals, kets) if v >= vals[-1] - atol]
+    v = np.stack(top, axis=1) @ haar_unitary(len(top), rng)
+    d_in = objective.dims[0]
+    basis = hermitian_basis(len(top))
+    columns = np.stack([partial_trace(HermitianOperator(v @ h @ v.conj().T, objective.dims),
+                                      keep=[0]).mat.reshape(-1) for h in basis], axis=1)
+    system = np.concatenate([columns.real, columns.imag])
+    target = np.concatenate([np.eye(d_in).reshape(-1), np.zeros(d_in * d_in)])
+    c = np.linalg.lstsq(system, target, rcond=None)[0]
+    residual = float(np.linalg.norm(system @ c - target))
+    lowest = float(np.linalg.eigvalsh(sum(ch * h for ch, h in zip(c, basis)))[0])
+    return TightnessResult(tight=residual <= atol and lowest >= -atol, degenerate=len(top) > 1,
+                           marginal_residual=residual, upper=d_in * float(np.max(np.abs(vals))))

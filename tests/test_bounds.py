@@ -32,10 +32,7 @@ from testerbounds.linalg import (
     Ket,
     ValidationError,
     dumps_canonical,
-    eig_hermitian,
     maximally_entangled_ket,
-    operator_norm,
-    partial_trace,
     shift_clock,
 )
 from testerbounds.sampling import (haar_unitary, random_channel, random_ket, random_povm,
@@ -53,7 +50,7 @@ from testerbounds.scenarios import (
 from testerbounds.testers import (Scenario, Test, channel_from_choi, channel_from_unitary,
                                   scenario_from_json, scenario_to_json)
 
-from oracles import exhaustive_symmetries
+from oracles import exhaustive_symmetries, tightness_witness
 
 
 def random_meb(d, rng):
@@ -242,25 +239,11 @@ class TestTightness:
             assert tightness_check(s, combo).tight
 
 
-def tightness_reference(scenario, combination, atol=bounds.TIGHTNESS_ATOL):
-    """Per-ket form of ``tightness_check``: each top eigenvector as a validated
-    ``Ket``, its input marginal by ``partial_trace`` of its projector, and the
-    residual by ``operator_norm``."""
-    objective = bounds.objective_operator(scenario, combination)
-    vals, kets = eig_hermitian(objective)
-    members = [k for v, k in zip(vals, kets) if v >= vals[-1] - atol]
-    d_in = scenario.d_in
-    best = min(operator_norm(HermitianOperator(
-        partial_trace(k.projector(), keep=[0]).mat - np.eye(d_in) / d_in, (d_in,)))
-        for k in members)
-    return bounds.TightnessResult(tight=best <= atol, degenerate=len(members) > 1,
-                                  marginal_residual=best,
-                                  upper=d_in * float(np.max(np.abs(vals))))
-
-
 def assert_matches_reference(scenario, combos):
+    rng = np.random.default_rng(33)
     for combo in combos:
-        got, want = tightness_check(scenario, combo), tightness_reference(scenario, combo)
+        got = tightness_check(scenario, combo)
+        want = tightness_witness(bounds.objective_operator(scenario, combo), rng)
         assert (got.tight, got.degenerate, got.upper) == (want.tight, want.degenerate, want.upper)
         assert abs(got.marginal_residual - want.marginal_residual) <= 1e-14
 
@@ -268,13 +251,16 @@ def assert_matches_reference(scenario, combos):
 class TestTightnessOracle:
     @pytest.mark.parametrize("d,degenerate", [(2, 8), (3, 0)])
     def test_meb_all_combinations(self, d, degenerate):
-        # the scenario of `gen meb --d d`; at d = 2 half the top eigenvalues are twofold
+        # the scenario of `gen meb --d d`; at d = 2 half the top eigenvalues
+        # are twofold, and every combination reaches the cap, the twofold ones
+        # included; at d = 3 none does
         meb1 = generalized_bell_basis(d)
         fourier = np.stack([k.amps for k in mub_bases(d, 2)[1]], axis=1)
         meb2 = MEB.from_generators([fourier @ g for g in meb1.generators])
         s = meb_scenario(meb1, meb2)
         combos = all_combinations(s)
         assert sum(tightness_check(s, c).degenerate for c in combos) == degenerate
+        assert sum(tightness_check(s, c).tight for c in combos) == {2: 16, 3: 0}[d]
         assert_matches_reference(s, combos)
 
     def test_mub_meb_2qubit_all_combinations(self, mub_meb_scenario):
@@ -718,15 +704,30 @@ class TestOrbitReuse:
         calls = self.record_tightness(s, monkeypatch)
         reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
         monkeypatch.undo()
-        # a degenerate top eigenspace is checked on eigh's own basis, so only
-        # non-degenerate results are reused
-        assert len(calls) == len({c for c, _ in calls})
-        sources = [orbit(c) for c, degenerate in calls if not degenerate]
-        assert len(sources) == len(set(sources))
-        assert len(calls) < len(reports)
+        # the witness does not depend on the basis of a degenerate top
+        # eigenspace, so every source hands its result on: one call per orbit
+        table = bounds._orbits(all_combinations(s), symmetries)
+        assert [c for c, _ in calls] == [c for c, origin in table.items() if origin is None]
+        assert len({orbit(c) for c, _ in calls}) == len(calls) < len(reports)
         for r in reports:
             direct = tightness_check(s, r.combination)
             assert abs(r.upper - direct.upper) <= 1e-12
+            assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+
+    def test_degenerate_sources_hand_on(self, monkeypatch):
+        # `meb --d 4`: half the objectives have a twofold top eigenspace, all
+        # reach the cap, and one spectral step per orbit flags them all tight
+        s = _build_scenario("meb", 4)
+        calls = self.record_tightness(s, monkeypatch)
+        reports = scenario_report(s, tol=1e-6, skip_exact=True, skip_trivial=True)
+        monkeypatch.undo()
+        table = bounds._orbits(all_combinations(s), bounds._symmetries(s))
+        assert len(calls) == sum(origin is None for origin in table.values()) == 2
+        assert any(degenerate for _, degenerate in calls)
+        assert sum(r.tight_degenerate for r in reports) == 128
+        assert all(r.tight for r in reports if r.tight_degenerate)
+        for r in reports[::17]:
+            direct = tightness_check(s, r.combination)
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
 
     @pytest.mark.parametrize("skip", [True, False])

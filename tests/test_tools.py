@@ -1,6 +1,6 @@
-"""tools/report_diff.py on reports written by the CLI and edited by hand,
-tools/stress_grid.py on one seed, its table and its iteration sums, and
-tools/output_digests.py once."""
+"""tools/report_diff.py, its last summary line too, on reports written by the
+CLI and edited by hand, tools/stress_grid.py on one seed, its table and its
+iteration sums, and tools/output_digests.py once."""
 
 import importlib.util
 import json
@@ -42,7 +42,9 @@ def run(tmp_path, before: dict, after: dict) -> int:
 
 def test_identical_reports_pass(report, tmp_path, capsys):
     assert run(tmp_path, report, report) == 0
-    assert "0 flags changed; largest change 0.000e+00" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0 flags changed; largest change 0.000e+00" in out
+    assert out.splitlines()[-1] == "flag changes by field: none"
 
 
 @pytest.mark.parametrize("shift,code", [(4e-7, 0), (2e-6, 1)])
@@ -68,6 +70,19 @@ def test_changed_flag_fails(report, tmp_path, capsys, edit, words):
     edit(after)
     assert run(tmp_path, report, after) == 1
     assert words in capsys.readouterr().out
+
+
+def test_summary_counts_flags_by_field_and_direction(report, tmp_path, capsys):
+    after = json.loads(json.dumps(report))
+    for entry in after["reports"][1:3]:
+        entry["tight"] = not entry["tight"]
+    after["reports"][2]["tight_degenerate"] = True
+    after["reports"][3].pop("exact")
+    assert run(tmp_path, report, after) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "flag changes by field: exact present -> absent: 1 (0 on tight_degenerate entries); "
+        "tight True -> False: 2 (1 on tight_degenerate entries); "
+        "tight_degenerate False -> True: 1 (1 on tight_degenerate entries)")
 
 
 def test_stress_grid_one_seed():

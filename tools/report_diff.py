@@ -8,7 +8,9 @@ change over all entries and the combination where it occurs.  Then it
 prints each flag that differs: ``tradeoff``, ``tight``,
 ``tight_degenerate``, ``error``, a bound present in one output only, an
 optimizer of another shape, a different combination at the same position,
-and a different ``scenario_digest`` or ``tol``.  It exits 1 when a flag
+and a different ``scenario_digest`` or ``tol``.  Its last line counts the
+flag changes by field and direction, and how many of them fall on entries
+that either output marks ``tight_degenerate``.  It exits 1 when a flag
 differs or a value moved by more than the first output's ``tol``, 2 when
 not given two files, and 0 otherwise.
 """
@@ -29,14 +31,25 @@ def _choi(optimizer: dict) -> np.ndarray:
     return data[..., 0] + 1j * data[..., 1]
 
 
-def compare(before: dict, after: dict) -> tuple[dict[str, tuple[float, str]], list[str]]:
-    """({field: (largest absolute change, where)}, [flag differences])."""
+def compare(before: dict, after: dict) -> tuple[dict[str, tuple[float, str]], list[str], dict]:
+    """({field: (largest absolute change, where)}, [flag differences],
+    {(field, direction): [changes, changes on a degenerate entry]})."""
     moved = {name: (0.0, "") for name in (*NUMBERS, "optimizer")}
-    flags = [f"{key}: {before.get(key)!r} -> {after.get(key)!r}"
-             for key in ("scenario_digest", "tol") if before.get(key) != after.get(key)]
+    flags: list[str] = []
+    tally: dict[tuple[str, str], list[int]] = {}
+
+    def flag(text: str, field: str, direction: str, degenerate: bool = False) -> None:
+        flags.append(text)
+        counts = tally.setdefault((field, direction), [0, 0])
+        counts[0] += 1
+        counts[1] += degenerate
+
+    for key in ("scenario_digest", "tol"):
+        if before.get(key) != after.get(key):
+            flag(f"{key}: {before.get(key)!r} -> {after.get(key)!r}", key, "changed")
     first, second = before["reports"], after["reports"]
     if len(first) != len(second):
-        flags.append(f"entries: {len(first)} -> {len(second)}")
+        flag(f"entries: {len(first)} -> {len(second)}", "entries", f"{len(first)} -> {len(second)}")
 
     def move(name: str, change: float, where: str) -> None:
         if change > moved[name][0]:
@@ -45,26 +58,37 @@ def compare(before: dict, after: dict) -> tuple[dict[str, tuple[float, str]], li
     for a, b in zip(first, second):
         where = ",".join(a["combination"])
         if a["combination"] != b["combination"]:
-            flags.append(f"combination: {where} -> {','.join(b['combination'])}")
+            flag(f"combination: {where} -> {','.join(b['combination'])}", "combination", "changed")
             continue
+        degenerate = bool(a.get("tight_degenerate") or b.get("tight_degenerate"))
         for name in (*NUMBERS, *FLAGS, "optimizer"):
             if (name in a) != (name in b):
-                flags.append(f"{name} at {where}: {'present' if name in a else 'absent'} -> "
-                             f"{'present' if name in b else 'absent'}")
+                direction = "present -> absent" if name in a else "absent -> present"
+                flag(f"{name} at {where}: {direction}", name, direction, degenerate)
             elif name not in a:
                 continue
             elif name in NUMBERS:
                 move(name, abs(b[name] - a[name]), where)
             elif name in FLAGS:
                 if a[name] != b[name]:
-                    flags.append(f"{name} at {where}: {a[name]!r} -> {b[name]!r}")
+                    flag(f"{name} at {where}: {a[name]!r} -> {b[name]!r}", name,
+                         "changed" if name == "error" else f"{a[name]!r} -> {b[name]!r}",
+                         degenerate)
             else:
                 shape = [(o["kind"], o["d_in"], o["d_out"]) for o in (a[name], b[name])]
                 if shape[0] != shape[1]:
-                    flags.append(f"optimizer at {where}: {shape[0]} -> {shape[1]}")
+                    flag(f"optimizer at {where}: {shape[0]} -> {shape[1]}", name, "reshaped",
+                         degenerate)
                 else:
                     move(name, float(np.abs(_choi(b[name]) - _choi(a[name])).max()), where)
-    return moved, flags
+    return moved, flags, tally
+
+
+def summary(tally: dict) -> str:
+    """The last line: each field and direction with its count of changes."""
+    parts = [f"{field} {direction}: {n} ({on} on tight_degenerate entries)"
+             for (field, direction), (n, on) in sorted(tally.items())]
+    return "flag changes by field: " + ("; ".join(parts) or "none")
 
 
 def main(argv: list[str]) -> int:
@@ -72,7 +96,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     before, after = (json.loads(open(path, encoding="utf-8").read()) for path in argv)
-    moved, flags = compare(before, after)
+    moved, flags, tally = compare(before, after)
     tol = float(before["tol"])
     for name, (change, where) in moved.items():
         print(f"{name:<10} {change:.3e}" + (f"  at {where}" if change else ""))
@@ -80,6 +104,7 @@ def main(argv: list[str]) -> int:
         print(f"flag {flag}")
     worst = max(change for change, _ in moved.values())
     print(f"{len(flags)} flags changed; largest change {worst:.3e} (tol {tol:g})")
+    print(summary(tally))
     return 1 if flags or worst > tol else 0
 
 
