@@ -86,27 +86,23 @@ def check_tester_normalization(rng: np.random.Generator, trials: int) -> CheckRe
 
 
 def check_decomposition_independence(rng: np.random.Generator, trials: int) -> CheckResult:
-    """The dual ancilla map is independent of the pure-state decomposition."""
+    """The dual ancilla map equals sum_n w_n K_n^dag b K_n over a random
+    pure-state decomposition of the state: rho = L L^dag by Cholesky, and a
+    Haar isometry Q mixes L's columns into sqrt(w_n) K_n, column n of L Q^T
+    reshaped to d_anc x d_in."""
     worst = 0.0
     for _ in range(trials):
         d_anc, d_in = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         rho = ginibre_state(d_anc * d_in, rng, dims=(d_anc, d_in))
         b = ginibre_state(d_anc, rng)
         b = HermitianOperator(b.mat * d_anc, (d_anc,))  # arbitrary Hermitian scale
-        vals, vecs = np.linalg.eigh(rho.mat)
-        keep = [(v, vecs[:, i]) for i, v in enumerate(vals) if v > 1e-14]
-        n = len(keep)
-        k = n + 2
-        q = haar_isometries(rng, 1, k, n)[0]
-        mixed = []
-        for row in range(k):
-            phi = sum(q[row, m] * np.sqrt(keep[m][0]) * keep[m][1] for m in range(n))
-            norm = np.linalg.norm(phi)
-            if norm > 1e-12:
-                mixed.append((float(norm**2), phi / norm))
-        u1 = upsilon_dual_apply(rho, b)
-        u2 = upsilon_dual_apply(rho, b, decomposition=mixed)
-        worst = max(worst, float(np.max(np.abs(u1.mat - u2.mat))))
+        low = np.linalg.cholesky(rho.mat)
+        n = len(low)
+        q = haar_isometries(rng, 1, n + 2, n)[0]
+        # Q^dag Q = I, so the n + 2 mixed vectors still sum to L L^dag = rho
+        kraus = (low @ q.T).T.reshape(n + 2, d_anc, d_in)
+        mixed = (kraus.conj().transpose(0, 2, 1) @ b.mat @ kraus).sum(axis=0)
+        worst = max(worst, float(np.max(np.abs(upsilon_dual_apply(rho, b).mat - mixed))))
     return CheckResult("decomposition_independence", worst <= STATE_ATOL, worst,
                        f"{trials} randomized redecompositions")
 

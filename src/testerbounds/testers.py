@@ -2,8 +2,10 @@
 
 A physical test is a pair (input state on anc(x)in, POVM on anc(x)out).  Its
 tester is the family T(x) on in(x)out obtained by pushing each POVM effect
-through the dual of the input state's ancilla map; probabilities then follow
-from the generalized Born rule tr[T(x) J] against the channel's Choi matrix J.
+through the dual of the input state's ancilla map, that is, the link product
+of the effect and the state over the ancilla, one matrix product per effect
+with no decomposition of the state; probabilities then follow from the
+generalized Born rule tr[T(x) J] against the channel's Choi matrix J.
 """
 
 from __future__ import annotations
@@ -192,53 +194,34 @@ class Scenario:
         return [t.labels for t in self.tests]
 
 
-def state_decomposition(rho: HermitianOperator) -> list[tuple[float, np.ndarray]]:
-    """Eigendecomposition of a state as (weight, vector) pairs, weights of magnitude
-    at most 1e-14 dropped."""
-    vals, vecs = np.linalg.eigh(rho.mat)
-    return [(float(v), vecs[:, i].copy()) for i, v in enumerate(vals) if abs(v) > 1e-14]
-
-
-def upsilon_dual_apply(rho: HermitianOperator, b: HermitianOperator,
-                       decomposition: Sequence[tuple[float, np.ndarray]] | None = None,
-                       ) -> HermitianOperator:
+def upsilon_dual_apply(rho: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Dual of the ancilla map of ``rho`` applied to an operator on anc(x)rest.
 
-    For rho = sum_n w_n |Psi_n><Psi_n| on anc(x)in this is
-    sum_n w_n (K_n (x) I)^dag b (K_n (x) I) with K_n = reshape(Psi_n, (d_anc, d_in)),
+    This is the link product of rho and b over the ancilla,
+    out[(i, o), (j, p)] = sum_{a, c} b[(a, o), (c, p)] rho[(c, j), (a, i)],
     so ``b`` with dims (d_anc, *rest) maps to dims (d_in, *rest) and the rest
-    factors are left untouched.  The result does not depend on which convex
-    pure-state decomposition is used; by default the eigendecomposition is
-    taken.  An explicit ``decomposition`` of (weight, vector) pairs may be
-    supplied instead; it is trusted, not checked, to be one of rho.
+    factors are left untouched.  It is linear in rho and equals
+    sum_n w_n (K_n (x) I)^dag b (K_n (x) I), K_n = reshape(Psi_n, (d_anc, d_in)),
+    for every convex pure-state decomposition rho = sum_n w_n |Psi_n><Psi_n|,
+    but needs none.
     """
     if len(rho.dims) != 2:
         raise DimensionError("state must carry dims (d_anc, d_in)")
     d_anc, d_in = rho.dims
     if b.dims[0] != d_anc:
         raise DimensionError(f"operator dims {b.dims} do not start with d_anc = {d_anc}")
-    if decomposition is None:
-        decomposition = state_decomposition(rho)
-    weights = np.array([w for w, _ in decomposition], dtype=float)
-    kraus = np.stack([np.asarray(psi, dtype=complex).reshape(d_anc, d_in)
-                      for _, psi in decomposition])[:, None, None]
     r = b.size // d_anc
-    # block (x, y) of (K (x) I)^dag b (K (x) I) is K^dag b_xy K, where b_xy is the
-    # d_anc x d_anc block of b between output indices x and y
-    blocks = b.mat.reshape(d_anc, r, d_anc, r).transpose(1, 3, 0, 2)
-    per_ket = kraus.conj().swapaxes(-1, -2) @ blocks @ kraus
-    out = np.tensordot(weights, per_ket, axes=1).transpose(2, 0, 3, 1)
-    if not np.isfinite(out).all():  # a caller's decomposition may hold non-finite values
-        raise ValidationError("decomposition gives non-finite entries")
-    # w_n K_n^dag b_xy K_n for a validated b and real w_n: Hermitian up to rounding
+    # one product: b as [(o, p), (a, c)] times rho as [(a, c), (i, j)]
+    left = b.mat.reshape(d_anc, r, d_anc, r).transpose(1, 3, 0, 2).reshape(r * r, -1)
+    right = rho.mat.reshape(d_anc, d_in, d_anc, d_in).transpose(2, 0, 3, 1).reshape(-1, d_in * d_in)
+    out = (left @ right).reshape(r, r, d_in, d_in).transpose(2, 0, 3, 1)
+    # a link product of validated operators: Hermitian up to rounding
     return HermitianOperator._unchecked(out.reshape(d_in * r, d_in * r), (d_in, *b.dims[1:]))
 
 
 def tester_from_test(test: Test) -> Tester:
     """Build the tester {T(x)} on in(x)out induced by a physical test."""
-    decomposition = state_decomposition(test.input_state)
-    elements = [(label, upsilon_dual_apply(test.input_state, eff, decomposition))
-                for label, eff in test.povm]
+    elements = [(label, upsilon_dual_apply(test.input_state, eff)) for label, eff in test.povm]
     marginal = basis_transpose(partial_trace(test.input_state, keep=[1]))
     return Tester(elements, marginal)
 

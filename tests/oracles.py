@@ -49,6 +49,30 @@ def random_channel_lower_bound(m: HermitianOperator, n_samples: int, seed: int,
     return value, channel
 
 
+def eigen_decomposition(rho: HermitianOperator) -> list[tuple[float, np.ndarray]]:
+    """The (weight, vector) pairs of rho's eigendecomposition, every one kept."""
+    vals, vecs = np.linalg.eigh(rho.mat)
+    return [(float(v), vecs[:, i]) for i, v in enumerate(vals)]
+
+
+def kraus_dual_apply(rho: HermitianOperator, b: HermitianOperator,
+                     decomposition: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """sum_n w_n (K_n (x) I)^dag b (K_n (x) I), K_n = reshape(Psi_n, (d_anc, d_in)),
+    over a pure-state decomposition [(w_n, Psi_n)] of rho: the dual ancilla map
+    as a Kraus sum, which ``testers.upsilon_dual_apply`` must match as a link
+    product.  ``b`` has dims (d_anc, *rest)."""
+    d_anc, d_in = rho.dims
+    r = b.size // d_anc
+    # block (x, y) of (K (x) I)^dag b (K (x) I) is K^dag b_xy K, where b_xy is the
+    # d_anc x d_anc block of b between rest indices x and y
+    blocks = b.mat.reshape(d_anc, r, d_anc, r).transpose(1, 3, 0, 2)
+    out = np.zeros((r, r, d_in, d_in), dtype=complex)
+    for w, psi in decomposition:
+        k = np.asarray(psi, dtype=complex).reshape(d_anc, d_in)
+        out += w * (k.conj().T @ blocks @ k)
+    return out.transpose(2, 0, 3, 1).reshape(d_in * r, d_in * r)
+
+
 def two_product_schur(j: np.ndarray, sinv: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """``channel_opt._schur`` as two separate products, (A + B) / 2: the
     reference that the batched product must equal bit for bit."""

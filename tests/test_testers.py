@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from testerbounds.cli import GEN_KINDS, _build_scenario
 from testerbounds.linalg import (
     DimensionError,
     HermitianOperator,
@@ -46,10 +47,11 @@ from testerbounds.testers import (
     sample_run,
     scenario_from_json,
     scenario_to_json,
-    state_decomposition,
     tester_from_test,
     upsilon_dual_apply,
 )
+
+from oracles import eigen_decomposition, kraus_dual_apply
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 # (d_in, d_out) of a channel file of each kind the reader takes
@@ -80,7 +82,7 @@ def kron_dual_reference(rho, b):
     d_anc, d_in = rho.dims
     eye = np.eye(b.size // d_anc)
     out = np.zeros((d_in * eye.shape[0],) * 2, dtype=complex)
-    for w, psi in state_decomposition(rho):
+    for w, psi in eigen_decomposition(rho):
         k = np.kron(psi.reshape(d_anc, d_in), eye)
         out += w * (k.conj().T @ b.mat @ k)
     return out
@@ -120,7 +122,7 @@ class TestUpsilonDual:
         rho = ginibre_state(6, rng, dims=(2, 3))
         b = HermitianOperator(ginibre_state(2, rng).mat * 3.0, (2,))
         default = upsilon_dual_apply(rho, b)
-        pairs = state_decomposition(rho)
+        pairs = eigen_decomposition(rho)
         k = len(pairs) + 2
         g = rng.standard_normal((k, len(pairs))) + 1j * rng.standard_normal((k, len(pairs)))
         q, _ = np.linalg.qr(g)
@@ -130,8 +132,8 @@ class TestUpsilonDual:
             norm = np.linalg.norm(phi)
             if norm > 1e-12:
                 mixed.append((norm**2, phi / norm))
-        alt = upsilon_dual_apply(rho, b, decomposition=mixed)
-        assert np.max(np.abs(default.mat - alt.mat)) < 1e-10
+        alt = kraus_dual_apply(rho, b, mixed)
+        assert np.max(np.abs(default.mat - alt)) < 1e-10
 
     @pytest.mark.parametrize("state", ["mixed", "max_entangled", "product"])
     def test_matches_kron_form(self, state):
@@ -162,15 +164,43 @@ class TestUpsilonDual:
         with pytest.raises(ValidationError):
             upsilon_dual_apply(rho, HermitianOperator(np.eye(6), (3, 2)))
 
-    @pytest.mark.parametrize("weight,vector", [(np.nan, np.ones(4) / 2),
-                                               (1.0, np.array([np.nan, 0, 0, 1]))],
-                             ids=["nan-weight", "nan-vector"])
-    def test_non_finite_decomposition_rejected(self, weight, vector):
-        # the result is built unchecked, so a caller's decomposition is
-        # checked for finiteness instead
-        rho, b = maximally_entangled_state(2), HermitianOperator(np.eye(4), (2, 2))
-        with pytest.raises(ValidationError, match="non-finite"):
-            upsilon_dual_apply(rho, b, decomposition=[(weight, vector)])
+
+class TestLinkProduct:
+    """``upsilon_dual_apply`` is a link product; the Kraus sum over the state's
+    eigendecomposition is its oracle, within 1e-15 max(1, max|b|)."""
+
+    @staticmethod
+    def assert_matches_kraus_sum(rho, b):
+        out = upsilon_dual_apply(rho, b)
+        want = kraus_dual_apply(rho, b, eigen_decomposition(rho))
+        assert out.dims == (rho.dims[1], *b.dims[1:])
+        assert np.max(np.abs(out.mat - want)) <= 1e-15 * max(1.0, np.max(np.abs(b.mat)))
+
+    @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3, 4, 5)
+                                        if kind != "mub-meb-2qubit" or d == 2])
+    def test_gen_kinds(self, kind, d):
+        for test in _build_scenario(kind, d).tests:
+            for _, effect in test.povm:
+                self.assert_matches_kraus_sum(test.input_state, effect)
+
+    @pytest.mark.parametrize("d_anc,d_in,d_out", [(2, 3, 2), (3, 2, 3), (4, 2, 1), (1, 3, 2),
+                                                  (1, 1, 4), (3, 1, 2)])
+    def test_random_tests(self, d_anc, d_in, d_out):
+        rng = np.random.default_rng(40 + 7 * d_anc + d_in)
+        for _ in range(3):
+            test = random_test(d_anc, d_in, d_out, 3, rng)
+            for _, effect in test.povm:
+                self.assert_matches_kraus_sum(test.input_state, effect)
+
+    @pytest.mark.parametrize("dims", [(3,), (3, 2, 2), (3, 1, 2)])
+    def test_rest_factors(self, dims):
+        # b with the ancilla factor only, and with two rest factors, at a
+        # scale well above 1
+        rng = np.random.default_rng(len(dims))
+        rho = ginibre_state(6, rng, dims=(3, 2))
+        size = int(np.prod(dims))
+        b = HermitianOperator(ginibre_state(size, rng).mat * 40.0, dims)
+        self.assert_matches_kraus_sum(rho, b)
 
 
 class TestScenarioTesters:

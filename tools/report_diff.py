@@ -31,18 +31,14 @@ def _choi(optimizer: dict) -> np.ndarray:
     return data[..., 0] + 1j * data[..., 1]
 
 
-def compare(before: dict, after: dict) -> tuple[dict[str, tuple[float, str]], list[str], dict]:
-    """({field: (largest absolute change, where)}, [flag differences],
-    {(field, direction): [changes, changes on a degenerate entry]})."""
+def compare(before: dict, after: dict) -> tuple[dict[str, tuple[float, str]], list[tuple]]:
+    """({field: (largest absolute change, where)},
+    [(flag difference, field, direction, on a degenerate entry)])."""
     moved = {name: (0.0, "") for name in (*NUMBERS, "optimizer")}
-    flags: list[str] = []
-    tally: dict[tuple[str, str], list[int]] = {}
+    flags: list[tuple[str, str, str, bool]] = []
 
     def flag(text: str, field: str, direction: str, degenerate: bool = False) -> None:
-        flags.append(text)
-        counts = tally.setdefault((field, direction), [0, 0])
-        counts[0] += 1
-        counts[1] += degenerate
+        flags.append((text, field, direction, degenerate))
 
     for key in ("scenario_digest", "tol"):
         if before.get(key) != after.get(key):
@@ -81,13 +77,18 @@ def compare(before: dict, after: dict) -> tuple[dict[str, tuple[float, str]], li
                          degenerate)
                 else:
                     move(name, float(np.abs(_choi(b[name]) - _choi(a[name])).max()), where)
-    return moved, flags, tally
+    return moved, flags
 
 
-def summary(tally: dict) -> str:
+def summary(flags: list[tuple]) -> str:
     """The last line: each field and direction with its count of changes."""
+    counts: dict[tuple[str, str], list[int]] = {}
+    for _, field, direction, degenerate in flags:
+        n = counts.setdefault((field, direction), [0, 0])
+        n[0] += 1
+        n[1] += degenerate
     parts = [f"{field} {direction}: {n} ({on} on tight_degenerate entries)"
-             for (field, direction), (n, on) in sorted(tally.items())]
+             for (field, direction), (n, on) in sorted(counts.items())]
     return "flag changes by field: " + ("; ".join(parts) or "none")
 
 
@@ -96,15 +97,15 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     before, after = (json.loads(open(path, encoding="utf-8").read()) for path in argv)
-    moved, flags, tally = compare(before, after)
+    moved, flags = compare(before, after)
     tol = float(before["tol"])
     for name, (change, where) in moved.items():
         print(f"{name:<10} {change:.3e}" + (f"  at {where}" if change else ""))
-    for flag in flags:
-        print(f"flag {flag}")
+    for text, *_ in flags:
+        print(f"flag {text}")
     worst = max(change for change, _ in moved.values())
     print(f"{len(flags)} flags changed; largest change {worst:.3e} (tol {tol:g})")
-    print(summary(tally))
+    print(summary(flags))
     return 1 if flags or worst > tol else 0
 
 
