@@ -35,9 +35,10 @@ objective is built once, as the plain matrix that ``objective_operator``
 wraps, and wrapped, unchecked, only for an exact solve.  Each source that
 has images keeps its objective M; an image moves it once, to W M W^dag, for
 both its spectral step and its start.  It takes its source's norm cap and
-tightness once its own objective is checked to equal W M W^dag (a source with
-a degenerate top eigenspace hands them to no image), and its exact solve
-follows at once.
+tightness once its own objective is checked to equal W M W^dag, whatever the
+degeneracy of the top eigenspace: W moves that eigenspace with the objective,
+and the tightness witness depends on the eigenspace only, not on its basis.
+Its exact solve follows at once.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing and take no start; they are the oracle.
 """

@@ -8,7 +8,8 @@ Commands:
 
 Machine-readable JSON goes to stdout (or --out); diagnostics go to stderr.
 Exit codes: 0 ok, 1 verification/inequality failure, 2 usage or input error,
-3 solver failure.
+3 solver failure.  The command is ``testerbounds`` or ``python -m testerbounds``
+(see ``__main__``); each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -30,18 +31,7 @@ from .channel_opt import SolverError
 from .bounds import tightness_check  # noqa: F401
 from .channel_opt import maximize_over_channels  # noqa: F401
 from .linalg import dumps_canonical  # noqa: F401
-from .checks import run_all
 from .linalg import ValidationError, write_canonical
-from .scenarios import (
-    ancilla_free_scenario,
-    entangled_input_product_scenario,
-    generalized_bell_basis,
-    meb_scenario,
-    mub_bases,
-    mub_meb_pair_2qubit,
-    state_measurement_scenario,
-    MEB,
-)
 from .testers import (
     channel_from_json,
     sample_run,
@@ -64,6 +54,11 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _build_scenario(kind: str, d: int):
+    # imported here, so that only gen loads the scenario builders
+    from .scenarios import (MEB, ancilla_free_scenario, entangled_input_product_scenario,
+                            generalized_bell_basis, meb_scenario, mub_bases,
+                            mub_meb_pair_2qubit, state_measurement_scenario)
+
     if kind == "state-mub":
         return state_measurement_scenario(mub_bases(d, 2), (0.5, 0.5))
     if kind == "example1":
@@ -132,6 +127,8 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         _err("--trials must be at least 1")
         return 2
+    from .checks import run_all  # only verify loads the checks and their samplers
+
     results = run_all(seed=args.seed, trials=args.trials, tol=args.tol,
                       inject_fault=args.inject_fault)
     for r in results:
@@ -251,11 +248,3 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, OSError) as exc:
         _err(f"error: {exc}")
         return 2
-
-
-def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -19,11 +19,13 @@ import numpy as np
 
 from .linalg import (
     EQUALITY_ATOL,
+    PSD_ATOL,
     ROUNDING_ATOL,
     DimensionError,
     HermitianOperator,
     ValidationError,
     _entries_from_json,
+    _proves_psd,
     as_dim,
     basis_transpose,
     check_close,
@@ -93,11 +95,15 @@ class Tester:
         if len(marginal.dims) != 1:
             raise DimensionError("marginal must carry a single subsystem dimension")
         d_in = marginal.dims[0]
-        for label, op in elements:
-            if len(op.dims) != 2 or op.dims[0] != d_in:
-                raise DimensionError(f"element {label!r} dims {op.dims} incompatible "
-                                     f"with input dimension {d_in}")
-            check_psd(op, f"element {label!r}")
+        first = elements[0][1].dims
+        # one Cholesky of the family (of equal dims), else each element's checks, in order
+        if not (len(first) == 2 and first[0] == d_in
+                and _proves_psd([op for _, op in elements], PSD_ATOL)):
+            for label, op in elements:
+                if len(op.dims) != 2 or op.dims[0] != d_in:
+                    raise DimensionError(f"element {label!r} dims {op.dims} incompatible "
+                                         f"with input dimension {d_in}")
+                check_psd(op, f"element {label!r}")
         check_close(sum(op.mat for _, op in elements),
                     np.kron(marginal.mat, np.eye(elements[0][1].dims[1])), EQUALITY_ATOL,
                     "elements do not sum to marginal (x) identity")

@@ -13,7 +13,7 @@ MODULES = sorted(p for p in Path(testerbounds.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-# dir() of the package: its exports and the submodules importing them binds
+# the package's exports and its public submodules, each resolved on first use
 PUBLIC = [
     "BoundReport", "Channel", "ChannelOptResult", "DimensionError", "HermitianOperator", "Ket",
     "MEB", "PositivityError", "Scenario", "SolverError", "Test", "Tester", "ValidationError",

@@ -15,6 +15,7 @@ import pytest
 
 import testerbounds
 from testerbounds import bounds, channel_opt, checks
+from testerbounds.__main__ import THREAD_VARIABLES, one_blas_thread
 from testerbounds.channel_opt import SolverError
 from testerbounds.cli import main
 from testerbounds.linalg import HermitianOperator, dumps_canonical, operator_to_json
@@ -36,6 +37,20 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(testerbounds.__file__).resolve().parents[1])
+
+
+def fresh_python(*args: str, environ=None) -> str:
+    """stdout of ``python *args`` in a fresh interpreter, run with ``environ`` (default
+    this one's) and the package imported from this checkout; it must exit 0."""
+    environ = dict(os.environ if environ is None else environ)
+    environ["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=environ, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture()
@@ -605,13 +620,66 @@ class TestTopLevel:
             allowed = set(sys.stdlib_module_names) | {"numpy", "testerbounds"}
             print(" ".join(sorted(tops - allowed)))
         """)
-        src = str(Path(testerbounds.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.json")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
+        assert fresh_python("-c", script, str(tmp_path / "s.json")).strip() == ""
+
+    @pytest.mark.parametrize("statement,unloaded", [
+        # the entry point settles the BLAS threads before anything loads numpy
+        ("import testerbounds.__main__", ["numpy", "testerbounds.linalg"]),
+        ("import testerbounds.testers", [f"testerbounds.{name}" for name in (
+            "bounds", "channel_opt", "scenarios", "checks", "sampling", "cli")]),
+    ])
+    def test_import_loads_only_what_it_needs(self, statement, unloaded):
+        script = f"import sys\n{statement}\nprint(sorted(set(sys.modules) & {set(unloaded)!r}))"
+        assert fresh_python("-c", script).strip() == "[]"
+
+    def test_bound_loads_no_checks_or_scenarios(self, mub_meb_file):
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from testerbounds.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["bound", sys.argv[1]]) == 0
+            print(sorted(m for m in sys.modules if m.startswith("testerbounds.")))
+        """)
+        loaded = fresh_python("-c", script, str(mub_meb_file)).strip()
+        assert loaded == repr([f"testerbounds.{name}" for name in (
+            "bounds", "channel_opt", "cli", "linalg", "testers")])
+
+    def test_every_public_name_resolves(self):
+        script = textwrap.dedent("""
+            import testerbounds
+            missing = [name for name in testerbounds.__all__
+                       if getattr(testerbounds, name, None) is None]
+            namespace = {}
+            exec("from testerbounds import *", namespace)
+            unbound = sorted(set(testerbounds.__all__) - set(namespace))
+            print(missing, unbound, set(testerbounds.__all__) <= set(dir(testerbounds)))
+        """)
+        assert fresh_python("-c", script).strip() == "[] [] True"
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            getattr(testerbounds, "nonexistent")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("preset", [None, *THREAD_VARIABLES])
+    def test_one_blas_thread_unless_set(self, preset):
+        environ = {"PATH": "/bin"} if preset is None else {"PATH": "/bin", preset: "3"}
+        before = dict(environ)
+        one_blas_thread(environ)
+        if preset is None:
+            assert environ == {**before, "OPENBLAS_NUM_THREADS": "1"}
+        else:
+            assert environ == before
+
+    def test_output_does_not_depend_on_thread_count(self, mub_meb_file):
+        environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        default = fresh_python("-m", "testerbounds", "bound", str(mub_meb_file), environ=environ)
+        two = fresh_python("-m", "testerbounds", "bound", str(mub_meb_file),
+                           environ={**environ, "OPENBLAS_NUM_THREADS": "2"})
+        assert default == two
+        assert json.loads(default)["scenario_digest"] == hashlib.sha256(
+            mub_meb_file.read_bytes()).hexdigest()

@@ -7,12 +7,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from testerbounds.linalg import (
+    _cholesky_slack,
     _entries_from_json,
+    _proves_psd,
     HERMITICITY_ATOL,
+    PSD_ATOL,
+    STATE_ATOL,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -20,6 +24,7 @@ from testerbounds.linalg import (
     ValidationError,
     basis_transpose,
     check_povm,
+    check_psd,
     check_state,
     dumps_canonical,
     eig_hermitian,
@@ -502,6 +507,117 @@ class TestValidators:
         check_state(HermitianOperator(np.eye(2) / 2, (2,)), "state")
         with pytest.raises(ValidationError, match="unit trace"):
             check_state(HermitianOperator(np.eye(2), (2,)), "state")
+
+
+def in_random_basis(rng, vals) -> np.ndarray:
+    """The Hermitian matrix with eigenvalues ``vals`` in a Haar-random basis."""
+    n = len(vals)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * np.asarray(vals)) @ q.conj().T
+
+
+def with_min_eigenvalue(rng, n: int, low: float, top: float = 1.0) -> np.ndarray:
+    """A random n x n Hermitian matrix with smallest eigenvalue ``low`` and, for n > 1,
+    largest ``top``."""
+    return in_random_basis(rng, [low, *rng.uniform(0, top, max(n - 2, 0)), top][:n])
+
+
+def eigvalsh_message(what: str, mat: np.ndarray) -> str:
+    """The message of the eigenvalue test that decides every rejection."""
+    lo = np.linalg.eigvalsh(mat)[0]
+    return f"{what} is not positive semidefinite (min eigenvalue {lo:.3e})"
+
+
+def eigvalsh_decision(mat: np.ndarray, atol: float) -> bool:
+    """Accepted by the eigenvalue test alone."""
+    return not np.linalg.eigvalsh(mat)[0] < -atol
+
+
+class TestPositivityParity:
+    """``check_psd`` and the family checks decide as the eigenvalue test did, name
+    the same member and word the error the same; one Cholesky only accepts sooner."""
+
+    @pytest.mark.parametrize("n", [1, 3, 25])
+    def test_check_psd(self, n):
+        rng = np.random.default_rng(n)
+        bad = HermitianOperator(with_min_eigenvalue(rng, n, -2 * PSD_ATOL), (n,))
+        with pytest.raises(PositivityError) as exc_info:
+            check_psd(bad, "operator")
+        assert str(exc_info.value) == eigvalsh_message("operator", bad.mat)
+        check_psd(HermitianOperator(with_min_eigenvalue(rng, n, -0.5 * PSD_ATOL), (n,)),
+                  "operator")
+
+    def test_check_state(self):
+        rng = np.random.default_rng(1)
+        low = -2 * STATE_ATOL
+        bad = HermitianOperator(in_random_basis(rng, [low, 0.5, 0.3, 0.2 - low]), (2, 2))
+        with pytest.raises(PositivityError) as exc_info:
+            check_state(bad, "state")
+        assert str(exc_info.value) == eigvalsh_message("state", bad.mat)
+        low = -0.5 * STATE_ATOL
+        check_state(HermitianOperator(in_random_basis(rng, [low, 0.5, 0.3, 0.2 - low]), (2, 2)),
+                    "state")
+
+    @staticmethod
+    def povm(rng, n: int, member: int, low: float) -> list[HermitianOperator]:
+        """Rank-one projectors onto a random basis, summing to the identity, with
+        ``low`` moved from the last effect into ``member``'s along one direction."""
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        mats = [np.outer(q[:, i], q[:, i].conj()) for i in range(n)]
+        mats[member] = mats[member] + low * mats[-1]
+        mats[-1] = (1 - low) * mats[-1]
+        return [HermitianOperator(m, (n,)) for m in mats]
+
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_check_povm_names_the_member(self, member):
+        rng = np.random.default_rng(member)
+        effects = self.povm(rng, 4, member, -2 * PSD_ATOL)
+        with pytest.raises(PositivityError) as exc_info:
+            check_povm(effects)
+        assert str(exc_info.value) == eigvalsh_message(f"POVM effect {member}",
+                                                       effects[member].mat)
+        check_povm(self.povm(rng, 4, member, -0.5 * PSD_ATOL))
+
+    def test_non_finite_refused_first(self):
+        for bad in (np.nan, np.inf):
+            mat = np.eye(2, dtype=complex)
+            mat[0, 0] = bad
+            with pytest.raises(ValidationError, match="non-finite") as exc_info:
+                check_psd(HermitianOperator(mat, (2,)), "operator")
+            assert not isinstance(exc_info.value, PositivityError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_cholesky_proves_nothing_on_non_finite(self, bad, where):
+        # an unchecked operator holds what it is given; OpenBLAS factors through a
+        # NaN pivot without an error, so the factor itself must be finite
+        mat = np.eye(3, dtype=complex)
+        mat[where] = bad
+        with np.errstate(invalid="ignore"):
+            assert not _proves_psd([HermitianOperator._unchecked(mat, (3,))], PSD_ATOL)
+
+    def test_mixed_dims_are_not_stacked(self):
+        ops = [HermitianOperator(np.eye(4), (4,)), HermitianOperator(np.eye(4), (2, 2))]
+        assert not _proves_psd(ops, PSD_ATOL)
+        assert _proves_psd(ops[:1], PSD_ATOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(-3, 3),
+           st.floats(-2, 1), st.booleans())
+    def test_decisions_agree_outside_the_slack(self, seed, n, log_scale, log_offset, above):
+        # lambda_min = -atol +- 10^log_offset atol, on matrices of norm up to 10^3
+        rng = np.random.default_rng(seed)
+        atol = PSD_ATOL
+        lam = -atol + (1 if above else -1) * 10.0**log_offset * atol
+        mat = HermitianOperator(with_min_eigenvalue(rng, n, lam, 10.0**log_scale), (n,)).mat
+        delta = _cholesky_slack(n, float(np.abs(np.diag(mat)).max()), atol)
+        assume(abs(np.linalg.eigvalsh(mat)[0] + atol) > delta)
+        try:
+            check_psd(HermitianOperator(mat, (n,)), "operator")
+            accepted = True
+        except PositivityError:
+            accepted = False
+        assert accepted == eigvalsh_decision(mat, atol)
 
 
 class TestJson:

@@ -8,6 +8,7 @@ import pytest
 
 from testerbounds.cli import GEN_KINDS, _build_scenario
 from testerbounds.linalg import (
+    PSD_ATOL,
     DimensionError,
     HermitianOperator,
     Ket,
@@ -32,6 +33,7 @@ from testerbounds.sampling import (
     random_test,
 )
 from testerbounds.testers import (
+    Channel,
     Scenario,
     Test,
     Tester,
@@ -358,6 +360,60 @@ def test_invalid_input_raises_its_class(case):
         build()
     if cls is ValidationError:
         assert not isinstance(exc_info.value, PositivityError)
+
+
+def _min_eigenvalue_message(what: str, op: HermitianOperator) -> str:
+    return (f"{what} is not positive semidefinite "
+            f"(min eigenvalue {np.linalg.eigvalsh(op.mat)[0]:.3e})")
+
+
+def _tester_elements(low: float, member: int):
+    """Four elements T_k = q_k q_k^dag / 2 of a random basis q of C^2 (x) C^2, summing to
+    (I / 2) (x) I, with ``low`` moved from the last element into ``member``'s along q_3."""
+    rng = np.random.default_rng(member)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    mats = [np.outer(q[:, k], q[:, k].conj()) / 2 for k in range(4)]
+    mats[member] = mats[member] + low * 2 * mats[3]
+    mats[3] = (1 - 2 * low) * mats[3]
+    return [(label, HermitianOperator(m, (2, 2))) for label, m in zip("abcd", mats)]
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_tester_positivity_names_the_element(member):
+    # one Cholesky accepts the family; a rejection is decided and worded by the
+    # smallest eigenvalue of the element it names
+    marginal = HermitianOperator(np.eye(2) / 2, (2,))
+    elements = _tester_elements(-2 * PSD_ATOL, member)
+    with pytest.raises(PositivityError) as exc_info:
+        Tester(elements, marginal)
+    label, op = elements[member]
+    assert str(exc_info.value) == _min_eigenvalue_message(f"element {label!r}", op)
+    Tester(_tester_elements(-0.5 * PSD_ATOL, member), marginal)
+
+
+@pytest.mark.parametrize("negative,misshaped,error", [
+    (0, 1, PositivityError), (1, 0, DimensionError)])
+def test_tester_checks_elements_in_order(negative, misshaped, error):
+    # an element of other dims falls back to the per-element checks, first failure first
+    marginal = HermitianOperator(np.eye(2) / 2, (2,))
+    elements = _tester_elements(-2 * PSD_ATOL, negative)
+    label, op = elements[misshaped]
+    elements[misshaped] = (label, HermitianOperator(op.mat, (4, 1)))
+    with pytest.raises(error, match=f"element {'abcd'[min(negative, misshaped)]!r}"):
+        Tester(elements, marginal)
+
+
+@pytest.mark.parametrize("low", [-2 * PSD_ATOL, -0.5 * PSD_ATOL])
+def test_choi_positivity(low):
+    # I (x) I / 2 + t X (x) Z has eigenvalues 1/2 +- t and tr_out = I for every t
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+    choi = HermitianOperator(np.eye(4) / 2 + (0.5 - low) * np.kron(x, z), (2, 2))
+    if low < -PSD_ATOL:
+        with pytest.raises(PositivityError) as exc_info:
+            Channel(choi)
+        assert str(exc_info.value) == _min_eigenvalue_message("Choi matrix", choi)
+    else:
+        Channel(choi)
 
 
 class TestChannels:

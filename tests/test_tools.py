@@ -1,6 +1,6 @@
 """tools/report_diff.py, its last summary line too, on reports written by the
 CLI and edited by hand, tools/stress_grid.py on one seed, its table and its
-iteration sums, and tools/output_digests.py once."""
+iteration sums, tools/output_digests.py once and tools/oneshot.py on one pair."""
 
 import importlib.util
 import json
@@ -23,6 +23,7 @@ def _load(name: str):
 report_diff = _load("report_diff")
 stress_grid = _load("stress_grid")
 output_digests = _load("output_digests")
+oneshot = _load("oneshot")
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +119,17 @@ def test_output_digests_lines(tmp_path, capsys):
     names = [m.group(1) for m in matches]
     assert not [name for name in names if re.search(r"\(exit \d+\)$", name)]
     assert len(set(names)) == len(names)
+
+
+def test_oneshot_one_pair(capsys):
+    # this checkout against itself: both commands run, print the same bytes and
+    # get a table; a tree with __main__ runs as python -m testerbounds
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert oneshot._module(src) == "testerbounds"
+    assert oneshot.main([str(src), str(src), "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == list(oneshot.COMMANDS)
+    assert sum(bool(re.fullmatch(r"  (base|head) median [\d.]+ ms \(quartiles [\d.]+-[\d.]+\)",
+                                 line)) for line in lines) == 4
+    assert sum(bool(re.fullmatch(r"  head - base [+-][\d.]+ ms; head won [01] of 1 pairs",
+                                 line)) for line in lines) == 2
