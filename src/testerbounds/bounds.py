@@ -30,15 +30,16 @@ by the solver in closed form, so on such scenarios the interior point runs
 only for exact solves of sources of rank two or more.  The images of a failed
 source are solved directly.  Each symmetry is kept as monomials (index,
 phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and two
-phase products.  A report is one walk over the combinations' table: each
-objective is built once, as the plain matrix that ``objective_operator``
-wraps, and wrapped, unchecked, only for an exact solve.  Each source that
-has images keeps its objective M; an image moves it once, to W M W^dag, for
-both its spectral step and its start.  It takes its source's norm cap and
-tightness once its own objective is checked to equal W M W^dag, whatever the
-degeneracy of the top eigenspace: W moves that eigenspace with the objective,
-and the tightness witness depends on the eigenspace only, not on its basis.
-Its exact solve follows at once.
+phase products.  A report walks the sources first, in report order, then
+each source's images, in report order, eight at a time.  Each objective is
+built once, as the plain matrix that ``objective_operator`` wraps, and
+wrapped, unchecked, only for an exact solve.  A source that has images keeps
+its objective M; a stack of its images builds their objectives, moves M to
+each W M W^dag and checks the two equal, each step in one pass.  An image
+takes its source's norm cap and tightness once its check passes, whatever
+the degeneracy of the top eigenspace: W moves that eigenspace with the
+objective, and the tightness witness depends on the eigenspace only, not on
+its basis.  Its exact solve starts from W M W^dag.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing and take no start; they are the oracle.
 """
@@ -62,6 +63,7 @@ from .testers import Channel, Scenario, Tester, channel_to_json
 TIGHTNESS_ATOL = 1e-8
 TRADEOFF_MARGIN = 1e-8
 AGREEMENT_FLOOR = 1e-6
+_STACK = 8  # orbit images per stack in scenario_report: fewer ran slower, more raised peak memory
 
 
 class InequalityError(ValidationError):
@@ -81,20 +83,23 @@ def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[
 
 
 def _objective(scenario: Scenario, testers: Sequence[Tester],
-               combination: tuple[str, ...]) -> np.ndarray:
-    """The matrix of sum_l r_l T_l(x_l), summed one test at a time.  A sum of
-    validated, exactly Hermitian elements is finite and exactly Hermitian, so
-    it is wrapped unchecked, and the wrap leaves its bits as they are."""
-    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
-    for weight, tester, label in zip(scenario.weights, testers, combination):
-        total += weight * tester.element(label).mat
+               combinations: Sequence[tuple[str, ...]]) -> np.ndarray:
+    """The matrices of sum_l r_l T_l(x_l), one per combination of a stack,
+    summed one test at a time.  A sum of validated, exactly Hermitian
+    elements is finite and exactly Hermitian, so it is wrapped unchecked, and
+    the wrap leaves its bits as they are."""
+    total = np.zeros((len(combinations),) + (scenario.d_in * scenario.d_out,) * 2, dtype=complex)
+    for i, (weight, tester) in enumerate(zip(scenario.weights, testers)):
+        elements = np.array([tester.element(combo[i]).mat for combo in combinations])
+        elements *= weight
+        total += elements
     return total
 
 
 def objective_operator(scenario: Scenario, combination: Sequence[str]) -> HermitianOperator:
     """sum_l r_l T_l(x_l) for one combination, built unchecked as ``_objective`` allows."""
     combination = _check_combination(scenario, combination)
-    return HermitianOperator._unchecked(_objective(scenario, scenario.testers(), combination),
+    return HermitianOperator._unchecked(_objective(scenario, scenario.testers(), [combination])[0],
                                         (scenario.d_in, scenario.d_out))
 
 
@@ -516,12 +521,12 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
     per-test maxima feeding the trivial bound are solved once per outcome.
-    The report is one walk over the combinations' orbit table, in report
-    order, and builds each objective once.  An image takes its source's
-    ``upper``, ``tight`` and ``tight_degenerate`` once its objective matches
-    the transported one, and its exact solve starts from its source's result
-    and the transported objective; only a source that has images keeps its
-    objective and results.
+    The sources of the combinations' orbit table come first, each solved with
+    no start, then each source's images, ``_STACK`` at a time, and each
+    objective is built once.  An image takes its source's ``upper``, ``tight``
+    and ``tight_degenerate`` once its objective matches the transported one,
+    and its exact solve starts from its source's result and the transported
+    objective; only a source that has images keeps its objective and results.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
@@ -540,28 +545,35 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
         except SolverError as exc:
             return exc
 
-    kept: dict = {}
-    reports = []
-    testers = scenario.testers()
-    dims = (scenario.d_in, scenario.d_out)
-    for combo, origin in table.items():
-        mat = _objective(scenario, testers, combo)
-        spectral = start = None
-        if origin is not None:
-            source, w, u = origin
-            m, handed, solved = kept[source]
-            moved = _conjugated(m, w)
-            if np.abs(mat - moved).max() <= ROUNDING_ATOL:
-                spectral = handed
-            start = (solved, moved, w, u) if isinstance(solved, ChannelOptResult) else None
-        if spectral is None:
-            spectral = _tightness(mat, dims)
+    def reported(combo, mat, spectral, start):
         # validated testers' elements, summed as _objective says
         exact = None if skip_exact else exact_bound(HermitianOperator._unchecked(mat, dims), start)
+        reports[combo] = _report(scenario, combo, tol, spectral, maxima, exact)
+        return exact
+
+    testers = scenario.testers()
+    dims = (scenario.d_in, scenario.d_out)
+    reports: dict = {}
+    kept: dict = {}  # source: (its images, objective, spectral result, exact result)
+    for combo, origin in table.items():
+        if origin is not None:
+            kept[origin[0]][0].append((combo, *origin[1:]))
+            continue
+        mat = _objective(scenario, testers, [combo])[0]
+        spectral = _tightness(mat, dims)
+        exact = reported(combo, mat, spectral, None)
         if combo in sources:
-            kept[combo] = (mat, spectral, exact)
-        reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
-    return reports
+            kept[combo] = ([], mat, spectral, exact)
+    for orbit, m, handed, solved in kept.values():
+        for i in range(0, len(orbit), _STACK):
+            images, ws, us = zip(*orbit[i:i + _STACK])
+            mats = _objective(scenario, testers, images)
+            moved = _conjugated(m, tuple(map(np.array, zip(*ws))))
+            same = np.abs(mats - moved).max(axis=(1, 2)) <= ROUNDING_ATOL
+            for combo, w, u, mat, mat_s, ok in zip(images, ws, us, mats, moved, same):
+                start = (solved, mat_s, w, u) if isinstance(solved, ChannelOptResult) else None
+                reported(combo, mat, handed if ok else _tightness(mat, dims), start)
+    return [reports[combo] for combo in combos]
 
 
 _JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_degenerate",

@@ -4,9 +4,12 @@ from math import ceil
 
 import numpy as np
 
-from testerbounds.bounds import TIGHTNESS_ATOL, TightnessResult, _monomials, _Relabelling
-from testerbounds.linalg import (EQUALITY_ATOL, HermitianOperator, eig_hermitian, partial_trace,
-                                 shift_clock)
+from testerbounds.bounds import (TIGHTNESS_ATOL, TightnessResult, _monomials, _orbits,
+                                 _per_test_maxima, _Relabelling, _report, _symmetries, _tightness,
+                                 all_combinations)
+from testerbounds.channel_opt import ChannelOptResult, SolverError, maximize_over_channels
+from testerbounds.linalg import (EQUALITY_ATOL, ROUNDING_ATOL, HermitianOperator, eig_hermitian,
+                                 partial_trace, shift_clock)
 from testerbounds.sampling import haar_isometries, haar_unitary
 from testerbounds.testers import Channel, Scenario, channel_from_kraus
 
@@ -164,3 +167,47 @@ def tightness_witness(objective: HermitianOperator, rng: np.random.Generator,
     lowest = float(np.linalg.eigvalsh(sum(ch * h for ch, h in zip(c, basis)))[0])
     return TightnessResult(tight=residual <= atol and lowest >= -atol, degenerate=len(top) > 1,
                            marginal_residual=residual, upper=d_in * float(np.max(np.abs(vals))))
+
+
+def walk_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 4096,
+                skip_exact: bool = False, skip_trivial: bool = False) -> list:
+    """``bounds.scenario_report`` as one walk over the orbit table in report
+    order, one combination at a time: each objective summed on its own, each
+    image's source objective moved by two takes and two phase products and
+    checked on its own.  The reports, and so their bytes, that the stacked
+    walk must return."""
+    combos = all_combinations(scenario, cap)
+    symmetries = _symmetries(scenario)
+    table = _orbits(combos, symmetries)
+    sources = {origin[0] for origin in table.values() if origin is not None}
+    maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
+    testers = scenario.testers()
+    dims = (scenario.d_in, scenario.d_out)
+    kept, reports = {}, []
+    for combo, origin in table.items():
+        mat = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
+        for weight, tester, label in zip(scenario.weights, testers, combo):
+            mat += weight * tester.element(label).mat
+        spectral = start = None
+        if origin is not None:
+            source, w, u = origin
+            m, handed, solved = kept[source]
+            index, phase = w
+            moved = phase[:, None] * m.take(index, 0).take(index, 1) * phase.conj()
+            if np.abs(mat - moved).max() <= ROUNDING_ATOL:
+                spectral = handed
+            if isinstance(solved, ChannelOptResult):
+                start = solved, moved, w, u
+        if spectral is None:
+            spectral = _tightness(mat, dims)
+        exact = None
+        if not skip_exact:
+            try:
+                exact = maximize_over_channels(HermitianOperator._unchecked(mat, dims), tol=tol,
+                                               start=start)
+            except SolverError as exc:
+                exact = exc
+        if combo in sources:
+            kept[combo] = (mat, spectral, exact)
+        reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
+    return reports

@@ -1,6 +1,7 @@
 """Tests for the scenario-level uncertainty bounds."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from testerbounds.scenarios import (
 from testerbounds.testers import (Scenario, Test, channel_from_choi, channel_from_unitary,
                                   scenario_from_json, scenario_to_json)
 
-from oracles import exhaustive_symmetries, tightness_witness
+from oracles import exhaustive_symmetries, tightness_witness, walk_report
 
 
 def random_meb(d, rng):
@@ -730,27 +731,38 @@ class TestOrbitReuse:
             direct = tightness_check(s, r.combination)
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
 
-    @pytest.mark.parametrize("skip", [True, False])
-    def test_false_symmetry_caught_by_objective_check(self, skip, monkeypatch):
+    def check_false_symmetries(self, skip, pick, monkeypatch) -> dict:
+        """A report of meb --d 3 on the symmetries ``pick(symmetries, false)``,
+        with ``false`` swapping the images of x1_0 and x1_1, checked against
+        the direct computations; returns the wrong images, each with the
+        stack of its source's images it falls in."""
         s = _build_scenario("meb", 3)
-        w, u, perm = bounds._symmetries(s)[0]
         labels = [x for test in s.tests for x in test.labels]
-        false = {x: perm[x] for x in labels}
-        false["x1_0"], false["x1_1"] = perm["x1_1"], perm["x1_0"]
-        # W as a dense matrix, W[a, index[a]] = phase[a]
-        dense = np.zeros((9, 9), dtype=complex)
-        dense[np.arange(9), w[0]] = w[1]
 
-        def moved(combo):
+        def false(symmetry):
+            w, u, perm = symmetry
+            relabelling = {x: perm[x] for x in labels}
+            relabelling["x1_0"], relabelling["x1_1"] = perm["x1_1"], perm["x1_0"]
+            return w, u, relabelling
+
+        symmetries = pick(bounds._symmetries(s), false)
+
+        def moved(w, combo):
+            # W as a dense matrix, W[a, index[a]] = phase[a]
+            dense = np.zeros((9, 9), dtype=complex)
+            dense[np.arange(9), w[0]] = w[1]
             return dense @ objective_operator(s, combo).mat @ dense.conj().T
 
-        # the combinations whose source under the false relabelling is not
-        # mapped onto them by W
-        inverse = {y: x for x, y in false.items()}
-        wrong = {c for c in all_combinations(s)
-                 if np.abs(objective_operator(s, c).mat
-                           - moved(tuple(inverse[y] for y in c))).max() > 1e-6}
-        monkeypatch.setattr(bounds, "_symmetries", lambda scenario: [(w, u, false)])
+        # the images that W does not map their source onto
+        table = bounds._orbits(all_combinations(s), symmetries)
+        images: dict = {}
+        for c, origin in table.items():
+            if origin is not None:
+                images.setdefault(origin[0], []).append(c)
+        wrong = {c: images[origin[0]].index(c) // bounds._STACK for c, origin in table.items()
+                 if origin is not None and np.abs(objective_operator(s, c).mat
+                                                  - moved(origin[1], origin[0])).max() > 1e-6}
+        monkeypatch.setattr(bounds, "_symmetries", lambda scenario: symmetries)
         recorded = self.record_tightness(s, monkeypatch)
         reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
         monkeypatch.undo()
@@ -768,14 +780,29 @@ class TestOrbitReuse:
             # a wrong image's moved start does not certify, in the exact solves
             # and the per-test maxima alike, and the image is solved from none:
             # more combinations run the interior point than there are sources
-            sources = [c for c, origin in bounds._orbits(all_combinations(s),
-                                                         [(w, u, false)]).items()
-                       if origin is None]
+            sources = [c for c, origin in table.items() if origin is None]
             assert sum(r.path != "start" for r in reports) > len(sources)
             for r in reports:
                 assert r.error is None
                 assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
                 assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
+        return wrong
+
+    @pytest.mark.parametrize("skip", [True, False])
+    def test_false_symmetry_caught_by_objective_check(self, skip, monkeypatch):
+        # one false symmetry is the whole list, so each source has at most one image
+        self.check_false_symmetries(skip, lambda symmetries, false: [false(symmetries[0])],
+                                    monkeypatch)
+
+    @pytest.mark.parametrize("skip", [True, False])
+    def test_false_images_in_different_stacks(self, skip, monkeypatch):
+        # every ninth symmetry of the full list is false: the wrong images sit
+        # among right ones, in three different stacks of one source's 71
+        # images, and a second source has 8
+        wrong = self.check_false_symmetries(
+            skip, lambda symmetries, false: [false(sym) if i % 9 == 0 else sym
+                                             for i, sym in enumerate(symmetries)], monkeypatch)
+        assert sorted(wrong.values()) == [0, 1, 2]
 
     # the rectangular and degenerate shapes check that an empty set of
     # symmetries is built for any (d_in, d_out)
@@ -818,6 +845,12 @@ class TestMonomials:
                 expected = dense @ mat @ dense.conj().T
                 assert np.abs(bounds._conjugated(mat, monomial) - expected).max() <= \
                     1e-15 * np.abs(mat).max()
+        # a stack of monomials moves a matrix to the stack of its single moves, bit for bit
+        for mat, which in ((m, 0), (y, 1)):
+            monomials = [symmetry[which] for symmetry in symmetries]
+            stacked = bounds._conjugated(mat, tuple(np.array(part) for part in zip(*monomials)))
+            assert stacked.tobytes() == \
+                np.array([bounds._conjugated(mat, mono) for mono in monomials]).tobytes()
 
     def test_shift_clock_phases_within_stated_delta(self):
         # delta of the rounding bound _from_start states: how far the phases of
@@ -857,13 +890,17 @@ class TestMonomials:
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
     def test_report_objectives_are_the_oracles(self, kind, d, monkeypatch):
+        # every objective a report builds, alone or in a stack of orbit
+        # images, and every matrix it solves is objective_operator's, bit for
+        # bit, with one solve per combination
         s = _build_scenario(kind, d)
         build, solve = bounds._objective, bounds.maximize_over_channels
         built, solved = [], []
 
-        def building(scenario, testers, combination):
-            built.append((combination, build(scenario, testers, combination)))
-            return built[-1][1]
+        def building(scenario, testers, combinations):
+            mats = build(scenario, testers, combinations)
+            built.extend(zip(combinations, mats))
+            return mats
 
         def solving(m, tol, start=None):
             solved.append(m)
@@ -874,12 +911,15 @@ class TestMonomials:
         reports = scenario_report(s, tol=1e-6, skip_trivial=True)
         monkeypatch.undo()
         combos = all_combinations(s)
-        assert [c for c, _ in built] == [r.combination for r in reports] == combos
+        assert [r.combination for r in reports] == combos
+        assert sorted(c for c, _ in built) == combos
         assert len(solved) == len(combos)
-        for (combo, mat), m in zip(built, solved):
+        # a report solves its objectives in the order it builds them
+        inputs = {combo: m for (combo, _), m in zip(built, solved)}
+        for combo, mat in built:
             oracle = objective_operator(s, combo)
-            assert np.array_equal(mat, oracle.mat) and np.array_equal(m.mat, oracle.mat)
-            assert m.dims == oracle.dims
+            assert mat.tobytes() == inputs[combo].mat.tobytes() == oracle.mat.tobytes()
+            assert inputs[combo].dims == oracle.dims
 
     @pytest.mark.parametrize("kind,d", [("meb", 3), ("mub-meb-2qubit", 2)])
     def test_checks_run_only_at_the_boundary(self, kind, d, monkeypatch):
@@ -931,6 +971,68 @@ class TestMonomials:
         assert built
         for mat, dims, op in built:
             assert HermitianOperator(mat, dims) == op
+
+
+def report_bytes(reports) -> str:
+    return dumps_canonical({"reports": [report_to_json(r) for r in reports]})
+
+
+# (name, scenario builder, skip both bounds): every gen kind at d = 2 and 3,
+# full and with both skips, meb and example2 at d = 4 with both skips, and a
+# random scenario with no symmetry, where every combination is a source
+WALKS = [(f"{kind}-{d}-{'skip' if skip else 'full'}",
+          lambda kind=kind, d=d: _build_scenario(kind, d), skip)
+         for kind in GEN_KINDS for d in (2, 3) if kind != "mub-meb-2qubit" or d == 2
+         for skip in (False, True)]
+WALKS += [(f"{kind}-4-skip", lambda kind=kind: _build_scenario(kind, 4), True)
+          for kind in ("meb", "example2")]
+WALKS += [("random-full", lambda: random_scenario(np.random.default_rng(11), n_tests=2, d_anc=2,
+                                                  d_in=2, d_out=3, n_outcomes=3), False)]
+
+
+class TestStackedWalk:
+    """``scenario_report`` walks the sources first, then each source's images
+    in stacks of ``bounds._STACK``; ``walk_report`` (tests/oracles.py) walks
+    one combination at a time in report order.  Their reports are the same
+    bytes."""
+
+    @pytest.mark.parametrize("build,skip", [(b, skip) for _, b, skip in WALKS],
+                             ids=[name for name, _, _ in WALKS])
+    def test_matches_the_per_image_walk(self, build, skip):
+        s = build()
+        assert report_bytes(scenario_report(s, skip_exact=skip, skip_trivial=skip)) == \
+            report_bytes(walk_report(s, skip_exact=skip, skip_trivial=skip))
+
+    @pytest.mark.parametrize("stack", [1, 8, 16])
+    @pytest.mark.parametrize("kind,d,images", [("meb", 2, [7, 7]), ("state-mub", 3, [8]),
+                                               ("example2", 2, [15]), ("meb", 3, [80])])
+    def test_stack_boundaries(self, kind, d, images, stack, monkeypatch):
+        # the images of each source, against the stack size of 8: below it,
+        # equal to it, not a multiple of it and ten times it; stacks of one
+        # and of 16 move the boundaries
+        s = _build_scenario(kind, d)
+        table = bounds._orbits(all_combinations(s), bounds._symmetries(s))
+        sources = [c for c, origin in table.items() if origin is None]
+        assert [sum(origin is not None and origin[0] == c for origin in table.values())
+                for c in sources] == images
+        expected = report_bytes(walk_report(s))
+        monkeypatch.setattr(bounds, "_STACK", stack)
+        assert report_bytes(scenario_report(s)) == expected
+
+    def test_stacks_stay_small(self):
+        # a memory guard: meb --d 5 with both skips, one source and 624
+        # images, peaks at 2.05 MB traced when walked one image at a time,
+        # and so it does in stacks of 8; stacks of 16 reach 2.41 MB and
+        # stacks of 32 3.38 MB
+        s = _build_scenario("meb", 5)
+        scenario_report(s, skip_exact=True, skip_trivial=True)
+        tracemalloc.start()
+        try:
+            scenario_report(s, skip_exact=True, skip_trivial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
 
 def one_test_scenario(rho, effects):

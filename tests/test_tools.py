@@ -1,6 +1,8 @@
 """tools/report_diff.py, its last summary line too, on reports written by the
 CLI and edited by hand, tools/stress_grid.py on one seed, its table and its
-iteration sums, tools/output_digests.py once and tools/oneshot.py on one pair."""
+iteration sums, tools/output_digests.py once, tools/oneshot.py on one pair and
+tools/bench_pairs.py's summary on canned result lines, its options and, in a
+git checkout, its export of a revision."""
 
 import importlib.util
 import json
@@ -24,6 +26,7 @@ report_diff = _load("report_diff")
 stress_grid = _load("stress_grid")
 output_digests = _load("output_digests")
 oneshot = _load("oneshot")
+bench_pairs = _load("bench_pairs")
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +136,61 @@ def test_oneshot_one_pair(capsys):
                                  line)) for line in lines) == 4
     assert sum(bool(re.fullmatch(r"  head - base [+-][\d.]+ ms; head won [01] of 1 pairs",
                                  line)) for line in lines) == 2
+
+
+def result_line(**values) -> str:
+    """One canned ``bench/run.py`` result line, correct, with the given metric values."""
+    return json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                       "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}})
+
+
+def test_bench_pairs_summary():
+    # pairs won follow each metric's direction and ties count for neither
+    # side; quartiles are statistics.quantiles' (exclusive method)
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    assert names == ["report_s", "combos_per_s", "setup_s", "peak_rss_mb", "ok_frac"]
+    rows = {"report_s": ([0.12, 0.11, 0.13, 0.10], [0.10, 0.10, 0.11, 0.11]),
+            "combos_per_s": ([100, 110, 90, 120], [120, 110, 100, 100]),
+            "setup_s": ([0.2, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.2]),
+            "peak_rss_mb": ([48.0, 48.2, 48.1, 48.1], [48.1, 48.2, 48.0, 48.1]),
+            "ok_frac": ([1.0] * 4, [1.0] * 4)}
+    base, head = ([result_line(**{k: rows[k][side][i] for k in names}) for i in range(4)]
+                  for side in (0, 1))
+    lines, ok = bench_pairs.summarize(spec["end_to_end"], base, head)
+    assert ok
+    assert lines[:4] == ["report_s (s, lower is better)",
+                         "  base median 0.115 (quartiles 0.1025-0.1275)",
+                         "  head median 0.105 (quartiles 0.1-0.11)",
+                         "  head - base -8.7 %; base won 1, head won 3 of 4 pairs"]
+    assert lines[4] == "combos_per_s (1/s, higher is better)"
+    assert lines[7] == "  head - base +0.0 %; base won 1, head won 2 of 4 pairs"
+    assert lines[11] == "  head - base +0.0 %; base won 0, head won 0 of 4 pairs"
+    assert lines[13:16] == ["  base median 48.1 (quartiles 48.025-48.175)",
+                            "  head median 48.1 (quartiles 48.025-48.175)",
+                            "  head - base +0.0 %; base won 1, head won 1 of 4 pairs"]
+    assert len(lines) == 4 * len(names)
+    # a run that is not correct, or that failed an operation, fails the comparison
+    head[2] = json.dumps({**json.loads(head[2]), "correct": False})
+    base[0] = json.dumps({**json.loads(base[0]), "failed": 1})
+    lines, ok = bench_pairs.summarize(spec["end_to_end"], base, head)
+    assert not ok
+    assert lines[:2] == ["base runs not correct or with failures: [1]",
+                         "head runs not correct or with failures: [3]"]
+
+
+def test_bench_pairs_takes_no_run_length(capsys):
+    # every run is as long as BENCHMARK.json's run_seconds, so claims cite
+    # the benchmark's own run length
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["HEAD", "--workload", "closed-form-wide", "--seconds", "3"])
+    assert exit_.value.code == 2
+    assert "--seconds" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(), reason="not a git checkout")
+def test_bench_pairs_exports_a_revision(tmp_path):
+    bench_pairs.export("HEAD", tmp_path / "head")
+    assert (tmp_path / "head" / "bench" / "run.py").is_file()
+    assert json.loads((tmp_path / "head" / "BENCHMARK.json").read_text())["run_seconds"] > 0
+    assert not list((tmp_path / "head").rglob("__pycache__"))
