@@ -19,27 +19,21 @@ once per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes
 each tester's elements maps the objective M of an outcome or a combination to
 W M W^dag, that of its image, and a certified result with channel J and dual
 certificate Y to one with W J W^dag and U Y U^dag, so bounds within an orbit
-coincide.  The orbits are one table per report: the first key of an orbit in
-report order is its source, solved with no start, and each image starts from
-its source's result, its source's objective moved by W, W and U.  The solver
+coincide.  ``_symmetries`` checks each symmetry it accepts once, on every
+tester element, which proves each image's objective equal to its source's
+moved by W up to rounding.  A report walks its orbit table once, in report
+order: the first key of an orbit is its source, built and solved with no
+start; an image takes its source's norm cap and tightness with no objective
+built, whatever the degeneracy of the top eigenspace (W moves it with the
+objective, and the tightness witness depends on it, not on its basis), and
+builds its objective only for its exact solve, which starts from its
+source's result, its source's objective moved by W, W and U.  The solver
 moves the result and certifies it by a perturbation bound, with no
-eigendecomposition and no primal-dual iteration, or solves the image as if it
-had no start.  A source whose objective has rank one (every per-test maximum
-of a scenario with rank-one tester elements) or lives on d_in = 1 is certified
-by the solver in closed form, so on such scenarios the interior point runs
-only for exact solves of sources of rank two or more.  The images of a failed
-source are solved directly.  Each symmetry is kept as monomials (index,
-phase), W[a, index[a]] = phase[a], so moving a matrix is a gather and two
-phase products.  A report walks the sources first, in report order, then
-each source's images, in report order, eight at a time.  Each objective is
-built once, as the plain matrix that ``objective_operator`` wraps, and
-wrapped, unchecked, only for an exact solve.  A source that has images keeps
-its objective M; a stack of its images builds their objectives, moves M to
-each W M W^dag and checks the two equal, each step in one pass.  An image
-takes its source's norm cap and tightness once its check passes, whatever
-the degeneracy of the top eigenspace: W moves that eigenspace with the
-objective, and the tightness witness depends on the eigenspace only, not on
-its basis.  Its exact solve starts from W M W^dag.
+eigendecomposition and no primal-dual iteration, or solves the image as if
+it had no start; the images of a failed source are solved directly.  Rank-one
+and d_in = 1 objectives are certified in closed form.  Each symmetry is kept
+as monomials (index, phase), W[a, index[a]] = phase[a], so moving a matrix is
+a gather and two phase products.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing and take no start; they are the oracle.
 """
@@ -63,7 +57,6 @@ from .testers import Channel, Scenario, Tester, channel_to_json
 TIGHTNESS_ATOL = 1e-8
 TRADEOFF_MARGIN = 1e-8
 AGREEMENT_FLOOR = 1e-6
-_STACK = 8  # orbit images per stack in scenario_report: fewer ran slower, more raised peak memory
 
 
 class InequalityError(ValidationError):
@@ -83,23 +76,20 @@ def _check_combination(scenario: Scenario, combination: Sequence[str]) -> tuple[
 
 
 def _objective(scenario: Scenario, testers: Sequence[Tester],
-               combinations: Sequence[tuple[str, ...]]) -> np.ndarray:
-    """The matrices of sum_l r_l T_l(x_l), one per combination of a stack,
-    summed one test at a time.  A sum of validated, exactly Hermitian
-    elements is finite and exactly Hermitian, so it is wrapped unchecked, and
-    the wrap leaves its bits as they are."""
-    total = np.zeros((len(combinations),) + (scenario.d_in * scenario.d_out,) * 2, dtype=complex)
-    for i, (weight, tester) in enumerate(zip(scenario.weights, testers)):
-        elements = np.array([tester.element(combo[i]).mat for combo in combinations])
-        elements *= weight
-        total += elements
+               combination: tuple[str, ...]) -> np.ndarray:
+    """The matrix of sum_l r_l T_l(x_l), summed one test at a time.  A sum of
+    validated, exactly Hermitian elements is finite and exactly Hermitian, so
+    it is wrapped unchecked, and the wrap leaves its bits as they are."""
+    total = np.zeros((scenario.d_in * scenario.d_out,) * 2, dtype=complex)
+    for weight, tester, label in zip(scenario.weights, testers, combination):
+        total += weight * tester.element(label).mat
     return total
 
 
 def objective_operator(scenario: Scenario, combination: Sequence[str]) -> HermitianOperator:
     """sum_l r_l T_l(x_l) for one combination, built unchecked as ``_objective`` allows."""
     combination = _check_combination(scenario, combination)
-    return HermitianOperator._unchecked(_objective(scenario, scenario.testers(), [combination])[0],
+    return HermitianOperator._unchecked(_objective(scenario, scenario.testers(), combination),
                                         (scenario.d_in, scenario.d_out))
 
 
@@ -117,10 +107,10 @@ class _Relabelling:
 
 
 def _monomials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, phase) of each matrix m of a stack with one nonzero entry per row,
-    m[a, index[a]] = phase[a]."""
-    index = np.abs(stack).argmax(axis=2)
-    return index, np.take_along_axis(stack, index[..., None], axis=2)[..., 0]
+    """(index, phase) of a matrix m, or of each of a stack, with one nonzero
+    entry per row, m[a, index[a]] = phase[a]."""
+    index = np.abs(stack).argmax(axis=-1)
+    return index, np.take_along_axis(stack, index[..., None], axis=-1)[..., 0]
 
 
 def _fingerprints(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -132,25 +122,36 @@ def _fingerprints(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
-    """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t that
-    maps the fingerprints <r|T|r> of each tester's elements one to one onto
-    its own (r is one fixed generic vector); perm[x] = y when W T(x) W^dag = T(y).
-    W and U are monomials (index, phase), W[a, index[a]] = phase[a], read off
-    the dense shift-clock matrices, so each phase is an entry of them.  The
-    list is in candidate order, c = (p, q, s, t) counted from the identity.
+    """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t with
+    W T(x) W^dag = T(perm x), up to the rounding below, for every tester
+    element; perm maps the fingerprints <r|T|r> (r one fixed generic vector)
+    one to one onto the tester's own.  W and U are monomials (index, phase),
+    W[a, index[a]] = phase[a], whose phases are entries of the dense
+    shift-clock matrices.  The list is in candidate order, c = (p, q, s, t).
 
     Modulo phases the candidates form the group Z_d_in^2 x Z_d_out^2, and the
-    symmetries with the identity a subgroup H of it.  The search takes one
-    chunk of candidates per U, in order, and fingerprints in one batched
-    product only the candidates of the chunk not yet known to lie in H.
-    An accepted g grows H to H + <g>, the cosets k g + H, whose relabellings
-    are compositions of known ones: perm of h + k g is perm_g applied k times
-    after perm_h.  Where H is every candidate, as on ``meb`` and ``example2``,
-    three chunks decide all of them; where H holds no U but the identity, as
-    on ``example1`` and random scenarios, every chunk is fingerprinted.
-    A false match is caught downstream, and spreads to the subgroup it
-    generates: its starts fail their certification and its spectral reuse
-    fails the objective check."""
+    symmetries with the identity a subgroup H.  The search takes one chunk of
+    candidates per U and fingerprints in one batched product those not yet
+    in H.  A match g is checked once, one gather per element, for its error
+    delta_g = max_x |W_g T(x) W_g^dag - T(perm_g x)|.  Accepted, it grows H to
+    the cosets k g + H, k < n_g, where perm of h + k g is perm_g applied k
+    times after perm_h.  So a symmetry is a product of at most
+    F = sum (n_g - 1) accepted generators, its exact unitary theirs up to a
+    phase, and since moving by an exact monomial unitary keeps max|.|,
+    |W_h T(x) W_h^dag - T(perm_h x)| <= F (max delta_g + rho) + rho.
+    rho = 100 u max|T| (u = 2^-53) bounds one move by stored phases against
+    the exact move: a phase is an ``exp`` of an angle rounded within 16 u, so
+    within 18 u of its root of unity, a product of two within 39 u, and a
+    move takes two such products and two complex roundings of sqrt(5) u.  g
+    is accepted only if that bound, with the F and largest delta_g that
+    accepting it gives, is at most ``ROUNDING_ATOL``.  The weights sum to 1,
+    so each image's objective is then within ``ROUNDING_ATOL``, plus the
+    rounding of the sums, of its source's moved by W: the condition for an
+    image to take its source's spectral result.  On ``meb`` and ``example2``
+    H is everything, three chunks decide it and four generators are checked;
+    on ``example1`` and random scenarios H holds no U but the identity and
+    every chunk is fingerprinted.  A false match is rejected when it is found,
+    with the subgroup it would generate."""
     d_in, d_out = scenario.d_in, scenario.d_out
     us, vs = shift_clock(d_in), shift_clock(d_out)
     k = np.arange(1.0, d_in * d_out + 1)
@@ -169,18 +170,21 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
         labels += [label for label, _ in tester.elements]
     stack = np.stack([op.mat for tester in scenario.testers() for _, op in tester.elements],
                      axis=1).reshape(d_in * d_out, -1)
+    mats = stack.reshape(len(stack), len(labels), -1)  # mats[:, x] = T(x) >= 0: max|T| is on a diagonal
+    rho = 100 * 2.0 ** -53 * float(mats.diagonal(0, 0, 2).real.max())
+    factors, worst = 0, 0.0  # F and the largest delta_g of the accepted generators
     in_h = np.zeros(len(us) * len(vs), bool)
     group, rows = np.zeros(1, np.intp), np.arange(len(labels))[None]  # H and its relabellings
-    for iu, u in enumerate(us):
-        c = np.flatnonzero(~in_h[iu * len(vs):(iu + 1) * len(vs)])
+    for i, u in enumerate(us):
+        c = np.flatnonzero(~in_h[i * len(vs):(i + 1) * len(vs)])
         if not len(c):
             continue
         # the chunk's candidates outside H; the identity is the first
         # candidate of chunk 0, and its fingerprints the testers' own
         prints = _fingerprints((u.conj().T @ r @ vs.conj()).reshape(len(vs), -1)[c], stack)
-        c += iu * len(vs)
+        c += i * len(vs)
         ranked = np.concatenate([np.sort(prints[:, tier], axis=1) for tier in tiers], axis=1)
-        if iu == 0:
+        if i == 0:
             own = ranked[0]
             own_order = np.concatenate([tier.start + np.argsort(prints[0, tier], kind="stable")
                                         for tier in tiers])
@@ -203,10 +207,17 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
                 cosets, coset_rows = [group], [rows]
                 members = shift[group]
                 while not in_h[members[0]]:
-                    in_h[members] = True
                     cosets.append(members)
                     coset_rows.append(row[coset_rows[-1]])
                     members = shift[members]
+                w = _monomials(np.kron(us[g // len(vs)], vs[g % len(vs)]))
+                delta = max(float(np.abs(_conjugated(mats[:, x], w) - mats[:, y]).max())
+                            for x, y in enumerate(row))
+                count, error = factors + len(cosets) - 1, max(worst, delta)
+                if not count * (error + rho) + rho <= ROUNDING_ATOL:
+                    continue
+                factors, worst = count, error
+                in_h[np.concatenate(cosets[1:])] = True
                 group, rows = np.concatenate(cosets), np.concatenate(coset_rows)
     order = np.argsort(group)[1:]
     c, rows = group[order], rows[order]
@@ -521,12 +532,12 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
 
     ``cap`` guards against combinatorial blowup; pass None to disable.  The
     per-test maxima feeding the trivial bound are solved once per outcome.
-    The sources of the combinations' orbit table come first, each solved with
-    no start, then each source's images, ``_STACK`` at a time, and each
-    objective is built once.  An image takes its source's ``upper``, ``tight``
-    and ``tight_degenerate`` once its objective matches the transported one,
-    and its exact solve starts from its source's result and the transported
-    objective; only a source that has images keeps its objective and results.
+    The report is one walk over the combinations' orbit table, in report
+    order.  An image takes its source's ``upper``, ``tight`` and
+    ``tight_degenerate`` with no objective built, as ``_symmetries`` proved
+    the two objectives equal up to W and rounding, and builds its objective
+    only for its exact solve, which starts from its source's result and
+    objective moved by W; only a source that has images keeps those.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
@@ -545,35 +556,26 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
         except SolverError as exc:
             return exc
 
-    def reported(combo, mat, spectral, start):
-        # validated testers' elements, summed as _objective says
-        exact = None if skip_exact else exact_bound(HermitianOperator._unchecked(mat, dims), start)
-        reports[combo] = _report(scenario, combo, tol, spectral, maxima, exact)
-        return exact
-
+    kept: dict = {}
+    reports = []
     testers = scenario.testers()
     dims = (scenario.d_in, scenario.d_out)
-    reports: dict = {}
-    kept: dict = {}  # source: (its images, objective, spectral result, exact result)
     for combo, origin in table.items():
-        if origin is not None:
-            kept[origin[0]][0].append((combo, *origin[1:]))
-            continue
-        mat = _objective(scenario, testers, [combo])[0]
-        spectral = _tightness(mat, dims)
-        exact = reported(combo, mat, spectral, None)
+        start = exact = None
+        mat = _objective(scenario, testers, combo) if origin is None or not skip_exact else None
+        if origin is None:
+            spectral = _tightness(mat, dims)
+        else:
+            source, w, u = origin
+            m, spectral, solved = kept[source]
+            if isinstance(solved, ChannelOptResult):
+                start = solved, _conjugated(m, w), w, u
+        if not skip_exact:  # validated testers' elements, summed as _objective says
+            exact = exact_bound(HermitianOperator._unchecked(mat, dims), start)
         if combo in sources:
-            kept[combo] = ([], mat, spectral, exact)
-    for orbit, m, handed, solved in kept.values():
-        for i in range(0, len(orbit), _STACK):
-            images, ws, us = zip(*orbit[i:i + _STACK])
-            mats = _objective(scenario, testers, images)
-            moved = _conjugated(m, tuple(map(np.array, zip(*ws))))
-            same = np.abs(mats - moved).max(axis=(1, 2)) <= ROUNDING_ATOL
-            for combo, w, u, mat, mat_s, ok in zip(images, ws, us, mats, moved, same):
-                start = (solved, mat_s, w, u) if isinstance(solved, ChannelOptResult) else None
-                reported(combo, mat, handed if ok else _tightness(mat, dims), start)
-    return [reports[combo] for combo in combos]
+            kept[combo] = (mat, spectral, exact)
+        reports.append(_report(scenario, combo, tol, spectral, maxima, exact))
+    return reports
 
 
 _JSON_FIELDS = ("trivial", "upper", "exact", "gap", "tradeoff", "tight", "tight_degenerate",

@@ -226,16 +226,13 @@ def shift_clock(d: int) -> np.ndarray:
 
 def _conjugated(m: np.ndarray, monomial: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """W m W^dag for the monomial W = (index, phase): entry (a, b) is
-    phase[a] m[index[a], index[b]] conj(phase[b]).  Stacked monomials, index
-    and phase of shape (k, n), move m to k matrices, each with its bits alone."""
+    phase[a] m[index[a], index[b]] conj(phase[b]).  A stack of matrices, m of
+    shape (..., n, n), is moved matrix by matrix, by two takes on its last two
+    axes, each matrix with the bits it has when moved alone."""
     index, phase = monomial
-    # two takes move one matrix 3x faster than one flat take, which moves stacks
-    if index.ndim == 1:
-        gathered = m.take(index, 0).take(index, 1)
-    else:
-        gathered = m.reshape(-1).take(index[:, :, None] * len(m) + index[:, None, :])
-    np.multiply(phase[..., :, None], gathered, out=gathered)
-    return np.multiply(gathered, phase.conj()[..., None, :], out=gathered)
+    gathered = m.take(index, -2).take(index, -1)
+    np.multiply(phase[:, None], gathered, out=gathered)
+    return np.multiply(gathered, phase.conj(), out=gathered)
 
 
 def maximally_entangled_ket(d: int) -> Ket:

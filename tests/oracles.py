@@ -171,11 +171,13 @@ def tightness_witness(objective: HermitianOperator, rng: np.random.Generator,
 
 def walk_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 4096,
                 skip_exact: bool = False, skip_trivial: bool = False) -> list:
-    """``bounds.scenario_report`` as one walk over the orbit table in report
-    order, one combination at a time: each objective summed on its own, each
-    image's source objective moved by two takes and two phase products and
-    checked on its own.  The reports, and so their bytes, that the stacked
-    walk must return."""
+    """``bounds.scenario_report`` with every objective built and every image
+    checked: one walk over the orbit table in report order, each objective
+    summed on its own, each image's source objective moved by two takes and
+    two phase products and compared with the image's, which takes its own
+    spectral step when the two differ by more than ``ROUNDING_ATOL``.  The
+    reports, and so their bytes, that ``scenario_report``, which checks each
+    symmetry once in ``_symmetries`` and no image, must return."""
     combos = all_combinations(scenario, cap)
     symmetries = _symmetries(scenario)
     table = _orbits(combos, symmetries)

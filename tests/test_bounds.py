@@ -1,5 +1,6 @@
 """Tests for the scenario-level uncertainty bounds."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -731,78 +732,72 @@ class TestOrbitReuse:
             direct = tightness_check(s, r.combination)
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
 
-    def check_false_symmetries(self, skip, pick, monkeypatch) -> dict:
-        """A report of meb --d 3 on the symmetries ``pick(symmetries, false)``,
-        with ``false`` swapping the images of x1_0 and x1_1, checked against
-        the direct computations; returns the wrong images, each with the
-        stack of its source's images it falls in."""
-        s = _build_scenario("meb", 3)
-        labels = [x for test in s.tests for x in test.labels]
+    def test_false_matches_rejected_by_the_search(self, monkeypatch):
+        # every candidate's fingerprints are made the identity's, so each
+        # claims W T(x) W^dag = T(x) for every element; the search checks
+        # each on the elements and keeps none, so the report is the direct one
+        s = random_scenario(np.random.default_rng(11), n_tests=2, d_anc=2, d_in=2, d_out=3,
+                            n_outcomes=3)
+        fingerprints, own = bounds._fingerprints, []
 
-        def false(symmetry):
-            w, u, perm = symmetry
-            relabelling = {x: perm[x] for x in labels}
-            relabelling["x1_0"], relabelling["x1_1"] = perm["x1_1"], perm["x1_0"]
-            return w, u, relabelling
+        def matching(moved, stack):
+            prints = fingerprints(moved, stack)
+            if not own:  # the first candidate fingerprinted is the identity
+                own.append(prints[0])
+            return np.tile(own[0], (len(prints), 1))
 
-        symmetries = pick(bounds._symmetries(s), false)
-
-        def moved(w, combo):
-            # W as a dense matrix, W[a, index[a]] = phase[a]
-            dense = np.zeros((9, 9), dtype=complex)
-            dense[np.arange(9), w[0]] = w[1]
-            return dense @ objective_operator(s, combo).mat @ dense.conj().T
-
-        # the images that W does not map their source onto
-        table = bounds._orbits(all_combinations(s), symmetries)
-        images: dict = {}
-        for c, origin in table.items():
-            if origin is not None:
-                images.setdefault(origin[0], []).append(c)
-        wrong = {c: images[origin[0]].index(c) // bounds._STACK for c, origin in table.items()
-                 if origin is not None and np.abs(objective_operator(s, c).mat
-                                                  - moved(origin[1], origin[0])).max() > 1e-6}
-        monkeypatch.setattr(bounds, "_symmetries", lambda scenario: symmetries)
-        recorded = self.record_tightness(s, monkeypatch)
-        reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
+        monkeypatch.setattr(bounds, "_fingerprints", matching)
+        assert bounds._symmetries(s) == []
+        reports = scenario_report(s, tol=1e-6)
         monkeypatch.undo()
-        calls = [c for c, _ in recorded]
-        assert wrong and len(calls) < len(reports)
+        assert report_bytes(reports) == \
+            report_bytes([bound_report(s, c, tol=1e-6) for c in all_combinations(s)])
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_perturbation_below_fingerprints_rejected(self, skip):
+        # x1_0's effect of meb --d 2 grows by 1e-10 of itself: above
+        # ROUNDING_ATOL, inside EQUALITY_ATOL, so every candidate still
+        # matches on fingerprints, but only the three that fix x1_0 remain
+        # symmetries, and only they are kept
+        base = _build_scenario("meb", 2)
+        first = base.tests[0]
+        (label, effect), *rest = first.povm
+        povm = [(label, HermitianOperator(effect.mat * (1 + 1e-10), effect.dims)), *rest]
+        s = Scenario([Test(first.input_state, povm, first.d_anc, first.d_in, first.d_out),
+                      base.tests[1]], base.weights)
+        labels = [x for test in s.tests for x in test.labels]
+        elements = {x: op.mat for tester in s.testers() for x, op in tester.elements}
+
+        def error(symmetry):
+            w, _, perm = symmetry
+            return max(np.abs(bounds._conjugated(m, w) - elements[perm[x]]).max()
+                       for x, m in elements.items())
+
+        candidates, kept = exhaustive_symmetries(s), bounds._symmetries(s)
+        assert len(candidates) == 15 and len(kept) == 3
+        assert symmetry_list(kept, labels) == \
+            symmetry_list([c for c in candidates if error(c) <= ROUNDING_ATOL], labels)
+        reports = scenario_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip)
+        assert report_bytes(reports) == \
+            report_bytes(walk_report(s, tol=1e-6, skip_exact=skip, skip_trivial=skip))
         for r in reports:
             direct = tightness_check(s, r.combination)
-            if r.combination in wrong:
-                assert r.combination in calls
-                assert (r.upper, r.tight, r.tight_degenerate) == \
-                    (direct.upper, direct.tight, direct.degenerate)
             assert abs(r.upper - direct.upper) <= 1e-12
             assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
-        if not skip:
-            # a wrong image's moved start does not certify, in the exact solves
-            # and the per-test maxima alike, and the image is solved from none:
-            # more combinations run the interior point than there are sources
-            sources = [c for c, origin in table.items() if origin is None]
-            assert sum(r.path != "start" for r in reports) > len(sources)
-            for r in reports:
+            if not skip:
                 assert r.error is None
                 assert abs(r.exact - exact_bound(s, r.combination, tol=1e-6).value) <= 1e-6
                 assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
-        return wrong
 
-    @pytest.mark.parametrize("skip", [True, False])
-    def test_false_symmetry_caught_by_objective_check(self, skip, monkeypatch):
-        # one false symmetry is the whole list, so each source has at most one image
-        self.check_false_symmetries(skip, lambda symmetries, false: [false(symmetries[0])],
-                                    monkeypatch)
-
-    @pytest.mark.parametrize("skip", [True, False])
-    def test_false_images_in_different_stacks(self, skip, monkeypatch):
-        # every ninth symmetry of the full list is false: the wrong images sit
-        # among right ones, in three different stacks of one source's 71
-        # images, and a second source has 8
-        wrong = self.check_false_symmetries(
-            skip, lambda symmetries, false: [false(sym) if i % 9 == 0 else sym
-                                             for i, sym in enumerate(symmetries)], monkeypatch)
-        assert sorted(wrong.values()) == [0, 1, 2]
+    def test_one_objective_per_source(self, monkeypatch):
+        # a cost guard: with both skips an image builds no objective, so
+        # meb --d 5, one source and 624 images, builds one
+        s = _build_scenario("meb", 5)
+        build, built = bounds._objective, []
+        monkeypatch.setattr(bounds, "_objective",
+                            lambda *args: built.append(args[2]) or build(*args))
+        reports = scenario_report(s, skip_exact=True, skip_trivial=True)
+        assert len(reports) == 625 and built == [reports[0].combination]
 
     # the rectangular and degenerate shapes check that an empty set of
     # symmetries is built for any (d_in, d_out)
@@ -845,12 +840,12 @@ class TestMonomials:
                 expected = dense @ mat @ dense.conj().T
                 assert np.abs(bounds._conjugated(mat, monomial) - expected).max() <= \
                     1e-15 * np.abs(mat).max()
-        # a stack of monomials moves a matrix to the stack of its single moves, bit for bit
-        for mat, which in ((m, 0), (y, 1)):
-            monomials = [symmetry[which] for symmetry in symmetries]
-            stacked = bounds._conjugated(mat, tuple(np.array(part) for part in zip(*monomials)))
-            assert stacked.tobytes() == \
-                np.array([bounds._conjugated(mat, mono) for mono in monomials]).tobytes()
+        # one monomial moves a stack of matrices to the stack of their single
+        # moves, bit for bit
+        for w, u, _ in symmetries:
+            for mats, monomial in ((np.array([m, j]), w), (np.array([y, y.conj()]), u)):
+                assert bounds._conjugated(mats, monomial).tobytes() == \
+                    np.array([bounds._conjugated(mat, monomial) for mat in mats]).tobytes()
 
     def test_shift_clock_phases_within_stated_delta(self):
         # delta of the rounding bound _from_start states: how far the phases of
@@ -859,6 +854,21 @@ class TestMonomials:
             _, phase = bounds._monomials(shift_clock(d))
             delta = np.abs(np.abs(phase) - 1).max()
             assert delta < 2.5e-16, d
+
+    def test_shift_clock_phases_near_roots_of_unity(self):
+        # the rounding behind _symmetries' rho: each shift-clock phase is within
+        # 18 u of its root of unity and a product of two within 39 u, checked
+        # against roots taken in extended precision
+        unit, pi = 2.0 ** -53, 4 * np.arctan(np.longdouble(1))
+        roots = []
+        for d in range(2, 33):
+            stored = np.diagonal(shift_clock(d)[1])  # Z: omega^j for each j
+            exact = np.exp(2j * pi * np.arange(d) / d)
+            assert np.abs(stored - exact).max() <= 18 * unit, d
+            roots.append((stored, exact))
+        for (s1, e1), (s2, e2) in itertools.product(roots, repeat=2):
+            assert np.abs(np.multiply.outer(s1, s2) - np.multiply.outer(e1, e2)).max() <= \
+                39 * unit
 
     @pytest.mark.parametrize("d_in,d_out",
                              [(1, 3), (3, 1), (2, 3), (3, 3), (5, 5), (7, 7), (9, 9)])
@@ -890,17 +900,17 @@ class TestMonomials:
     @pytest.mark.parametrize("kind,d", [(kind, d) for kind in GEN_KINDS for d in (2, 3)
                                         if kind != "mub-meb-2qubit" or d == 2])
     def test_report_objectives_are_the_oracles(self, kind, d, monkeypatch):
-        # every objective a report builds, alone or in a stack of orbit
-        # images, and every matrix it solves is objective_operator's, bit for
-        # bit, with one solve per combination
+        # every objective a report builds, a source's or an image's for its
+        # exact solve, and every matrix it solves is objective_operator's, bit
+        # for bit, with one solve per combination
         s = _build_scenario(kind, d)
         build, solve = bounds._objective, bounds.maximize_over_channels
         built, solved = [], []
 
-        def building(scenario, testers, combinations):
-            mats = build(scenario, testers, combinations)
-            built.extend(zip(combinations, mats))
-            return mats
+        def building(scenario, testers, combination):
+            mat = build(scenario, testers, combination)
+            built.append((combination, mat))
+            return mat
 
         def solving(m, tol, start=None):
             solved.append(m)
@@ -991,10 +1001,10 @@ WALKS += [("random-full", lambda: random_scenario(np.random.default_rng(11), n_t
 
 
 class TestStackedWalk:
-    """``scenario_report`` walks the sources first, then each source's images
-    in stacks of ``bounds._STACK``; ``walk_report`` (tests/oracles.py) walks
-    one combination at a time in report order.  Their reports are the same
-    bytes."""
+    """``scenario_report`` walks the orbit table once, in report order, and
+    hands each image its source's spectral result with no objective built;
+    ``walk_report`` (tests/oracles.py) builds every objective and checks each
+    image against its moved source.  Their reports are the same bytes."""
 
     @pytest.mark.parametrize("build,skip", [(b, skip) for _, b, skip in WALKS],
                              ids=[name for name, _, _ in WALKS])
@@ -1003,27 +1013,10 @@ class TestStackedWalk:
         assert report_bytes(scenario_report(s, skip_exact=skip, skip_trivial=skip)) == \
             report_bytes(walk_report(s, skip_exact=skip, skip_trivial=skip))
 
-    @pytest.mark.parametrize("stack", [1, 8, 16])
-    @pytest.mark.parametrize("kind,d,images", [("meb", 2, [7, 7]), ("state-mub", 3, [8]),
-                                               ("example2", 2, [15]), ("meb", 3, [80])])
-    def test_stack_boundaries(self, kind, d, images, stack, monkeypatch):
-        # the images of each source, against the stack size of 8: below it,
-        # equal to it, not a multiple of it and ten times it; stacks of one
-        # and of 16 move the boundaries
-        s = _build_scenario(kind, d)
-        table = bounds._orbits(all_combinations(s), bounds._symmetries(s))
-        sources = [c for c, origin in table.items() if origin is None]
-        assert [sum(origin is not None and origin[0] == c for origin in table.values())
-                for c in sources] == images
-        expected = report_bytes(walk_report(s))
-        monkeypatch.setattr(bounds, "_STACK", stack)
-        assert report_bytes(scenario_report(s)) == expected
-
-    def test_stacks_stay_small(self):
+    def test_report_memory_stays_small(self):
         # a memory guard: meb --d 5 with both skips, one source and 624
-        # images, peaks at 2.05 MB traced when walked one image at a time,
-        # and so it does in stacks of 8; stacks of 16 reach 2.41 MB and
-        # stacks of 32 3.38 MB
+        # images, peaks at 2.05 MB traced; the symmetry check moves one
+        # tester element at a time
         s = _build_scenario("meb", 5)
         scenario_report(s, skip_exact=True, skip_trivial=True)
         tracemalloc.start()
