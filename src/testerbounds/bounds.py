@@ -19,9 +19,9 @@ once per symmetry orbit: a W = U (x) V of shift-clock unitaries that permutes
 each tester's elements maps the objective M of an outcome or a combination to
 W M W^dag, that of its image, and a certified result with channel J and dual
 certificate Y to one with W J W^dag and U Y U^dag, so bounds within an orbit
-coincide.  ``_symmetries`` checks each symmetry it accepts once, on every
-tester element, which proves each image's objective equal to its source's
-moved by W up to rounding.  A report walks its orbit table once, in report
+coincide.  ``_symmetries`` checks each symmetry it accepts once, on blocks
+of tester elements, which proves each image's objective equal to its
+source's moved by W up to rounding.  A report walks its orbit table once, in report
 order: the first key of an orbit is its source, built and solved with no
 start; an image takes its source's norm cap and tightness with no objective
 built, whatever the degeneracy of the top eigenspace (W moves it with the
@@ -113,6 +113,34 @@ def _monomials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, np.take_along_axis(stack, index[..., None], axis=-1)[..., 0]
 
 
+def _kron_monomials(u: tuple[np.ndarray, np.ndarray],
+                    v: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(index, phase) of U (x) V from the monomials of U and V, or of each pair
+    of two stacks: row (a, b) holds U[a, iu[a]] V[b, iv[b]] in column
+    (iu[a], iv[b]), the bits of ``_monomials(np.kron(U, V))``."""
+    (iu, pu), (iv, pv) = u, v
+    shape = (*iu.shape[:-1], iu.shape[-1] * iv.shape[-1])
+    return ((iu[..., :, None] * iv.shape[-1] + iv[..., None, :]).reshape(shape),
+            (pu[..., :, None] * pv[..., None, :]).reshape(shape))
+
+
+# complex entries that the element check moves at once, 128 KB: larger
+# transients stay in glibc's heap after they are freed and add to later peaks
+_BLOCK = 2 ** 13
+
+
+def _element_error(elems: np.ndarray, w: tuple[np.ndarray, np.ndarray],
+                   row: np.ndarray) -> float:
+    """max_x |W T(x) W^dag - T(row[x])| over the elements T(x) = elems[x] of an
+    (L, n, n) stack, moved in blocks of whole elements, at most ``_BLOCK``
+    entries each (one element if it alone is larger).  Each element keeps the
+    bits it has when moved alone, and the max is exact, so the blocks do not
+    change the result."""
+    step = max(1, _BLOCK // elems[0].size)
+    return max(float(np.abs(_conjugated(elems[i:i + step], w) - elems[row[i:i + step]]).max())
+               for i in range(0, len(elems), step))
+
+
 def _fingerprints(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """prints[c, x] = <w_c|T_x|w_c> for each vector w_c, a row of ``moved``, and
     each matrix T_x of ``stack``, the matrices side by side:
@@ -132,10 +160,11 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
     Modulo phases the candidates form the group Z_d_in^2 x Z_d_out^2, and the
     symmetries with the identity a subgroup H.  The search takes one chunk of
     candidates per U and fingerprints in one batched product those not yet
-    in H.  A match g is checked once, one gather per element, for its error
-    delta_g = max_x |W_g T(x) W_g^dag - T(perm_g x)|.  Accepted, it grows H to
-    the cosets k g + H, k < n_g, where perm of h + k g is perm_g applied k
-    times after perm_h.  So a symmetry is a product of at most
+    in H.  A match g is checked once, in blocks of elements
+    (``_element_error``), for its error delta_g = max_x |W_g T(x) W_g^dag -
+    T(perm_g x)|, W_g the monomial that is returned.  Accepted, it grows H
+    to the cosets k g + H, k < n_g, where perm of h + k g is perm_g applied
+    k times after perm_h.  So a symmetry is a product of at most
     F = sum (n_g - 1) accepted generators, its exact unitary theirs up to a
     phase, and since moving by an exact monomial unitary keeps max|.|,
     |W_h T(x) W_h^dag - T(perm_h x)| <= F (max delta_g + rho) + rho.
@@ -150,8 +179,9 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
     image to take its source's spectral result.  On ``meb`` and ``example2``
     H is everything, three chunks decide it and four generators are checked;
     on ``example1`` and random scenarios H holds no U but the identity and
-    every chunk is fingerprinted.  A false match is rejected when it is found,
-    with the subgroup it would generate."""
+    every chunk is fingerprinted; ``sampling.random_covariant_scenario``
+    builds scenarios between the two.  A false match is rejected when it is
+    found, with the subgroup it would generate."""
     d_in, d_out = scenario.d_in, scenario.d_out
     us, vs = shift_clock(d_in), shift_clock(d_out)
     k = np.arange(1.0, d_in * d_out + 1)
@@ -170,8 +200,10 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
         labels += [label for label, _ in tester.elements]
     stack = np.stack([op.mat for tester in scenario.testers() for _, op in tester.elements],
                      axis=1).reshape(d_in * d_out, -1)
-    mats = stack.reshape(len(stack), len(labels), -1)  # mats[:, x] = T(x) >= 0: max|T| is on a diagonal
-    rho = 100 * 2.0 ** -53 * float(mats.diagonal(0, 0, 2).real.max())
+    # elems[x] = T(x) >= 0, a view: max|T| is on a diagonal
+    elems = stack.reshape(len(stack), len(labels), -1).transpose(1, 0, 2)
+    rho = 100 * 2.0 ** -53 * float(elems.diagonal(0, 1, 2).real.max())
+    (iu, pu), (iv, pv) = _monomials(us), _monomials(vs)
     factors, worst = 0, 0.0  # F and the largest delta_g of the accepted generators
     in_h = np.zeros(len(us) * len(vs), bool)
     group, rows = np.zeros(1, np.intp), np.arange(len(labels))[None]  # H and its relabellings
@@ -210,9 +242,9 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
                     cosets.append(members)
                     coset_rows.append(row[coset_rows[-1]])
                     members = shift[members]
-                w = _monomials(np.kron(us[g // len(vs)], vs[g % len(vs)]))
-                delta = max(float(np.abs(_conjugated(mats[:, x], w) - mats[:, y]).max())
-                            for x, y in enumerate(row))
+                a, b = divmod(g, len(vs))
+                w = _kron_monomials((iu[a], pu[a]), (iv[b], pv[b]))
+                delta = _element_error(elems, w, row)
                 count, error = factors + len(cosets) - 1, max(worst, delta)
                 if not count * (error + rho) + rho <= ROUNDING_ATOL:
                     continue
@@ -222,11 +254,8 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
     order = np.argsort(group)[1:]
     c, rows = group[order], rows[order]
     index = {label: i for i, label in enumerate(labels)}
-    (iu, pu), (iv, pv) = _monomials(us), _monomials(vs)
     iu, pu, iv, pv = iu[c // len(vs)], pu[c // len(vs)], iv[c % len(vs)], pv[c % len(vs)]
-    # row (a, b) of U (x) V holds U[a, iu[a]] V[b, iv[b]] in column (iu[a], iv[b])
-    iw = (iu[:, :, None] * d_out + iv[:, None, :]).reshape(len(c), d_in * d_out)
-    pw = (pu[:, :, None] * pv[:, None, :]).reshape(len(c), d_in * d_out)
+    iw, pw = _kron_monomials((iu, pu), (iv, pv))
     return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
             for i, row in enumerate(rows)]
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .linalg import HermitianOperator, Ket, maximally_entangled_ket
+from .linalg import HermitianOperator, Ket, maximally_entangled_ket, maximally_entangled_state
 from .testers import Channel, Scenario, Test, channel_from_kraus, channel_from_unitary
 
 
@@ -83,6 +85,47 @@ def random_scenario(rng: np.random.Generator, n_tests: int = 2,
     w = rng.dirichlet(np.ones(n_tests))
     w = w / w.sum()
     return Scenario(tests, w)
+
+
+def _group(generators: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
+    """The elements of the group that the n x n unitaries ``generators``
+    generate, one per class modulo phase, from the identity; g and h are in
+    one class when |tr[g^dag h]| = n.  Raises ValueError past n^2 classes,
+    the most that products of shift-clock unitaries reach."""
+    elements = [np.eye(n, dtype=complex)]
+    for g in elements:  # grows as new products are found
+        for h in generators:
+            new = h @ g
+            if all(abs(np.vdot(e, new)) < n - 1e-6 for e in elements):
+                if len(elements) == n * n:
+                    raise ValueError("the generators give more than n^2 classes modulo phase")
+                elements.append(new)
+    return elements
+
+
+def random_covariant_scenario(rng: np.random.Generator, d: int,
+                              generators: Sequence[Sequence[np.ndarray]]) -> Scenario:
+    """A scenario of one test per entry of ``generators``, each on a
+    maximally entangled input of ancilla (x) input, d x d, and a POVM on
+    ancilla (x) output, d x d, covariant under the group G_l that its
+    generators (d^2 x d^2 unitaries) generate: one effect S^-1/2 g F g^dag
+    S^-1/2 per element g of G_l (modulo phase), F = G G^dag with G Ginibre and
+    S = sum_g g F g^dag.  S commutes with G_l, so each g permutes the effects.
+    A generator A (x) B of shift-clock unitaries makes A (x) B, now on input
+    (x) output, a symmetry of the test's tester.  Random weights, as
+    ``random_scenario``."""
+    tests = []
+    for l, gens in enumerate(generators):
+        g = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
+        f = g @ g.conj().T
+        conjugates = [u @ f @ u.conj().T for u in _group(gens, d * d)]
+        w, v = np.linalg.eigh(sum(conjugates))
+        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        povm = [(f"x{l + 1}_{i}", HermitianOperator(inv_sqrt @ c @ inv_sqrt, (d, d)))
+                for i, c in enumerate(conjugates)]
+        tests.append(Test(maximally_entangled_state(d), povm, d_anc=d, d_in=d, d_out=d))
+    w = rng.dirichlet(np.ones(len(tests)))
+    return Scenario(tests, w / w.sum())
 
 
 def random_mixed_marginal_test(d_anc: int, d_in: int, d_out: int, n_outcomes: int,

@@ -8,8 +8,8 @@ from testerbounds.bounds import (TIGHTNESS_ATOL, TightnessResult, _monomials, _o
                                  _per_test_maxima, _Relabelling, _report, _symmetries, _tightness,
                                  all_combinations)
 from testerbounds.channel_opt import ChannelOptResult, SolverError, maximize_over_channels
-from testerbounds.linalg import (EQUALITY_ATOL, ROUNDING_ATOL, HermitianOperator, eig_hermitian,
-                                 partial_trace, shift_clock)
+from testerbounds.linalg import (EQUALITY_ATOL, ROUNDING_ATOL, HermitianOperator, _conjugated,
+                                 eig_hermitian, partial_trace, shift_clock)
 from testerbounds.sampling import haar_isometries, haar_unitary
 from testerbounds.testers import Channel, Scenario, channel_from_kraus
 
@@ -129,6 +129,14 @@ def exhaustive_symmetries(scenario: Scenario) -> list:
     pw = (pu[:, :, None] * pv[:, None, :]).reshape(len(c), d_in * d_out)
     return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
             for i, row in enumerate(rows)]
+
+
+def element_error(elems: np.ndarray, w: tuple, row: np.ndarray) -> float:
+    """``bounds._element_error`` one element at a time: max_x |W T(x) W^dag -
+    T(row[x])|, T(x) = elems[x], each element moved by its own ``_conjugated``
+    call, the per-element loop whose bits the blocked check must return."""
+    return max(float(np.abs(_conjugated(elems[x], w) - elems[y]).max())
+               for x, y in enumerate(row))
 
 
 def hermitian_basis(k: int) -> list[np.ndarray]:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testerbounds import bounds, channel_opt
 from testerbounds.bounds import (
@@ -37,8 +39,8 @@ from testerbounds.linalg import (
     maximally_entangled_ket,
     shift_clock,
 )
-from testerbounds.sampling import (haar_unitary, random_channel, random_ket, random_povm,
-                                   random_scenario)
+from testerbounds.sampling import (haar_unitary, random_channel, random_covariant_scenario,
+                                   random_ket, random_povm, random_scenario)
 from testerbounds.scenarios import (
     MEB,
     ancilla_free_scenario,
@@ -52,7 +54,7 @@ from testerbounds.scenarios import (
 from testerbounds.testers import (Scenario, Test, channel_from_choi, channel_from_unitary,
                                   scenario_from_json, scenario_to_json)
 
-from oracles import exhaustive_symmetries, tightness_witness, walk_report
+from oracles import element_error, exhaustive_symmetries, tightness_witness, walk_report
 
 
 def random_meb(d, rng):
@@ -847,6 +849,23 @@ class TestMonomials:
                 assert bounds._conjugated(mats, monomial).tobytes() == \
                     np.array([bounds._conjugated(mat, monomial) for mat in mats]).tobytes()
 
+    def test_monomials_of_kron_from_factors(self):
+        # the monomial of U (x) V that _symmetries checks and returns, built
+        # from U's and V's, has the bits of the dense kron's for every
+        # candidate
+        for d_in, d_out in itertools.product(range(1, 8), repeat=2):
+            us, vs = shift_clock(d_in), shift_clock(d_out)
+            c = np.arange(len(us) * len(vs))
+            (iu, pu), (iv, pv) = bounds._monomials(us), bounds._monomials(vs)
+            a, b = c // len(vs), c % len(vs)
+            stacked = bounds._kron_monomials((iu[a], pu[a]), (iv[b], pv[b]))
+            for k in c:
+                kron = bounds._monomials(np.kron(us[a[k]], vs[b[k]]))
+                # the search builds one pair at a time, the list's tail all at once
+                one = bounds._kron_monomials((iu[a[k]], pu[a[k]]), (iv[b[k]], pv[b[k]]))
+                for index, phase in one, (stacked[0][k], stacked[1][k]):
+                    assert np.array_equal(index, kron[0]) and phase.tobytes() == kron[1].tobytes()
+
     def test_shift_clock_phases_within_stated_delta(self):
         # delta of the rounding bound _from_start states: how far the phases of
         # the shift-clock monomials are off unit modulus
@@ -1095,6 +1114,27 @@ SEARCHES += [
 ]
 
 
+def perturbed_meb():
+    """meb --d 2 with x1_0's effect grown by 1e-10 of itself, as in
+    ``test_perturbation_below_fingerprints_rejected``: every candidate
+    matches on fingerprints, and the element check rejects all but three."""
+    base = _build_scenario("meb", 2)
+    first = base.tests[0]
+    (label, effect), *rest = first.povm
+    povm = [(label, HermitianOperator(effect.mat * (1 + 1e-10), effect.dims)), *rest]
+    return Scenario([Test(first.input_state, povm, first.d_anc, first.d_in, first.d_out),
+                     base.tests[1]], base.weights)
+
+
+# (name, scenario builder) of the scenarios whose element checks are compared
+# with the per-element loop: every gen kind at d = 2 to 5; meb --d 7, 98
+# elements of 49 x 49 in blocks of 3, the last block short; and the
+# perturbed meb --d 2, whose checks reject candidates
+CHECKS = [(f"{kind}-{d}", lambda kind=kind, d=d: _build_scenario(kind, d))
+          for kind in GEN_KINDS for d in range(2, 6) if kind != "mub-meb-2qubit" or d == 2]
+CHECKS += [("meb-7", lambda: _build_scenario("meb", 7)), ("perturbed-meb-2", perturbed_meb)]
+
+
 class TestSymmetrySearch:
     """The coset-pruned search returns the exhaustive search's list, which
     fingerprints every candidate on its own (tests/oracles.py)."""
@@ -1117,6 +1157,30 @@ class TestSymmetrySearch:
         symmetries, fingerprinted = count_fingerprints(_build_scenario("meb", 5), monkeypatch)
         assert len(symmetries) == 624 and fingerprinted <= 75
 
+    @pytest.mark.parametrize("build", [b for _, b in CHECKS], ids=[name for name, _ in CHECKS])
+    def test_blocked_check_matches_per_element_loop(self, build, monkeypatch):
+        # each checked generator's error, moved in blocks of elements, has
+        # the bits of the per-element loop (tests/oracles.py)
+        check, errors = bounds._element_error, []
+
+        def recording(elems, w, row):
+            errors.append((check(elems, w, row), element_error(elems, w, row)))
+            return errors[-1][0]
+
+        monkeypatch.setattr(bounds, "_element_error", recording)
+        bounds._symmetries(build())
+        assert errors and all(blocked == looped for blocked, looped in errors)
+
+    def test_meb_checks_generators_in_blocks(self, monkeypatch):
+        # a cost guard: meb --d 5 checks four generators on its 50 elements
+        # of 25 x 25, 13 to a block: 16 moves, against 200 one at a time
+        s = _build_scenario("meb", 5)
+        s.testers()
+        move, moves = bounds._conjugated, []
+        monkeypatch.setattr(bounds, "_conjugated",
+                            lambda m, w: moves.append(len(m)) or move(m, w))
+        assert len(bounds._symmetries(s)) == 624 and len(moves) <= 16
+
     def test_equal_elements(self):
         # each effect comes in equal copies, x0 = x1, x2 = x3, ..., so the
         # fingerprints tie; both searches rank equal fingerprints in element
@@ -1134,3 +1198,52 @@ class TestSymmetrySearch:
                 assert abs(r.trivial - trivial_bound(s, r.combination, tol=1e-6)) <= 1e-6
                 assert abs(r.upper - direct.upper) <= 1e-12
                 assert (r.tight, r.tight_degenerate) == (direct.tight, direct.degenerate)
+
+
+def covariant_scenario(d, seed, generators):
+    """``random_covariant_scenario`` with each generator given as a candidate
+    index c = (p, q, s, t) of shift_clock order: X^p Z^q (x) X^s Z^t."""
+    sc = shift_clock(d)
+    return random_covariant_scenario(np.random.default_rng(seed), d, [
+        [np.kron(sc[c // len(sc)], sc[c % len(sc)]) for c in gens] for gens in generators])
+
+
+class TestCovariantScenarios:
+    """Scenarios whose symmetry group H holds some candidates but not all
+    (``sampling.random_covariant_scenario``): the search against the
+    exhaustive one, and every report entry against the direct one."""
+
+    def test_partial_group(self):
+        # X (x) X for one test, X (x) X and Z (x) Z for the other: H is the
+        # powers of X (x) X, 2 symmetries of the 80 candidates at d = 3, and
+        # the 27 combinations fall into 9 orbits
+        s = covariant_scenario(3, 5, [[30], [30, 10]])
+        symmetries = bounds._symmetries(s)
+        assert len(symmetries) == 2 and len(exhaustive_symmetries(s)) == 2
+        table = bounds._orbits(all_combinations(s), symmetries)
+        assert sum(origin is None for origin in table.values()) == 9
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           share=st.booleans())
+    def test_search_and_reports_match_the_oracles(self, data, d, seed, share):
+        # one generator for the first test; the second test takes the
+        # first's generator, another one or both, so H, of order d or 1, is
+        # never every candidate
+        candidate = st.integers(1, d ** 4 - 1)
+        first = data.draw(candidate)
+        second = [first] if share else []
+        if not share or data.draw(st.booleans()):
+            second.append(data.draw(candidate))
+        s = covariant_scenario(d, seed, [[first], second])
+        labels = [x for test in s.tests for x in test.labels]
+        assert symmetry_list(bounds._symmetries(s), labels) == \
+            symmetry_list(exhaustive_symmetries(s), labels)
+        combos = all_combinations(s)
+        for r, c in zip(scenario_report(s, tol=1e-6), combos, strict=True):
+            direct = bound_report(s, c, tol=1e-6)
+            assert r.combination == c and r.error is None and direct.error is None
+            for name in ("trivial", "upper", "exact"):
+                assert abs(getattr(r, name) - getattr(direct, name)) <= 1e-6, name
+            assert (r.tight, r.tight_degenerate, r.tradeoff) == \
+                (direct.tight, direct.tight_degenerate, direct.tradeoff)

@@ -1,8 +1,9 @@
 """tools/report_diff.py, its last summary line too, on reports written by the
 CLI and edited by hand, tools/stress_grid.py on one seed, its table and its
 iteration sums, tools/output_digests.py once, tools/oneshot.py on one pair and
-tools/bench_pairs.py's summary on canned result lines, its options and, in a
-git checkout, its export of a revision."""
+tools/bench_pairs.py's summary on canned result lines, its options, one
+library run of this checkout and, in a git checkout, its export of a
+revision."""
 
 import importlib.util
 import json
@@ -186,6 +187,39 @@ def test_bench_pairs_takes_no_run_length(capsys):
         bench_pairs.main(["HEAD", "--workload", "closed-form-wide", "--seconds", "3"])
     assert exit_.value.code == 2
     assert "--seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--workload", "closed-form-wide", "--skip-exact"],
+                                  ["--workload", "closed-form-wide", "--scenario", "x.json"],
+                                  ["--scenario", "no-such-file.json"]])
+def test_bench_pairs_library_options(argv, capsys):
+    # the skips belong to the library mode, and one mode is chosen
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["HEAD", *argv])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err
+
+
+def test_bench_pairs_library_run(tmp_path):
+    # one library run of this checkout prints a result line that summarize
+    # reads, with LIBRARY_METRICS' values; a file that is no scenario stops it
+    scenario = tmp_path / "meb.json"
+    assert main(["gen", "meb", "--d", "2", "--out", str(scenario)]) == 0
+    line = bench_pairs.run_library(bench_pairs.ROOT, scenario, ["--skip-exact"])
+    result = json.loads(line)
+    assert result["correct"] and result["failed"] == 0
+    metrics = result["metrics"]
+    assert list(metrics) == [metric["name"] for metric in bench_pairs.LIBRARY_METRICS]
+    assert 0 < metrics["wall_s"]["value"] < 60 and metrics["maxrss_mb"]["value"] > 1
+    lines, ok = bench_pairs.summarize(bench_pairs.LIBRARY_METRICS, [line], [line])
+    assert ok
+    assert lines[0] == "wall_s (s, lower is better)"
+    assert lines[3] == "  head - base +0.0 %; base won 0, head won 0 of 1 pairs"
+    assert lines[4] == "maxrss_mb (MB, lower is better)"
+    assert len(lines) == 8
+    (tmp_path / "empty.json").write_text("{}")
+    with pytest.raises(SystemExit, match="scenario_report exited 1"):
+        bench_pairs.run_library(bench_pairs.ROOT, tmp_path / "empty.json", [])
 
 
 @pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(), reason="not a git checkout")

@@ -15,12 +15,13 @@ files, a unitary and a Kraus one, written as literal payloads; ``simulate``
 of ``mub-meb-2qubit`` with the unitary one; the full ``bound`` of two
 scenarios built in the library: a seeded random one, with no symmetry, and
 one whose POVM repeats each effect, so that symmetries relabel among equal
-tester elements; and the full ``bound`` of the committed format-1 scenario
-files in ``tests/fixtures/format1``, so that a change to how those are read
-shows.  Every command runs in-process through ``cli.main``, with
-the package imported from this checkout's ``src/``, and writes to a
-temporary directory.  A command that does not exit 0 gets its exit code
-after its name.
+tester elements; the full ``bound`` of a seeded covariant scenario at d = 3
+whose symmetry group holds 2 of the 80 candidates; and the full ``bound``
+of the committed format-1 scenario files in ``tests/fixtures/format1``, so
+that a change to how those are read shows.  Every command runs in-process
+through ``cli.main``, with the package imported from this checkout's
+``src/``, and writes to a temporary directory.  A command that does not
+exit 0 gets its exit code after its name.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from testerbounds.cli import GEN_KINDS, main  # noqa: E402
-from testerbounds.linalg import HermitianOperator, dumps_canonical  # noqa: E402
-from testerbounds.sampling import random_scenario  # noqa: E402
+from testerbounds.linalg import HermitianOperator, dumps_canonical, shift_clock  # noqa: E402
+from testerbounds.sampling import random_covariant_scenario, random_scenario  # noqa: E402
 from testerbounds.testers import Scenario, Test, scenario_to_json  # noqa: E402
 
 FORMAT1 = sorted((Path(__file__).resolve().parent.parent / "tests" / "fixtures"
@@ -64,10 +65,18 @@ def _repeated_effects() -> Scenario:
     return Scenario([test], [1.0])
 
 
+def _covariant() -> Scenario:
+    """Two tests at d = 3 covariant under X (x) X and under X (x) X and Z (x) Z:
+    their symmetry group is the powers of X (x) X."""
+    xx, zz = (np.kron(g, g) for g in shift_clock(3)[[3, 1]])
+    return random_covariant_scenario(np.random.default_rng(5), 3, [[xx], [xx, zz]])
+
+
 SCENARIOS = {
     "random-3x2 seed 3": lambda: random_scenario(
         np.random.default_rng(3), n_tests=2, d_anc=2, d_in=3, d_out=2, n_outcomes=3),
     "repeated-effects 2x5": _repeated_effects,
+    "covariant 3x3 seed 5": _covariant,
 }
 
 
