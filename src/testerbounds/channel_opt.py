@@ -31,11 +31,13 @@ the duality gap is n mu = tr[J S].  Each iteration solves
 herm tr_out(J (dY (x) I) S^-1) = herm tr_out(T S^-1) - I  for a Hermitian dY
 and sets dS = dY (x) I, dJ = herm(T S^-1 - J - J dS S^-1): T = 0 is the
 predictor, T = sigma mu I - dJ_aff dS_aff with sigma = (mu_aff / mu)^3 the
-corrector.  An iteration runs one Cholesky of the stacked pair (J, S), two
-inverses, of the factor pair, whence S^-1, and of the Schur matrix (A + B) / 2,
-one batched O(d_in^4 d_out^2) product for A[(i,l),(j,k)] = sum_{o,p}
-J[i,o,j,p] R[k,p,l,o], R = S^-1, and B, A with J and R swapped, and two
-stacked eigvalsh: each side steps to 0.95 of its boundary, capped at 1, found
+corrector.  The iterates live in one buffer (S, J, R), R = S^-1.  An
+iteration runs one Cholesky of its (S, J), two inverses, of the factor pair,
+whence R, and of the Schur matrix (A + B) / 2, one batched O(d_in^4 d_out^2)
+product for A[(i,l),(j,k)] = sum_{o,p} J[i,o,j,p] R[k,p,l,o] and B, A with J
+and R swapped: both factors are gathered from its (J, R) and the sum gathered
+back by index arrays cached per shape, with no copy between.  Two stacked
+eigvalsh follow: each side steps to 0.95 of its boundary, capped at 1, found
 from the smallest eigenvalue of L^-1 dX L^-H for the Cholesky factor L of X.
 Each Schur solve is refined once, as the residual of the inverse alone is
 primal infeasibility later iterates inherit.  Once n mu <= tol / 2 both
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -122,28 +125,39 @@ class ChannelOptResult:
                               self.value, self.dual_value, self.optimizer)
 
 
-def _lift_index(d_in: int, d_out: int) -> np.ndarray:
-    """Flat positions of Y[i, j] in Y (x) I_out, shaped (d_in, d_out, d_in)."""
-    n = d_in * d_out
-    return (np.arange(d_in)[:, None, None] * (d_out * n) + np.arange(d_out)[:, None] * (n + 1)
+@cache
+def _index(d_in: int, d_out: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of one shape: the flat positions of Y[i, j] in
+    Y (x) I_out, shaped (d_in, d_out, d_in), and flat in (d_out, d_in, d_in)
+    order, where ``put`` repeats dY into dS; ``_schur``'s gathers from the
+    flat (J, S^-1) pair, and back to its order."""
+    n, m = d_in * d_out, d_in * d_in
+    lift = (np.arange(d_in)[:, None, None] * (d_out * n) + np.arange(d_out)[:, None] * (n + 1)
             + np.arange(d_in) * d_out)
+    pos = np.arange(2 * n * n).reshape(2, d_in, d_out, d_in, d_out)
+    out = (lift, lift.transpose(1, 0, 2).reshape(-1),
+           pos.transpose(0, 1, 3, 2, 4).reshape(2, m, -1),
+           pos[::-1].transpose(0, 4, 2, 3, 1).reshape(2, -1, m),
+           np.arange(m * m).reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(m, m))
+    for index in out:
+        index.flags.writeable = False
+    return out
 
 
-def _slack(y: np.ndarray, a: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    """Y (x) I_out - A: Y scattered onto the output-diagonal blocks of -A."""
-    s = -a
+def _slack(y: np.ndarray, a: np.ndarray, lift: np.ndarray, out=None) -> np.ndarray:
+    """Y (x) I_out - A: Y scattered onto the output-diagonal blocks of -A, into ``out``."""
+    s = np.negative(a, out=out)
     s.reshape(-1)[lift] += y[:, None, :]
     return s
 
 
-def _schur(j: np.ndarray, sinv: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Matrix of dY -> herm tr_out(J (dY (x) I) S^-1) on row-major vec(dY)."""
+def _schur(pair: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Matrix of dY -> herm tr_out(J (dY (x) I) S^-1) on row-major vec(dY), ``pair`` (J, S^-1)."""
     # [(i,l),(j,k)] -> sum_{o,p} first[i,o,j,p] second[k,p,l,o] for both (J, S^-1), (S^-1, J)
-    pair = np.concatenate((j, sinv)).reshape(2, d_in, d_out, d_in, d_out)
-    left = pair.transpose(0, 1, 3, 2, 4).reshape(2, d_in * d_in, -1)
-    right = pair[::-1].transpose(0, 4, 2, 3, 1).reshape(2, -1, d_in * d_in)
-    out = (left @ right).sum(0) / 2
-    return out.reshape((d_in,) * 4).transpose(0, 2, 1, 3).reshape(d_in * d_in, -1)
+    _, _, left, right, back = _index(d_in, d_out)
+    flat = pair.reshape(-1)
+    prod = flat[left] @ flat[right]
+    return ((prod[0] + prod[1]) / 2).reshape(-1)[back]
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -270,7 +284,7 @@ class _Bracket:
 
     def __init__(self, m: HermitianOperator, tol: float):
         self.a, self.dims, self.tol = m.mat, m.dims, tol
-        self.lift = _lift_index(*m.dims)
+        self.lift = _index(*m.dims)[0]
         self.history: list[tuple[float, float]] = []
         self.primal: tuple[float, np.ndarray] | None = None
         self.dual: tuple[float, np.ndarray, float] | None = None
@@ -361,14 +375,14 @@ def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> C
 
     lam_min, lam_max = float(spectrum[0]), float(spectrum[-1])
     y = (lam_max + 0.1 * max(lam_max - lam_min, 1.0, abs(lam_max))) * np.eye(d_in)
-    # (J, S) and (dJ, dS) stacked in place; ``put`` repeats dY into dS, zero elsewhere
-    pair = np.array([np.eye(n) / d_out, np.zeros((n, n))], dtype=complex)
+    # (S, J, S^-1) and (dS, dJ) stacked in place; ``put`` repeats dY into dS, zero elsewhere
+    buf = np.array([np.zeros((n, n)), np.eye(n) / d_out, np.zeros((n, n))], dtype=complex)
     step = np.zeros((2, n, n), dtype=complex)
-    (j, s), (dj, ds), to_ds = pair, step, lift.transpose(1, 0, 2).reshape(-1)
+    (s, j, sinv), (ds, dj), to_ds = buf, step, _index(d_in, d_out)[1]
     minus_eye = -np.eye(d_in, dtype=complex).reshape(-1)
 
     def direction(ts: np.ndarray | None) -> tuple:
-        """dY, dS S^-1 and both step lengths for ts = T S^-1, None if T = 0; dJ, dS in ``step``."""
+        """dY, dS S^-1 and both step lengths, dual first, for ts = T S^-1, None if T = 0."""
         rhs = minus_eye if ts is None else minus_eye + _hermitize(
             np.einsum("iojo->ij", ts.reshape(d_in, d_out, d_in, d_out))).reshape(-1)
         dy = schur_inv @ rhs
@@ -382,7 +396,7 @@ def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> C
     message = f"not certified in {_MAX_ITERATIONS} iterations"
     try:
         while True:
-            pair[1] = _slack(y, a, lift)
+            _slack(y, a, lift, out=s)
             gap = np.vdot(j, s).real
             if gap <= tol / 2 and \
                     (res := bracket.certify(j, y, iterations, "interior_point")) is not None:
@@ -390,15 +404,15 @@ def _interior_point(m: HermitianOperator, tol: float, spectrum: np.ndarray) -> C
             if iterations == _MAX_ITERATIONS:
                 break
             iterations += 1
-            inv_l = np.linalg.inv(np.linalg.cholesky(pair))
+            inv_l = np.linalg.inv(np.linalg.cholesky(buf[:2]))
             inv_lh = inv_l.conj().transpose(0, 2, 1)
-            sinv = inv_lh[1] @ inv_l[1]
-            schur = _schur(j, sinv, d_in, d_out)
+            np.matmul(inv_lh[0], inv_l[0], out=sinv)
+            schur = _schur(buf[1:], d_in, d_out)
             schur_inv = np.linalg.inv(schur)
-            dy, dss, (tp, td) = direction(None)
+            dy, dss, (td, tp) = direction(None)
             mu_aff = np.vdot(j + tp * dj, s + td * ds).real
             ts = (mu_aff / gap) ** 3 * gap / n * sinv - dj @ dss
-            dy, dss, (tp, td) = direction(ts)
+            dy, dss, (td, tp) = direction(ts)
             if max(tp, td) < np.finfo(float).eps:
                 message = "step collapsed"
                 break

@@ -24,12 +24,13 @@ from .bounds import (
 )
 from .channel_opt import _channel, _interior_point, maximize_over_channels
 from .linalg import (EQUALITY_ATOL, ROUNDING_ATOL, STATE_ATOL, HermitianOperator, basis_transpose,
-                     partial_trace)
+                     partial_trace, shift_clock)
 from .sampling import (
     ginibre_state,
     haar_isometries,
     haar_unitary,
     random_channel,
+    random_covariant_scenario,
     random_mixed_marginal_test,
     random_scenario,
     random_test,
@@ -237,11 +238,19 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
     so each transported bracket [exact, exact + gap] must meet the direct
     solve's [value, dual_value], within the rounding of its ends.  The solver
     builds a transported entry's channel J' unchecked: J' must pass the
-    channel checks, and tr[M J'] be its ``exact`` within rounding."""
+    channel checks, and tr[M J'] be its ``exact`` within rounding.  The
+    scenarios are random MEB ones, with every shift-clock symmetry, and one
+    covariant one (d = 3) whose symmetries, the powers of X (x) X but the
+    identity, are 2 of the 80 candidates."""
     worst, starts, spectral_agrees, starts_hold = 0.0, 0, True, True
+    scenarios = []
     for _ in range(trials):
         d, w = int(rng.integers(2, 4)), float(rng.uniform(0.1, 0.9))
-        scenario = meb_scenario(_random_meb(d, rng), _random_meb(d, rng), (w, 1.0 - w))
+        scenarios.append(meb_scenario(_random_meb(d, rng), _random_meb(d, rng), (w, 1.0 - w)))
+    x, z = shift_clock(3)[3], shift_clock(3)[1]
+    scenarios.append(random_covariant_scenario(
+        rng, 3, [[np.kron(x, x)], [np.kron(x, x), np.kron(z, z)]]))
+    for scenario in scenarios:
         for r in scenario_report(scenario, tol=tol):
             direct = tightness_check(scenario, r.combination)
             spectral_agrees &= abs(r.upper - direct.upper) <= ROUNDING_ATOL and \
@@ -262,7 +271,8 @@ def check_orbit_reuse(rng: np.random.Generator, trials: int,
                     and abs(float(np.vdot(j, m.mat).real) - r.exact) <= ROUNDING_ATOL
     return CheckResult("orbit_reuse_matches_direct_solve",
                        worst <= tol and starts > 0 and spectral_agrees and starts_hold, worst,
-                       f"{trials} random MEB scenarios (d = 2, 3), {starts} transported entries")
+                       f"{trials} random MEB scenarios (d = 2, 3) and one covariant (d = 3), "
+                       f"{starts} transported entries")
 
 
 def check_closed_form(rng: np.random.Generator, trials: int, tol: float = 1e-6) -> CheckResult:

@@ -1247,3 +1247,30 @@ class TestCovariantScenarios:
                 assert abs(getattr(r, name) - getattr(direct, name)) <= 1e-6, name
             assert (r.tight, r.tight_degenerate, r.tradeoff) == \
                 (direct.tight, direct.tight_degenerate, direct.tradeoff)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_relabelling_permutes_the_report(self, data, d, seed):
+        # permute the tests, and within each test the outcomes, under new
+        # labels: each entry is the entry of the combination it relabels,
+        # within tol, with the same flags; the group H may be trivial or not
+        candidate = st.integers(1, d ** 4 - 1)
+        s = covariant_scenario(d, seed, [[data.draw(candidate)], [data.draw(candidate)]])
+        order = data.draw(st.permutations(range(len(s.tests))))
+        tests, names = [], []
+        for k in order:
+            test = s.tests[k]
+            povm = data.draw(st.permutations(test.povm))
+            names.append({label: f"y{len(tests)}_{i}" for i, (label, _) in enumerate(povm)})
+            tests.append(Test(test.input_state, [(names[-1][label], e) for label, e in povm],
+                              test.d_anc, test.d_in, test.d_out))
+        relabelled = Scenario(tests, [s.weights[k] for k in order])
+        moved = {r.combination: r for r in scenario_report(relabelled, tol=1e-6)}
+        entries = scenario_report(s, tol=1e-6)
+        assert len(entries) == len(moved)
+        for r in entries:
+            other = moved[tuple(names[p][r.combination[k]] for p, k in enumerate(order))]
+            assert r.error is None and other.error is None
+            for name in ("trivial", "upper", "exact"):
+                assert abs(getattr(r, name) - getattr(other, name)) <= 1e-6, name
+            assert (r.tight, r.tight_degenerate) == (other.tight, other.tight_degenerate)

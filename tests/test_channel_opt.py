@@ -11,7 +11,7 @@ from testerbounds import bounds, channel_opt
 from testerbounds.channel_opt import (
     DUAL_FEAS_ATOL,
     SolverError,
-    _lift_index,
+    _index,
     _schur,
     _slack,
     maximize_over_channels,
@@ -209,8 +209,8 @@ class TestDampedStep:
         slack = channel_opt._slack
         slacks, indefinite = [], []
 
-        def checked(y, a, lift):
-            s = slack(y, a, lift)
+        def checked(y, a, lift, out=None):
+            s = slack(y, a, lift, out)
             slacks.append(s)
             try:
                 np.linalg.cholesky(s)
@@ -576,7 +576,8 @@ class TestNewtonSystem:
         rng = np.random.default_rng(40 + 10 * d_in + d_out)
         j = random_psd(rng, d_in, d_out).mat + 0.1 * np.eye(d_in * d_out)
         sinv = np.linalg.inv(random_psd(rng, d_in, d_out).mat + 0.1 * np.eye(d_in * d_out))
-        schur = _schur(j, sinv, d_in, d_out)
+        schur = _schur(np.array([j, sinv]), d_in, d_out)
+        assert np.array_equal(schur, two_product_schur(j, sinv, d_in, d_out))
         for _ in range(3):
             delta = random_hermitian(rng, d_in, 1).mat
             full = (j @ np.kron(delta, np.eye(d_out)) @ sinv).reshape(d_in, d_out, d_in, d_out)
@@ -587,12 +588,24 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
     def test_batched_schur_equals_two_products(self, d_in, d_out):
-        # one batched matmul does the arithmetic of two, so every entry is the same
+        # one batched matmul of gathered factors does the arithmetic of two, so
+        # every entry is the same; the pair is read through a view, as the
+        # solver's (J, S^-1) is the tail of its (S, J, S^-1) buffer
         rng = np.random.default_rng(60 + 10 * d_in + d_out)
         j = random_psd(rng, d_in, d_out).mat + 0.1 * np.eye(d_in * d_out)
         sinv = np.linalg.inv(random_psd(rng, d_in, d_out).mat + 0.1 * np.eye(d_in * d_out))
-        assert np.array_equal(_schur(j, sinv, d_in, d_out),
+        buf = np.array([np.zeros_like(j), j, sinv])
+        assert np.array_equal(_schur(buf[1:], d_in, d_out),
                               two_product_schur(j, sinv, d_in, d_out))
+
+    @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3)])
+    def test_cached_index_arrays_are_read_only(self, d_in, d_out):
+        # every solve of a shape shares its index arrays, so none may be written
+        indices = _index(d_in, d_out)
+        assert _index(d_in, d_out) is indices
+        for index in indices:
+            with pytest.raises(ValueError, match="read-only"):
+                index[(0,) * index.ndim] = 0
 
     @pytest.mark.parametrize("d_in,d_out", [(1, 3), (3, 1), (2, 3), (3, 2), (4, 3)])
     def test_hessian_matches_gradient_difference(self, d_in, d_out):
@@ -601,7 +614,7 @@ class TestNewtonSystem:
         # directional derivative of the gradient I - mu tr_out S^-1 along D
         rng = np.random.default_rng(20 + 10 * d_in + d_out)
         a = random_hermitian(rng, d_in, d_out).mat
-        lift = _lift_index(d_in, d_out)
+        lift = _index(d_in, d_out)[0]
         e = random_hermitian(rng, d_in, 1).mat
         y = (np.linalg.norm(a, 2) + np.linalg.norm(e, 2) + 0.5) * np.eye(d_in) + e
         mu = 0.3
@@ -612,7 +625,8 @@ class TestNewtonSystem:
                                                  sinv.reshape(d_in, d_out, d_in, d_out))
 
         sinv = np.linalg.inv(_slack(y, a, lift))
-        hess = _schur(mu * sinv, sinv, d_in, d_out)
+        hess = _schur(np.array([mu * sinv, sinv]), d_in, d_out)
+        assert np.array_equal(hess, two_product_schur(mu * sinv, sinv, d_in, d_out))
         for _ in range(3):
             delta = random_hermitian(rng, d_in, 1).mat
             h = 1e-5
@@ -626,7 +640,10 @@ class TestNewtonSystem:
             a = random_hermitian(rng, d_in, d_out).mat
             y = random_hermitian(rng, d_in, 1).mat
             expected = np.kron(y, np.eye(d_out)) - a
-            assert np.array_equal(_slack(y, a, _lift_index(d_in, d_out)), expected)
+            assert np.array_equal(_slack(y, a, _index(d_in, d_out)[0]), expected)
+            out = np.empty_like(a)
+            assert _slack(y, a, _index(d_in, d_out)[0], out) is out
+            assert np.array_equal(out, expected)
 
 
 ASYMMETRIC_SHAPES = [(3, 2), (2, 4), (4, 3), (3, 5)]

@@ -1,13 +1,15 @@
 """tools/report_diff.py, its last summary line too, on reports written by the
-CLI and edited by hand, tools/stress_grid.py on one seed, its table and its
-iteration sums, tools/output_digests.py once, tools/oneshot.py on one pair and
+CLI and edited by hand, tools/stress_grid.py on one seed, its table, its
+iteration sums and its digest, tools/output_digests.py once, tools/oneshot.py on one pair and
 tools/bench_pairs.py's summary on canned result lines, its options, one
 library run of this checkout and, in a git checkout, its export of a
 revision."""
 
+import dataclasses
 import importlib.util
 import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -90,13 +92,18 @@ def test_summary_counts_flags_by_field_and_direction(report, tmp_path, capsys):
         "tight_degenerate False -> True: 1 (1 on tight_degenerate entries)")
 
 
-def test_stress_grid_one_seed():
+@pytest.fixture(scope="module")
+def grid_one_seed() -> list:
+    return stress_grid.solve_grid(1)
+
+
+def test_stress_grid_one_seed(grid_one_seed):
     # solve_grid lets every exception but SolverError escape; the table's
     # third column counts returned results with value > dual_value, its last
     # the certified results whose moved start certifies their image: on this
     # seed all of them at every scale, as the guard on eps = n max|M - M_s|
     # scales with max(1, max|M|)
-    outcomes = stress_grid.solve_grid(1)
+    outcomes = grid_one_seed
     assert len(outcomes) == 240
     errors = {(1.0, 1e-12): 3, (1e6, 1e-6): 3, (1e8, 1e-6): 11}
     assert stress_grid.table(outcomes) == {
@@ -104,13 +111,43 @@ def test_stress_grid_one_seed():
         for pair in stress_grid.PAIRS}
 
 
-def test_stress_grid_iterations_one_seed():
+def test_stress_grid_iterations_one_seed(grid_one_seed):
     # iteration counts do not depend on the machine, so the sums per class pin
     # the solver's iterates at every scale and tolerance of the grid
-    assert stress_grid.iterations(stress_grid.solve_grid(1)) == {
+    assert stress_grid.iterations(grid_one_seed) == {
         (1.0, 1e-6): 126, (1.0, 1e-9): 178, (1.0, 1e-12): 250, (1e-6, 1e-12): 212,
         (1e-3, 1e-9): 163, (1e3, 1e-6): 167, (1e6, 1e-6): 213, (1e8, 1e-6): 86,
         (1e2, 1e-9): 243, (1e-6, 1e-9): 157}
+
+
+def _flip_last_bit(x: float) -> float:
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<q", bits ^ 1))[0]
+
+
+def test_stress_grid_digest(grid_one_seed):
+    # a rerun gives the same digest, and the last bit of one value, certified
+    # or carried by a SolverError, changes it; no digest is pinned, as
+    # OpenBLAS may pick other kernels on another host
+    digest = stress_grid.digest(grid_one_seed)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert stress_grid.digest(stress_grid.solve_grid(1)) == digest
+    certified = next(i for i, (_, out, _) in enumerate(grid_one_seed)
+                     if isinstance(out, stress_grid.ChannelOptResult))
+    failed = next(i for i, (_, out, _) in enumerate(grid_one_seed)
+                  if isinstance(out, stress_grid.SolverError) and out.value is not None)
+
+    def flipped(i: int) -> list:
+        key, out, moved = grid_one_seed[i]
+        if isinstance(out, stress_grid.SolverError):
+            out = stress_grid.SolverError(str(out), _flip_last_bit(out.value), out.dual_value,
+                                          out.optimizer)
+        else:
+            out = dataclasses.replace(out, value=_flip_last_bit(out.value))
+        return [*grid_one_seed[:i], (key, out, moved), *grid_one_seed[i + 1:]]
+
+    assert stress_grid.digest(flipped(certified)) != digest
+    assert stress_grid.digest(flipped(failed)) != digest
 
 
 def test_output_digests_lines(tmp_path, capsys):

@@ -2,7 +2,7 @@
 count, per (scale, tol) class, the solves, the ``SolverError``s, the
 returned brackets with ``value > dual_value``, the moved starts that
 certify and the primal-dual iterations of the certified results, then print
-the wall time:
+a digest of every solve and the wall time:
 
     python3 tools/stress_grid.py
 
@@ -20,11 +20,18 @@ monomials of W and U.  The image is solved from that start at ``tol``, and
 the start counts when the solve takes it.  The exit code is 1 when a
 returned result has an inverted bracket; an exception other than
 ``SolverError`` is not caught, so it also ends the run with exit code 1.
+The line ``digest <sha256>`` hashes every solve in grid order: the bits of a
+certified result (``value``, ``dual_value``, ``iterations``, ``path``, the
+optimizer and the dual certificate) and the text and carried bracket of a
+``SolverError``.  Two runs on one host with the same digest made the same
+solves bit for bit, so comparing two versions of the solver is one ``diff``
+of their output; OpenBLAS may pick other kernels on another host.
 The package is imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -117,6 +124,27 @@ def iterations(outcomes) -> dict[tuple[float, float], int]:
     return sums
 
 
+def _hex(x: float | None) -> str:
+    return "None" if x is None else float.hex(x)
+
+
+def digest(outcomes) -> str:
+    """sha256 over the bits of every solve, in grid order, as the module
+    docstring says."""
+    h = hashlib.sha256()
+    for _, out, _ in outcomes:
+        if isinstance(out, SolverError):
+            h.update(f"{out}|{_hex(out.value)}|{_hex(out.dual_value)}|".encode())
+            matrices = () if out.optimizer is None else (out.optimizer.choi.mat,)
+        else:
+            h.update(f"{_hex(out.value)}|{_hex(out.dual_value)}|{out.iterations}|{out.path}|"
+                     .encode())
+            matrices = out.optimizer.choi.mat, out.dual_certificate.mat
+        for mat in matrices:
+            h.update(mat.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     began = time.perf_counter()
     outcomes = solve_grid()
@@ -130,6 +158,7 @@ def main() -> int:
     totals = [sum(column) for column in zip(*rows.values())]
     print(f"{'all':>13} {totals[0]:7d} {totals[1]:7d} {totals[2]:9d} {totals[3]:7d} "
           f"{sum(steps.values()):10d}")
+    print(f"digest {digest(outcomes)}")
     print(f"wall {wall:.1f} s")
     return 1 if totals[2] else 0
 
