@@ -27,13 +27,13 @@ start; an image takes its source's norm cap and tightness with no objective
 built, whatever the degeneracy of the top eigenspace (W moves it with the
 objective, and the tightness witness depends on it, not on its basis), and
 builds its objective only for its exact solve, which starts from its
-source's result, its source's objective moved by W, W and U.  The solver
-moves the result and certifies it by a perturbation bound, with no
+source's result and objective, W and U.  The solver moves the objective and
+the result and certifies the image by a perturbation bound, with no
 eigendecomposition and no primal-dual iteration, or solves the image as if
 it had no start; the images of a failed source are solved directly.  Rank-one
-and d_in = 1 objectives are certified in closed form.  Each symmetry is kept
-as monomials (index, phase), W[a, index[a]] = phase[a], so moving a matrix is
-a gather and two phase products.
+and d_in = 1 objectives are certified in closed form.  The symmetries are one
+table of relabellings and monomials (index, phase), W[a, index[a]] = phase[a],
+so moving a matrix is a gather and two phase products.
 ``exact_bound``, ``trivial_bound``, ``bound_report`` and ``tightness_check``
 reuse nothing and take no start; they are the oracle.
 """
@@ -93,19 +93,6 @@ def objective_operator(scenario: Scenario, combination: Sequence[str]) -> Hermit
                                         (scenario.d_in, scenario.d_out))
 
 
-class _Relabelling:
-    """perm[x] = y when W T(x) W^dag = T(y), read off one row of label indices
-    shared with the other symmetries of a scenario."""
-
-    __slots__ = ("_index", "_labels", "_row")
-
-    def __init__(self, index: dict[str, int], labels: list[str], row: np.ndarray):
-        self._index, self._labels, self._row = index, labels, row
-
-    def __getitem__(self, label: str) -> str:
-        return self._labels[self._row[self._index[label]]]
-
-
 def _monomials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(index, phase) of a matrix m, or of each of a stack, with one nonzero
     entry per row, m[a, index[a]] = phase[a]."""
@@ -149,13 +136,14 @@ def _fingerprints(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (products @ moved[:, :, None])[..., 0].real
 
 
-def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
-    """(W, U, perm) for each non-identity W = U (x) V = X^p Z^q (x) X^s Z^t with
-    W T(x) W^dag = T(perm x), up to the rounding below, for every tester
-    element; perm maps the fingerprints <r|T|r> (r one fixed generic vector)
-    one to one onto the tester's own.  W and U are monomials (index, phase),
-    W[a, index[a]] = phase[a], whose phases are entries of the dense
-    shift-clock matrices.  The list is in candidate order, c = (p, q, s, t).
+def _symmetries(scenario: Scenario) -> tuple:
+    """(labels, rows, W, U) for the k non-identity W_s = U_s (x) V_s, U_s and
+    V_s of the form X^p Z^q, with W_s T(x) W_s^dag = T(rows[s, x]), up to the
+    rounding below, for every tester element x, an index into ``labels``;
+    rows[s] maps the fingerprints <r|T|r> (r one fixed generic vector) one to
+    one onto the tester's own.  W and U are monomials (index, phase) stacked
+    as (k, n) and (k, d_in), W_s[a, index[s, a]] = phase[s, a], whose phases
+    are entries of the shift-clock matrices; s ascends in candidate order.
 
     Modulo phases the candidates form the group Z_d_in^2 x Z_d_out^2, and the
     symmetries with the identity a subgroup H.  The search takes one chunk of
@@ -252,45 +240,55 @@ def _symmetries(scenario: Scenario) -> list[tuple[tuple, tuple, _Relabelling]]:
                 in_h[np.concatenate(cosets[1:])] = True
                 group, rows = np.concatenate(cosets), np.concatenate(coset_rows)
     order = np.argsort(group)[1:]
-    c, rows = group[order], rows[order]
-    index = {label: i for i, label in enumerate(labels)}
+    c = group[order]
     iu, pu, iv, pv = iu[c // len(vs)], pu[c // len(vs)], iv[c % len(vs)], pv[c % len(vs)]
-    iw, pw = _kron_monomials((iu, pu), (iv, pv))
-    return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
-            for i, row in enumerate(rows)]
+    return labels, rows[order], _kron_monomials((iu, pu), (iv, pv)), (iu, pu)
 
 
-def _orbits(keys: Sequence[tuple[str, ...]], symmetries: Sequence) -> dict:
+def _orbits(keys: Sequence[tuple[str, ...]], symmetries: tuple) -> dict:
     """The orbit table of ``keys`` (tuples of labels), in their order: the first
     key of each orbit is its source and maps to None, every other key to
-    (source, W, U) for the first symmetry W = U (x) V that maps the source
-    onto it, W and U as monomials.  The symmetries form a group, so the images
-    of a source are its whole orbit."""
+    (source, s) for the first row s of the ``_symmetries`` table that maps the
+    source onto it.  A source's images are one gather of the rows, and the
+    symmetries form a group, so they are its whole orbit."""
+    labels, rows = symmetries[:2]
+    if not len(rows):  # every key is a source, with no gather
+        return dict.fromkeys(keys)
+    index, names = {label: i for i, label in enumerate(labels)}, np.array(labels, dtype=object)
     table: dict = {}
     for key in keys:
         if key not in table:
             table[key] = None
-            for w, u, perm in symmetries:
-                table.setdefault(tuple(perm[x] for x in key), (key, w, u))
+            images = names[rows[:, [index[x] for x in key]]].tolist()
+            for s, image in enumerate(map(tuple, images)):
+                table.setdefault(image, (key, s))
     return {key: table[key] for key in keys}
 
 
+def _start(symmetries: tuple, s: int, result, objective: np.ndarray) -> tuple | None:
+    """The solver's start of an image by row s of the ``_symmetries`` table,
+    from its source's result and objective; None if the source's solve failed."""
+    if not isinstance(result, ChannelOptResult):
+        return None
+    _, _, (iw, pw), (iu, pu) = symmetries
+    return result, objective, (iw[s], pw[s]), (iu[s], pu[s])
+
+
 def _per_test_maxima(scenario: Scenario, tol: float, labels: Sequence[str] | None = None,
-                     symmetries: Sequence = ()) -> dict[str, float | str]:
+                     symmetries: tuple | None = None) -> dict[str, float | str]:
     """Dual value of max_channel p(x) (an upper estimate within ``tol``) for each
     outcome x of each test of nonzero weight, restricted to ``labels`` if given;
-    a failed solve is kept as its error message.  One walk over the label
-    orbit table: an image starts from its source's result and its source's
-    element moved to T' = W T W^dag, with W and U."""
+    a failed solve is kept as its error message.  With ``symmetries``, one walk
+    over the label orbit table: an image starts from its source's result and
+    element."""
     elements = {(label,): element
                 for weight, tester in zip(scenario.weights, scenario.testers()) if weight != 0.0
                 for label, element in tester.elements if labels is None or label in labels}
+    table = dict.fromkeys(elements) if symmetries is None else _orbits(list(elements), symmetries)
     results: dict = {}
-    for key, origin in _orbits(list(elements), symmetries).items():
-        start = None
-        if origin is not None and isinstance(results[origin[0]], ChannelOptResult):
-            source, w, u = origin
-            start = results[source], _conjugated(elements[source].mat, w), w, u
+    for key, origin in table.items():
+        start = None if origin is None else \
+            _start(symmetries, origin[1], results[origin[0]], elements[origin[0]].mat)
         try:
             results[key] = maximize_over_channels(elements[key], tol=tol, start=start)
         except SolverError as exc:
@@ -566,7 +564,7 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
     ``tight_degenerate`` with no objective built, as ``_symmetries`` proved
     the two objectives equal up to W and rounding, and builds its objective
     only for its exact solve, which starts from its source's result and
-    objective moved by W; only a source that has images keeps those.
+    objective, moved by the solver; only a source that has images keeps them.
     ``skip_exact`` and ``skip_trivial`` leave those bounds (and ``tradeoff``)
     None.  A failed solve is the ``error`` of every report that needed it.
     """
@@ -595,10 +593,8 @@ def scenario_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 409
         if origin is None:
             spectral = _tightness(mat, dims)
         else:
-            source, w, u = origin
-            m, spectral, solved = kept[source]
-            if isinstance(solved, ChannelOptResult):
-                start = solved, _conjugated(m, w), w, u
+            m, spectral, solved = kept[origin[0]]
+            start = _start(symmetries, origin[1], solved, m)
         if not skip_exact:  # validated testers' elements, summed as _objective says
             exact = exact_bound(HermitianOperator._unchecked(mat, dims), start)
         if combo in sources:

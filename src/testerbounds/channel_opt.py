@@ -43,10 +43,10 @@ Each Schur solve is refined once, as the residual of the inverse alone is
 primal infeasibility later iterates inherit.  Once n mu <= tol / 2 both
 iterates are repaired to exact feasibility and the gap is measured.
 
-A start (result, M_s, W, U) is a result (J, Y) certified for an objective,
-that objective moved to M_s by a monomial unitary W = U (x) V, and W and U
-as (index, phase), W[a, index[a]] = phase[a].  eps = n max|M - M_s| bounds
-||M - M_s||_op, so J' = W J W^dag is feasible with value tr[M J'], and
+A start (result, M_source, W, U) is a result (J, Y) certified for M_source,
+that objective, and W = U (x) V, W and U monomials (index, phase),
+W[a, index[a]] = phase[a].  With M_s = W M_source W^dag, eps = n max|M - M_s|
+bounds ||M - M_s||_op, so J' = W J W^dag is feasible with value tr[M J'], and
 U Y U^dag + eps I is a dual certificate of M of value tr Y + d_in eps: its
 slack is at least U Y U^dag (x) I - M_s, the start's slack moved by W, so its
 smallest eigenvalue is at least the start's.  No eigendecomposition is needed.
@@ -208,9 +208,9 @@ def _channel(jfix: np.ndarray, dims: tuple[int, ...]) -> Channel | None:
 
 
 def _from_start(m: HermitianOperator, tol: float, start: tuple) -> ChannelOptResult | None:
-    """The result for ``m`` that a start (result, M_s, W, U) certifies by the
-    perturbation bound eps = n max|M - M_s|, with the channel J' = W J W^dag
-    and the dual U Y U^dag + eps I, or None; all three are built unchecked.
+    """The result for ``m`` that a start (result, M_source, W, U) certifies by
+    eps = n max|M - M_s|, M_s = W M_source W^dag moved once the sizes match,
+    with J' = W J W^dag and U Y U^dag + eps I, or None; all built unchecked.
     Entry (a, b) of J' is J[index[a], index[b]] times two of W's phases, two
     complex products averaged with its mirror, so entrywise
     |J' - W J W^dag| <= c u |J| with c = 8 and u = 2^-53, and
@@ -224,12 +224,12 @@ def _from_start(m: HermitianOperator, tol: float, start: tuple) -> ChannelOptRes
     3e-15 d_in for n <= 32, of the exact move of J by a unitary, and passes
     the positivity and trace-preservation checks J passed to within d_out
     times that, far inside their 1e-9."""
-    res, objective, w, u = start
+    res, source, w, u = start
     d_in = m.dims[0]
-    if (res.optimizer.choi.dims != m.dims or objective.shape != m.mat.shape
+    if (res.optimizer.choi.dims != m.dims or source.shape != m.mat.shape
             or any(len(x) != m.size for x in w) or any(len(x) != d_in for x in u)):
         return None
-    eps = m.size * float(np.abs(m.mat - objective).max())
+    eps = m.size * float(np.abs(m.mat - _conjugated(source, w)).max())
     if not eps <= ROUNDING_ATOL * max(1.0, float(np.abs(m.mat).max())):
         return None
     optimizer = Channel._unchecked(
@@ -255,7 +255,7 @@ def maximize_over_channels(m: HermitianOperator, tol: float = DEFAULT_TOL,
     certifies within the iteration cap, or the best pair is inverted.  A
     non-channel primal is never reported.
 
-    ``start``, a tuple (result, M_s, W, U) as the module docstring says,
+    ``start``, a tuple (result, M_source, W, U) as the module docstring says,
     certifies ``m`` there: the result then has the channel J' = W J W^dag,
     value tr[M J'], the dual certificate U Y U^dag + eps I, ``path ==
     "start"`` and one ``history`` entry.  Otherwise, monomials of another size

@@ -5,7 +5,7 @@ from math import ceil
 import numpy as np
 
 from testerbounds.bounds import (TIGHTNESS_ATOL, TightnessResult, _monomials, _orbits,
-                                 _per_test_maxima, _Relabelling, _report, _symmetries, _tightness,
+                                 _per_test_maxima, _report, _symmetries, _tightness,
                                  all_combinations)
 from testerbounds.channel_opt import ChannelOptResult, SolverError, maximize_over_channels
 from testerbounds.linalg import (EQUALITY_ATOL, ROUNDING_ATOL, HermitianOperator, _conjugated,
@@ -90,10 +90,10 @@ def two_product_schur(j: np.ndarray, sinv: np.ndarray, d_in: int, d_out: int) ->
     return ((product(j, sinv) + product(sinv, j)) / 2).reshape(d_in * d_in, -1)
 
 
-def exhaustive_symmetries(scenario: Scenario) -> list:
+def exhaustive_symmetries(scenario: Scenario) -> tuple:
     """``bounds._symmetries`` by fingerprinting every candidate on its own, with
-    no use of the group structure: the list, in the same order, that the
-    coset-pruned search must return."""
+    no use of the group structure: the table (labels, rows, W, U), rows in
+    the same order, that the coset-pruned search must return."""
     d_in, d_out = scenario.d_in, scenario.d_out
     us, vs = shift_clock(d_in), shift_clock(d_out)
     k = np.arange(1.0, d_in * d_out + 1)
@@ -120,15 +120,13 @@ def exhaustive_symmetries(scenario: Scenario) -> list:
     # tester's own element of rank i
     rows = np.empty_like(order[keep])
     np.put_along_axis(rows, order[keep], order[0], axis=1)
-    index = {label: i for i, label in enumerate(labels)}
     (iu, pu), (iv, pv) = _monomials(us), _monomials(vs)
     c = np.flatnonzero(keep)
     iu, pu, iv, pv = iu[c // len(vs)], pu[c // len(vs)], iv[c % len(vs)], pv[c % len(vs)]
     # row (a, b) of U (x) V holds U[a, iu[a]] V[b, iv[b]] in column (iu[a], iv[b])
     iw = (iu[:, :, None] * d_out + iv[:, None, :]).reshape(len(c), d_in * d_out)
     pw = (pu[:, :, None] * pv[:, None, :]).reshape(len(c), d_in * d_out)
-    return [((iw[i], pw[i]), (iu[i], pu[i]), _Relabelling(index, labels, row))
-            for i, row in enumerate(rows)]
+    return labels, rows, (iw, pw), (iu, pu)
 
 
 def element_error(elems: np.ndarray, w: tuple, row: np.ndarray) -> float:
@@ -183,11 +181,13 @@ def walk_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 4096,
     checked: one walk over the orbit table in report order, each objective
     summed on its own, each image's source objective moved by two takes and
     two phase products and compared with the image's, which takes its own
-    spectral step when the two differ by more than ``ROUNDING_ATOL``.  The
+    spectral step when the two differ by more than ``ROUNDING_ATOL``; the
+    start hands the solver the source objective, unmoved.  The
     reports, and so their bytes, that ``scenario_report``, which checks each
     symmetry once in ``_symmetries`` and no image, must return."""
     combos = all_combinations(scenario, cap)
     symmetries = _symmetries(scenario)
+    _, _, (iw, pw), (iu, pu) = symmetries
     table = _orbits(combos, symmetries)
     sources = {origin[0] for origin in table.values() if origin is not None}
     maxima = None if skip_trivial else _per_test_maxima(scenario, tol, symmetries=symmetries)
@@ -200,14 +200,14 @@ def walk_report(scenario: Scenario, tol: float = 1e-6, cap: int | None = 4096,
             mat += weight * tester.element(label).mat
         spectral = start = None
         if origin is not None:
-            source, w, u = origin
+            source, s = origin
             m, handed, solved = kept[source]
-            index, phase = w
+            index, phase = iw[s], pw[s]
             moved = phase[:, None] * m.take(index, 0).take(index, 1) * phase.conj()
             if np.abs(mat - moved).max() <= ROUNDING_ATOL:
                 spectral = handed
             if isinstance(solved, ChannelOptResult):
-                start = solved, moved, w, u
+                start = solved, m, (index, phase), (iu[s], pu[s])
         if spectral is None:
             spectral = _tightness(mat, dims)
         exact = None

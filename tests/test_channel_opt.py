@@ -20,6 +20,7 @@ from testerbounds.linalg import (
     ROUNDING_ATOL,
     HermitianOperator,
     Ket,
+    _conjugated,
     maximally_entangled_ket,
     operator_norm,
     partial_trace,
@@ -278,15 +279,14 @@ def identity(n):
 
 def shift_clock_start(res, m, d_in, d_out, c):
     """The start of the image of ``m`` under shift-clock candidate c, made as
-    the report walk makes it: (res, M moved by the monomial W, W, U), W and U
-    read off by ``bounds._monomials``; and that image, W M W^dag from the
-    dense W."""
+    the report walk makes it: (res, M, W, U), W and U the monomials read off
+    by ``bounds._monomials``, by which the solver moves M and res; and that
+    image, W M W^dag from the dense W."""
     u = shift_clock(d_in)[c // d_out ** 2]
     w = np.kron(u, shift_clock(d_out)[c % d_out ** 2])
     w_mono, u_mono = ((index[0], phase[0]) for index, phase in
                       (bounds._monomials(w[None]), bounds._monomials(u[None])))
-    start = res, bounds._conjugated(m.mat, w_mono), w_mono, u_mono
-    return start, w @ m.mat @ w.conj().T
+    return (res, m.mat, w_mono, u_mono), w @ m.mat @ w.conj().T
 
 
 class TestStart:
@@ -308,7 +308,7 @@ class TestStart:
         noise = random_hermitian(rng, d_in, d_out).mat
         image = HermitianOperator(image + size * noise / np.abs(noise).max(), (d_in, d_out))
         res = maximize_over_channels(image, tol=1e-6, start=start)
-        eps = image.size * np.abs(image.mat - start[1]).max()
+        eps = image.size * np.abs(image.mat - _conjugated(start[1], start[2])).max()
         assert res.path == "start" and res.iterations == 0 and len(res.history) == 1
         assert eps <= ROUNDING_ATOL
         assert np.trace(image.mat @ res.optimizer.choi.mat).real == \
@@ -317,8 +317,7 @@ class TestStart:
             pytest.approx(d_in * eps, abs=2 * np.spacing(max(1.0, source.dual_value)))
         # the widened certificate is feasible for the image itself, and has
         # the bits of the moved certificate, validated, widened by eps
-        moved = HermitianOperator(bounds._conjugated(source.dual_certificate.mat, start[3]),
-                                  (d_in,))
+        moved = HermitianOperator(_conjugated(source.dual_certificate.mat, start[3]), (d_in,))
         assert np.array_equal(res.dual_certificate.mat, moved.mat + eps * np.eye(d_in))
         assert dual_min_eig(image, res.dual_certificate) >= source.dual_min_eig - 1e-14
         # two certified brackets of one optimum overlap
@@ -336,9 +335,10 @@ class TestStart:
 
     @staticmethod
     def past_guard(m, source):
-        """The exact image moved by 5e-13 per diagonal entry: eps = 2e-12."""
-        start, image = shift_clock_start(source, m, 2, 2, 5)
-        return HermitianOperator(image + 5e-13 * np.eye(4), (2, 2)), 1e-6, start
+        """The exact image, and the start's source objective moved by 5e-13
+        per diagonal entry: eps = 2e-12."""
+        (res, objective, w, u), image = shift_clock_start(source, m, 2, 2, 5)
+        return HermitianOperator(image, (2, 2)), 1e-6, (res, objective + 5e-13 * np.eye(4), w, u)
 
     @staticmethod
     def wide_gap(m, source):

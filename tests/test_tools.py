@@ -184,7 +184,9 @@ def result_line(**values) -> str:
 
 def test_bench_pairs_summary():
     # pairs won follow each metric's direction and ties count for neither
-    # side; quartiles are statistics.quantiles' (exclusive method)
+    # side; quartiles are statistics.quantiles' (exclusive method); a change
+    # is resolved when head wins 9 of 10 pairs and the medians differ by more
+    # than base's interquartile range
     spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
     names = [metric["name"] for metric in spec["end_to_end"]]
     assert names == ["report_s", "combos_per_s", "setup_s", "peak_rss_mb", "ok_frac"]
@@ -200,14 +202,22 @@ def test_bench_pairs_summary():
     assert lines[:4] == ["report_s (s, lower is better)",
                          "  base median 0.115 (quartiles 0.1025-0.1275)",
                          "  head median 0.105 (quartiles 0.1-0.11)",
-                         "  head - base -8.7 %; base won 1, head won 3 of 4 pairs"]
+                         "  head - base -8.7 %; base won 1, head won 3 of 4 pairs; not resolved"]
     assert lines[4] == "combos_per_s (1/s, higher is better)"
-    assert lines[7] == "  head - base +0.0 %; base won 1, head won 2 of 4 pairs"
-    assert lines[11] == "  head - base +0.0 %; base won 0, head won 0 of 4 pairs"
+    assert lines[7] == "  head - base +0.0 %; base won 1, head won 2 of 4 pairs; not resolved"
+    assert lines[11] == "  head - base +0.0 %; base won 0, head won 0 of 4 pairs; not resolved"
     assert lines[13:16] == ["  base median 48.1 (quartiles 48.025-48.175)",
                             "  head median 48.1 (quartiles 48.025-48.175)",
-                            "  head - base +0.0 %; base won 1, head won 1 of 4 pairs"]
+                            "  head - base +0.0 %; base won 1, head won 1 of 4 pairs; not resolved"]
     assert len(lines) == 4 * len(names)
+    # head wins every pair: by more than base's quartile distance, 0.025, or not
+    for faster, verdict in (([0.08] * 4, "-30.4 %; base won 0, head won 4 of 4 pairs; resolved"),
+                            ([0.11, 0.10, 0.12, 0.095],
+                             "-8.7 %; base won 0, head won 4 of 4 pairs; not resolved")):
+        other = [result_line(**{k: faster[i] if k == "report_s" else rows[k][1][i] for k in names})
+                 for i in range(4)]
+        assert bench_pairs.summarize(spec["end_to_end"], base, other)[0][3] == \
+            f"  head - base {verdict}"
     # a run that is not correct, or that failed an operation, fails the comparison
     head[2] = json.dumps({**json.loads(head[2]), "correct": False})
     base[0] = json.dumps({**json.loads(base[0]), "failed": 1})
@@ -251,7 +261,7 @@ def test_bench_pairs_library_run(tmp_path):
     lines, ok = bench_pairs.summarize(bench_pairs.LIBRARY_METRICS, [line], [line])
     assert ok
     assert lines[0] == "wall_s (s, lower is better)"
-    assert lines[3] == "  head - base +0.0 %; base won 0, head won 0 of 1 pairs"
+    assert lines[3] == "  head - base +0.0 %; base won 0, head won 0 of 1 pairs; not resolved"
     assert lines[4] == "maxrss_mb (MB, lower is better)"
     assert len(lines) == 8
     (tmp_path / "empty.json").write_text("{}")

@@ -22,8 +22,10 @@ ones:
   (``ru_maxrss``).
 
 For each metric the tool prints both sides' medians and quartiles, the
-change of the medians, and the pairs each side won by the metric's direction
-(ties count for neither side).  It exits 1 if a run is not ``correct`` or
+change of the medians, the pairs each side won by the metric's direction
+(ties count for neither side), and whether the change is resolved: head won
+at least nine tenths of the pairs and the medians differ by more than the
+distance between base's quartiles.  It exits 1 if a run is not ``correct`` or
 fails any operation (in a library run, a report entry with an ``error``).
 Standard library only.
 """
@@ -121,14 +123,16 @@ def summarize(metrics: list[dict], base: list[str], head: list[str]) -> tuple[li
         values = [[r["metrics"][key]["value"] for r in side] for side in results]
         won = [sum(sign * (mine - theirs) > 0 for mine, theirs in zip(values[s], values[1 - s]))
                for s in (0, 1)]
+        quartiles = [_quartiles(v) for v in values]
         medians = [statistics.median(v) for v in values]
         change = (medians[1] / medians[0] - 1) * 100 if medians[0] else float("nan")
+        resolved = 10 * won[1] >= 9 * len(values[0]) and \
+            abs(medians[1] - medians[0]) > quartiles[0][2] - quartiles[0][0]
         lines.append(f"{key} ({metric['unit']}, {metric['better']} is better)")
-        for name, v in zip(("base", "head"), values):
-            q1, q2, q3 = _quartiles(v)
+        for name, (q1, q2, q3) in zip(("base", "head"), quartiles):
             lines.append(f"  {name} median {q2:.6g} (quartiles {q1:.6g}-{q3:.6g})")
         lines.append(f"  head - base {change:+.1f} %; base won {won[0]}, head won {won[1]} "
-                     f"of {len(values[0])} pairs")
+                     f"of {len(values[0])} pairs; {'' if resolved else 'not '}resolved")
     return lines, ok
 
 

@@ -15,10 +15,10 @@ G G^dag, and zero; it is scaled by ``scale`` and solved at ``tol``.  Each
 certified result is then the start of the objective's image W M W^dag, for
 the shift-clock W = U (x) V of a candidate other than the identity drawn
 from ``default_rng(seed)``, as a report starts an orbit image: the image is
-the dense product, the start the result, M moved by W's monomial, and the
-monomials of W and U.  The image is solved from that start at ``tol``, and
-the start counts when the solve takes it.  The exit code is 1 when a
-returned result has an inverted bracket; an exception other than
+the dense product, the start the result, M, and the monomials of W and U,
+by which the solver moves both.  The image is solved from that start at
+``tol``, and the start counts when the solve takes it.  The exit code is 1
+when a returned result has an inverted bracket; an exception other than
 ``SolverError`` is not caught, so it also ends the run with exit code 1.
 The line ``digest <sha256>`` hashes every solve in grid order: the bits of a
 certified result (``value``, ``dual_value``, ``iterations``, ``path``, the
@@ -43,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from testerbounds.channel_opt import (ChannelOptResult, SolverError,  # noqa: E402
                                       maximize_over_channels)
 from testerbounds.bounds import _monomials  # noqa: E402
-from testerbounds.linalg import HermitianOperator, _conjugated, shift_clock  # noqa: E402
+from testerbounds.linalg import HermitianOperator, shift_clock  # noqa: E402
 
 SEEDS = 30
 SHAPES = ((1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3))
@@ -72,7 +72,7 @@ def started(seed: int, res: ChannelOptResult, m: HermitianOperator, tol: float) 
     u = shift_clock(d_in)[c // d_out ** 2]
     w = np.kron(u, shift_clock(d_out)[c % d_out ** 2])
     (iw, pw), (iu, pu) = _monomials(w[None]), _monomials(u[None])
-    start = res, _conjugated(m.mat, (iw[0], pw[0])), (iw[0], pw[0]), (iu[0], pu[0])
+    start = res, m.mat, (iw[0], pw[0]), (iu[0], pu[0])
     try:
         image = maximize_over_channels(HermitianOperator(w @ m.mat @ w.conj().T, m.dims),
                                        tol=tol, start=start)
